@@ -10,11 +10,14 @@ streams and the order of the ISS windows.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import hashlib
+import json
 import pathlib
 import sys
 from time import perf_counter
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -52,16 +55,14 @@ MAX_BATCH = 512
 WARM_ROUNDS = 6
 #: Rounds every run consumes; the decision digest covers them.
 PREFIX_ROUNDS = 12
-#: The offline oracle replays every CHECK_EVERY-th session in full.
-CHECK_EVERY = 8
 
 #: iss_grid: windows per run_window_levels_batch call (one arena chunk).
 ISS_BATCH = 32
 ISS_MACHINES = ("pulpv3_1c", "pulpv3_4c", "wolf_8c_bi")
 PAPER_SPEEDUP = {"pulpv3_4c": 3.7, "wolf_8c_bi": 18.4}
 
-#: Each run is cut into this many time slices: rates are the median
-#: over slices, and closed loops scale each slice by its host speed.
+#: Each run is cut into this many time slices; rates are the median
+#: over slices.
 SLICES = 20
 #: Fresh process launches per run whose set-up times give setup_s.
 SETUP_REPEATS = 3
@@ -217,23 +218,29 @@ def offline_decisions(model, stream: np.ndarray, window_config, smooth: int):
 # -- measurement helpers ------------------------------------------------------
 
 #: Seconds one probe unit takes on the reference host (the 2-core x86
-#: container the bounds in BENCHMARK.json were set on).
+#: host the bounds in BENCHMARK.json were set on).
 PROBE_REFERENCE_S = 0.004
-#: Closed loops time one probe unit this often.
+#: In-process closed loops run one probe unit this often.
 PROBE_INTERVAL_S = 0.25
 #: A slice is scaled by the probe units of this many slices either side.
 PROBE_SPAN = 1
 
 
 class Prober:
-    """Host-speed probe for a shared machine.
+    """Host-speed probe for a shared host.
 
-    On a shared host the speed of interpreter and memory-bound code
-    drifts together by tens of percent over a few seconds.  A probe unit
-    is a fixed mix of both kinds of work; its duration against
+    On a shared host the clock of interpreter and memory-bound code
+    drifts by tens of percent from run to run: a pure-Python loop took
+    18 to 51 ms within 20 s on the reference host.  A probe unit is a
+    fixed mix of both kinds of work; its duration against
     ``PROBE_REFERENCE_S`` gives the host's speed at that moment, and
-    timings are reported scaled by it, i.e. as they would read on the
-    reference host.  ``samples`` holds ``(stamp, seconds)`` per unit.
+    times are reported as they would read on the reference host.  Run
+    units only where no work of the system is in flight (a unit then
+    delays no decision and competes with nothing it measures): before
+    each launch of a system process, between rounds of unique_batch
+    and between batches of iss_grid; never beside fleet2's shard
+    workers or inside emg_tcp's open loop.  ``samples`` holds
+    ``(stamp, seconds)`` per unit.
     """
 
     def __init__(self) -> None:
@@ -297,8 +304,8 @@ def _edges(times: np.ndarray, t0: float, t1: float) -> np.ndarray:
 
 def _speeds(edges: np.ndarray, probes) -> np.ndarray:
     """Host speed per slice: reference over the lower quartile of the
-    probe units within PROBE_SPAN slices either side (the system's own
-    processes can only slow a unit down)."""
+    probe units within PROBE_SPAN slices either side (anything else on
+    the host can only slow a unit down)."""
     stamps = np.array([p[0] for p in probes])
     seconds = np.array([p[1] for p in probes])
     out = np.empty(SLICES)
@@ -314,8 +321,9 @@ def _speeds(edges: np.ndarray, probes) -> np.ndarray:
 
 def rate_metric(times, t0: float, t1: float, probes=None) -> float:
     """Events per second (one event per stamp in ``times``): the median
-    over time slices, each divided by its host speed when ``probes``
-    (a Prober's samples) are given."""
+    over SLICES time slices of the run, so a few seconds of host stall
+    move it less than a whole-run mean.  With ``probes`` (a Prober's
+    samples) each slice is first divided by its host speed."""
     times = np.asarray(times, dtype=np.float64)
     edges = _edges(times, t0, t1)
     counts = np.histogram(times, edges)[0]
@@ -325,11 +333,11 @@ def rate_metric(times, t0: float, t1: float, probes=None) -> float:
     return float(np.median(rates[counts > 0])) if counts.any() else 0.0
 
 
-def latency_metrics(times, latencies_s, t0, t1, probes=None):
+def latency_metrics(latencies_s, times=None, t0=0.0, t1=0.0, probes=None):
     """decision_p50_ms / decision_p95_ms over the whole run.
 
     With ``probes`` each latency is first multiplied by the host speed
-    of the slice it ended in.
+    of the slice its decision (stamped in ``times``) ended in.
     """
     latencies_s = np.asarray(latencies_s, dtype=np.float64)
     if not latencies_s.size:
@@ -345,3 +353,58 @@ def latency_metrics(times, latencies_s, t0, t1, probes=None):
         f"decision_p{p}_ms": 1e3 * percentile(latencies_s, p)
         for p in (50, 95)
     }
+
+
+def metric_units(kind: str) -> Dict[str, str]:
+    """Name -> unit of every ``kind`` metric ("end_to_end" or
+    "per_layer") that BENCHMARK.json declares; that file owns both."""
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return {m["name"]: m["unit"] for m in json.load(fh)[kind]}
+
+
+# -- system processes ---------------------------------------------------------
+
+
+@contextlib.asynccontextmanager
+async def system_process(script: str, *args: str):
+    """A fresh ``python perfbench/<script> *args`` with piped stdin and
+    stdout; killed and reaped on leaving the block if still running."""
+    proc = await asyncio.create_subprocess_exec(
+        sys.executable, str(HERE / script), *args,
+        stdin=asyncio.subprocess.PIPE,
+        stdout=asyncio.subprocess.PIPE,
+        # The traced server's RESULT line carries every decision's span.
+        limit=1 << 26,
+    )
+    try:
+        yield proc
+    finally:
+        if proc.returncode is None:
+            proc.kill()
+            await proc.wait()
+
+
+async def expect(proc, prefix: str, timeout: float) -> str:
+    """The next stdout line of ``proc`` that starts with ``prefix``."""
+    while True:
+        raw = await asyncio.wait_for(proc.stdout.readline(), timeout)
+        if not raw:
+            raise RuntimeError(
+                f"system process ended before printing {prefix!r}"
+            )
+        line = raw.decode().strip()
+        if line.startswith(prefix):
+            return line
+
+
+async def exited(proc, timeout: float = 60.0) -> None:
+    """Wait for ``proc`` to end; raise unless it exited with 0."""
+    if await asyncio.wait_for(proc.wait(), timeout) != 0:
+        raise RuntimeError(f"system process exited with {proc.returncode}")
+
+
+async def result(proc, timeout: float) -> dict:
+    """The ``RESULT <json>`` line of ``proc``, once it has exited with 0."""
+    line = await expect(proc, "RESULT", timeout)
+    await exited(proc)
+    return json.loads(line[len("RESULT "):])

@@ -16,8 +16,12 @@ Workloads (see BENCHMARK.json for why each was chosen):
 
 Every system process is launched fresh; ``setup_s`` is the median over
 several launches of the time from launch until the system is warm and
-ready.  With ``--trace 0`` the end-to-end metrics are measured with no
-shims installed.  With ``--trace 1`` the run measures half its time
+ready.  Set-up times, and the rates and latencies of the in-process
+closed loops (unique_batch, iss_grid), are scaled to a reference host
+by a speed probe (``common.Prober``) run where no system work is in
+flight; every other figure is as measured.  With
+``--trace 0`` the end-to-end metrics are measured with no shims
+installed.  With ``--trace 1`` the run measures half its time
 untraced and half traced (each in a fresh process) and reports the
 per-layer metrics of the traced half plus the tracing overhead.  Every
 checked output is compared with the offline library; the last stdout
@@ -27,26 +31,18 @@ line is one JSON object, and the exit code is non-zero on any mismatch.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import os
 import pathlib
-import queue
 import shutil
 import statistics
-import subprocess
 import sys
-import threading
 from time import perf_counter
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("emg_tcp", "unique_batch", "fleet2", "iss_grid")
-UNITS = {
-    "setup_s": "s",
-    "windows_per_s": "1/s",
-    "decision_p50_ms": "ms",
-    "peak_rss_mb": "MB",
-}
 
 
 def _parse(argv):
@@ -61,57 +57,23 @@ def _parse(argv):
 # -- closed-loop system processes ---------------------------------------------
 
 
-def _reader(stream, lines: "queue.Queue") -> None:
-    for line in stream:
-        lines.put(line)
-    lines.put(None)
+async def _closed(workload, inputs, seconds, mode, trace, scratch):
+    """One fresh closed-loop process: (set-up seconds as measured,
+    result or None)."""
+    import common
 
-
-def _expect(lines: "queue.Queue", prefix: str, timeout: float) -> str:
-    deadline = perf_counter() + timeout
-    while True:
-        line = lines.get(timeout=max(0.0, deadline - perf_counter()))
-        if line is None:
-            raise RuntimeError(f"system process ended before {prefix!r}")
-        if line.startswith(prefix):
-            return line.strip()
-
-
-def _closed(workload, inputs, seconds, mode, trace, scratch, prober):
-    """One fresh closed-loop process: (set-up seconds scaled to the
-    reference host, result or None)."""
-    speed = prober.speed()
     t_launch = perf_counter()
-    proc = subprocess.Popen(
-        [
-            sys.executable, str(HERE / "closed.py"),
-            "--workload", workload, "--inputs", inputs,
-            "--seconds", repr(seconds), "--mode", mode,
-            "--trace", str(trace), "--scratch", scratch,
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    lines: "queue.Queue" = queue.Queue()
-    reader = threading.Thread(
-        target=_reader, args=(proc.stdout, lines), daemon=True
-    )
-    reader.start()
-    try:
-        _expect(lines, "READY", 120.0)
-        setup_s = (perf_counter() - t_launch) * speed
-        result = None
-        if mode == "measure":
-            line = _expect(lines, "RESULT", seconds + 150.0)
-            result = json.loads(line[len("RESULT "):])
-        if proc.wait(timeout=60.0) != 0:
-            raise RuntimeError(f"{workload} process exited {proc.returncode}")
-        return setup_s, result
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        reader.join(timeout=5.0)
+    async with common.system_process(
+        "closed.py", "--workload", workload, "--inputs", inputs,
+        "--seconds", repr(seconds), "--mode", mode,
+        "--trace", str(trace), "--scratch", scratch,
+    ) as proc:
+        await common.expect(proc, "READY", 120.0)
+        setup_s = perf_counter() - t_launch
+        if mode == "setup":
+            await common.exited(proc)
+            return setup_s, None
+        return setup_s, await common.result(proc, seconds + 150.0)
 
 
 # -- workloads ------------------------------------------------------------------
@@ -149,15 +111,16 @@ def _closed_workload(args, scratch, notes, prober):
     inputs = os.path.join(scratch, "inputs.npz")
     np.savez(inputs, **arrays)
 
-    def measure(seconds, trace):
-        return _closed(
-            args.workload, inputs, seconds, "measure", trace, scratch,
-            prober,
-        )
+    def launch(seconds, mode, trace):
+        speed = prober.speed()
+        setup_s, result = asyncio.run(_closed(
+            args.workload, inputs, seconds, mode, trace, scratch
+        ))
+        return setup_s * speed, result
 
     if args.trace:
-        _, base = measure(args.seconds / 2, 0)
-        _, traced = measure(args.seconds / 2, 1)
+        _, base = launch(args.seconds / 2, "measure", 0)
+        _, traced = launch(args.seconds / 2, "measure", 1)
         layers = traced["layers"]
         layers["decision_p95_ms"] = base["metrics"]["decision_p95_ms"]
         layers["trace.overhead_frac"] = 1.0 - (
@@ -167,11 +130,10 @@ def _closed_workload(args, scratch, notes, prober):
         runs = [base, traced]
         return runs, None, layers
     setups = [
-        _closed(args.workload, inputs, args.seconds, "setup", 0,
-                scratch, prober)[0]
+        launch(args.seconds, "setup", 0)[0]
         for _ in range(common.SETUP_REPEATS - 1)
     ]
-    setup_s, result = measure(args.seconds, 0)
+    setup_s, result = launch(args.seconds, "measure", 0)
     setups.append(setup_s)
     return [result], setups, None
 
@@ -201,9 +163,6 @@ def _tcp_workload(args, scratch, notes, prober):
         setup_s *= speed
         if setup_only:
             return setup_s, None
-        # No probe may run inside the open loop; the host speed of the
-        # run is taken as the mean of probes before and after it.
-        speed = (speed + prober.speed()) / 2.0
         checked = tcp.evaluate(load, server, model)
         late = np.asarray(load["late_s"])
         stats = server["ingress"]
@@ -227,13 +186,7 @@ def _tcp_workload(args, scratch, notes, prober):
             "attempted": checked["attempted"],
             "failed": checked["failed"],
             "metrics": {
-                **{
-                    name: value * speed
-                    for name, value in common.latency_metrics(
-                        checked["times"], checked["lats"],
-                        load["t0"], load["t_last_due"],
-                    ).items()
-                },
+                **common.latency_metrics(checked["lats"]),
                 # Open loop: decided windows over the span from the
                 # first due chunk to the last decision received.
                 "windows_per_s": len(checked["times"]) / (
@@ -326,6 +279,7 @@ def main(argv=None) -> int:
         f"{args.seconds} trace {args.trace}"
     ]
     try:
+        # Probed just before each launch, while no system process runs.
         prober = common.Prober()
         if args.workload == "emg_tcp":
             runs, setups, layers = _tcp_workload(
@@ -342,17 +296,19 @@ def main(argv=None) -> int:
     for r in runs:
         if "decision_digest" in r:
             notes.append(
-                f"decision digest (first rounds) {r['decision_digest']}; "
-                f"oracle checked {r['checked']} windows"
+                f"decision digest (first {common.PREFIX_ROUNDS} rounds) "
+                f"{r['decision_digest']}"
             )
         if "sim_cycles" in r:
             _iss_notes(r, notes)
-        if "raw_windows_per_s" in r:
+        if r.get("probe_units"):
             notes.append(
                 f"windows/s as measured on this host "
-                f"{r['raw_windows_per_s']:.1f}; reported scaled by "
-                f"{r['probe_units']} interleaved probe units"
+                f"{r['raw_windows_per_s']:.1f}; reported scaled to the "
+                f"reference host by {r['probe_units']} probe units"
             )
+        elif "raw_windows_per_s" in r:
+            notes.append("windows/s reported as measured on this host")
     notes.append(
         f"failed_frac {failed / max(attempted, 1):.6f} "
         f"({failed} of {attempted} windows)"
@@ -367,7 +323,7 @@ def main(argv=None) -> int:
         )
         metrics = {
             name: {"value": float(values[name]), "unit": unit}
-            for name, unit in UNITS.items()
+            for name, unit in common.metric_units("end_to_end").items()
         }
     else:
         import tracing

@@ -12,30 +12,12 @@ ran is reported beside it.
 from __future__ import annotations
 
 import asyncio
-import json
-import sys
 from time import perf_counter
 from typing import List
 
 import numpy as np
 
 import common
-
-SERVER = common.HERE / "server.py"
-
-
-async def _expect(proc, prefix: str, timeout: float) -> str:
-    """Next stdout line of ``proc`` starting with ``prefix``."""
-    while True:
-        raw = await asyncio.wait_for(proc.stdout.readline(), timeout)
-        if not raw:
-            raise RuntimeError(
-                f"server exited before printing {prefix!r}"
-            )
-        line = raw.decode().strip()
-        if line.startswith(prefix):
-            return line
-
 
 async def _connect(port: int):
     from repro.stream import IngressClient
@@ -138,7 +120,6 @@ async def open_loop(port: int, streams: List[np.ndarray]) -> dict:
                 dropped.update(
                     sid for sid, c in zip(sids, owner) if c is owner[i]
                 )
-    t_last_due = t0 + n_chunks * period
     for client in clients:
         live = [
             sid for sid, c in zip(sids, owner)
@@ -161,7 +142,6 @@ async def open_loop(port: int, streams: List[np.ndarray]) -> dict:
         "dropped": dropped,
         "late_s": late,
         "t0": t0,
-        "t_last_due": t_last_due,
         "t_end": t_end,
         "errors": [f"{e.code}:{e.message}" for e in errors],
     }
@@ -169,36 +149,21 @@ async def open_loop(port: int, streams: List[np.ndarray]) -> dict:
 
 async def _session(inputs_path, measured, warm, trace, setup_only):
     t_launch = perf_counter()
-    proc = await asyncio.create_subprocess_exec(
-        sys.executable, str(SERVER), "--inputs", inputs_path,
-        "--trace", str(trace),
-        stdin=asyncio.subprocess.PIPE,
-        stdout=asyncio.subprocess.PIPE,
-        limit=1 << 26,
-    )
-    try:
-        port = int((await _expect(proc, "READY", 120.0)).split()[1])
+    async with common.system_process(
+        "server.py", "--inputs", inputs_path, "--trace", str(trace)
+    ) as proc:
+        port = int((await common.expect(proc, "READY", 120.0)).split()[1])
         await warm_up(port, warm)
         setup_s = perf_counter() - t_launch
         load = None
         if not setup_only:
             proc.stdin.write(b"mark\n")
             await proc.stdin.drain()
-            await _expect(proc, "MARKED", 30.0)
+            await common.expect(proc, "MARKED", 30.0)
             load = await open_loop(port, measured)
         proc.stdin.write(b"stop\n")
         await proc.stdin.drain()
-        server = json.loads(
-            (await _expect(proc, "RESULT", 60.0))[len("RESULT "):]
-        )
-        await asyncio.wait_for(proc.wait(), 30.0)
-        if proc.returncode != 0:
-            raise RuntimeError(f"server exited with {proc.returncode}")
-        return setup_s, load, server
-    finally:
-        if proc.returncode is None:
-            proc.kill()
-            await proc.wait()
+        return setup_s, load, await common.result(proc, 60.0)
 
 
 def launch(inputs_path, measured, warm, trace=0, setup_only=False):

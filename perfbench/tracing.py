@@ -19,49 +19,6 @@ from typing import Callable, Dict, List
 
 import common  # also puts src/ on sys.path
 
-#: Every per-layer metric, with its unit.  A workload that bypasses a
-#: layer reports 0 for it.
-LAYER_UNITS = {
-    # The end-to-end tail, from the untraced half of a traced run: at
-    # low load it is bimodal across runs, so it is reported, not gated.
-    "decision_p95_ms": "ms",
-    "wire.decode_us_per_frame": "us",
-    "wire.encode_us_per_frame": "us",
-    "ingress.other_ms_p50": "ms",
-    "ingress.other_ms_p95": "ms",
-    "ingress.dropped_sessions": "count",
-    "windower.push_us_per_chunk": "us",
-    "scheduler.ingest_ms_p50": "ms",
-    "scheduler.ingest_ms_p95": "ms",
-    "scheduler.self_us_per_window": "us",
-    "scheduler.batch_windows_mean": "windows",
-    "scheduler.queue_age_ticks_p95": "ticks",
-    "scheduler.cache_hit_frac": "fraction",
-    "encoder.quantize_us_per_window": "us",
-    "encoder.spatial_us_per_window": "us",
-    "encoder.temporal_us_per_window": "us",
-    "encoder.row_cache_hit_frac": "fraction",
-    "engine.am_search_us_per_window": "us",
-    "sharded.ingest_us_per_call": "us",
-    "sharded.worker_busy_frac": "fraction",
-    "sharded.shard_windows_skew": "ratio",
-    "chain.staging_ms_per_window": "ms",
-    "lockstep.encode_ms_per_window": "ms",
-    "lockstep.am_ms_per_window": "ms",
-    "lockstep.fallback_windows": "count",
-    "fastpath.bails": "count",
-    "pulp.sim_instrs_per_window": "instr",
-    "pulp.dma_bytes_per_window": "B",
-    "pulp.barrier_cycles_per_window": "cycles",
-    "pulp.sim_mips": "MIPS",
-    "sim_cycles.pulpv3_1c": "cycles",
-    "sim_cycles.pulpv3_4c": "cycles",
-    "sim_cycles.wolf_8c_bi": "cycles",
-    "bench.gen_late_p95_ms": "ms",
-    "trace.overhead_frac": "fraction",
-    "trace.busy_frac": "fraction",
-}
-
 
 class Tracer:
     """Span aggregates for one process: inclusive and self seconds,
@@ -346,10 +303,11 @@ def scheduler_counters(before, after) -> Dict[str, float]:
 
 
 def layer_metrics(values: Dict[str, float]) -> Dict[str, dict]:
-    """Every per-layer metric with its unit; unset layers read 0."""
+    """Every per-layer metric of BENCHMARK.json with its unit; a layer
+    the workload bypasses reads 0."""
     return {
         name: {"value": float(values.get(name, 0.0)), "unit": unit}
-        for name, unit in LAYER_UNITS.items()
+        for name, unit in common.metric_units("per_layer").items()
     }
 
 
