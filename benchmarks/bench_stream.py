@@ -9,9 +9,8 @@ independently, with no batching and no memoization.
 Each configuration streams one warm-up pass (cold caches: every pattern
 encodes) and then one measured pass — *sustained* throughput, the
 steady state a long-running service operates in, where the scheduler's
-two bit-exact memoization layers (within-batch row dedup in the packed
-encoder, cross-batch decision cache on quantised window patterns) do
-their work.  Cold-pass numbers and cache hit rates are published next
+bit-exact cross-batch decision cache on quantised window patterns does
+its work.  Cold-pass numbers and cache hit rates are published next
 to the sustained numbers so nothing hides in the warm-up.
 
 The acceptance number for the subsystem: batched multi-session

@@ -244,11 +244,21 @@ def majority_default_tie(stack: np.ndarray, dim: int) -> np.ndarray:
     single authority for that rule; every bundling call site — MAP ops,
     channel majority, window majority, class prototypes — routes through
     here so the bit-exactness invariant cannot drift per site.
+
+    Four rows (the paper's 4-channel EMG bundle) take a closed form:
+    with the ``r0 ^ r1`` tie row, "more than 2 of 5" holds exactly when
+    ``(r0 | r1) & (r2 | r3)``.  Every other row count runs the
+    bit-sliced counter of :func:`majority`.
     """
     stack = _check_words(stack, dim)
     if stack.ndim < 2:
         raise ValueError("stack must have a row axis: shape (..., n, n_words)")
     n = stack.shape[-2]
+    if n == 4:
+        out = stack[..., 0, :] | stack[..., 1, :]
+        out &= stack[..., 2, :] | stack[..., 3, :]
+        out[..., -1] &= pad_mask(dim)
+        return out
     tie = None
     if n >= 2 and n % 2 == 0:
         tie = stack[..., 0, :] ^ stack[..., 1, :]

@@ -24,12 +24,12 @@ Every dispatch produces a :class:`BatchReport` with host wall-clock and,
 when a :class:`~repro.perf.streaming.DevicePerfModel` is attached, the
 simulated on-device latency/energy of the batch's classifications.
 
-Two memoization layers keep sustained serving cheap, both bit-exact:
-the batched encoder deduplicates repeated quantised rows *within* a
-pass (:mod:`repro.hdc.encoder`), and the scheduler's decision cache
-memoizes winners by quantised window pattern *across* batches — the
-whole chain is a pure function of those integer levels, so a repeat is
-a dict hit instead of a re-encode.  The cache evicts least-recently-used
+The scheduler's decision cache keeps sustained serving cheap, bit-
+exactly: it memoizes winners by quantised window pattern *across*
+batches — the whole chain is a pure function of those integer levels,
+so a repeat is a dict hit instead of a re-encode.  The misses of a
+batch go through the encoder's tiled chain in one call
+(:mod:`repro.hdc.encoder`).  The cache evicts least-recently-used
 entries one at a time when full (hot plateau patterns survive bursts of
 cold ones), and since it only ever short-circuits a pure function, any
 eviction policy is bit-exact by construction.
@@ -86,14 +86,19 @@ class StreamConfig:
     #: patterns since it was last refreshed.
     decision_cache: bool = True
     decision_cache_limit: int = 1 << 20
-    #: Memoize packed *spatial rows* (one per quantised timestamp)
-    #: across batches, beneath the decision cache.  Whole-window keys
-    #: cannot see that windows shifted by ``stride < W`` share
-    #: ``W - stride`` sample rows; the row cache dedups exactly those,
-    #: so overlapping strides re-encode only the new timestamps — bit-
-    #: exactly, since the spatial kernel is row-independent.  Bounded
-    #: LRU like the decision cache (a key plus one packed row each).
-    spatial_row_cache: bool = True
+    #: Opt-in: memoize packed *spatial rows* (one per quantised
+    #: timestamp) across batches, beneath the decision cache.  Whole-
+    #: window keys cannot see that windows shifted by ``stride < W``
+    #: share ``W - stride`` sample rows; the row cache dedups exactly
+    #: those, bit-exactly, since the spatial kernel is row-independent.
+    #: Bounded LRU like the decision cache (a key plus one packed row
+    #: each).  Off by default: its per-row Python lookup costs more than
+    #: re-encoding the row from the prebound bind table.  At D=10k on a
+    #: 2-core Xeon VM, a 512-window batch of uniform noise (29 % row
+    #: hits) encoded in 14 ms cached against 4 ms uncached, and a
+    #: 5-window batch of EMG decision-cache misses (83 % row hits) in
+    #: 141-162 us against 96-113 us.
+    spatial_row_cache: bool = False
     spatial_row_cache_limit: int = 1 << 16
     #: Retained per-session decisions and service batch reports (each a
     #: bounded deque) — a convenience window into recent activity, not
@@ -868,8 +873,8 @@ class StreamingService:
         identity of the prototypes in play (see :meth:`_cache_prefix`);
         the encode + AM search chain is a pure, deterministic function
         of those, so a hit returns exactly the winner the chain would
-        compute.  Misses run as one batched engine pass (which itself
-        deduplicates repeated rows) and populate the cache.  ``session``
+        compute.  Misses run as one batched engine pass and populate
+        the cache.  ``session``
         is the owning session when (and only when) the stack classifies
         against that session's adapted prototypes.
         """
@@ -976,15 +981,19 @@ class StreamingService:
         decisions: List[Decision] = []
         clock = self._clock
         now = time.monotonic()
-        for pos, (session, block, tick, wall) in enumerate(items):
-            k = block.shape[0]
-            self.queue_age_ticks_hist.record_many(
-                np.full(k, clock - tick, dtype=np.float64)
+        # One record per histogram per batch: every window of a queue
+        # item shares that item's age.
+        counts = [block.shape[0] for _, block, _, _ in items]
+        self.queue_age_ticks_hist.record_many(
+            np.repeat([clock - tick for _, _, tick, _ in items], counts)
+        )
+        self.queue_age_s_hist.record_many(
+            np.repeat(
+                [max(0.0, now - wall) for _, _, _, wall in items], counts
             )
-            self.queue_age_s_hist.record_many(
-                np.full(k, max(0.0, now - wall), dtype=np.float64)
-            )
-            for j in range(k):
+        )
+        for pos, (session, block, tick, _) in enumerate(items):
+            for j in range(block.shape[0]):
                 decisions.append(
                     session.record(
                         raw_label=item_labels[pos][j],

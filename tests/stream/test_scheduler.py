@@ -436,6 +436,15 @@ class TestSpatialRowCache:
         )
         cached = StreamingService(
             self._fresh_model(),
+            StreamConfig(
+                window=window,
+                sample_rate_hz=RATE,
+                max_wait=0,
+                spatial_row_cache=True,
+            ),
+        )
+        default = StreamingService(
+            self._fresh_model(),
             StreamConfig(window=window, sample_rate_hz=RATE, max_wait=0),
         )
         plain = StreamingService(
@@ -450,16 +459,20 @@ class TestSpatialRowCache:
         )
         cached.open_session(0)
         plain.open_session(0)
+        default.open_session(0)
         got, want = [], []
         # Chunked delivery, as a live stream would arrive: windows that
         # straddle chunk boundaries share rows with earlier encodes.
         for chunk in np.array_split(stream, 8):
             got.extend(d.raw_label for d in cached.ingest(0, chunk))
             want.extend(d.raw_label for d in plain.ingest(0, chunk))
+            default.ingest(0, chunk)
         assert got == want
         spatial = cached.model.encoder.spatial
         assert spatial.row_cache_hits > 0  # shifted windows dedup'd
         assert plain.model.encoder.spatial.row_cache_size == 0
+        # The row cache is opt-in: a default config never fills it.
+        assert default.model.encoder.spatial.row_cache_size == 0
 
     def test_row_cache_disabled_leaves_encoder_alone(self):
         model = self._fresh_model()
@@ -476,3 +489,38 @@ class TestSpatialRowCache:
     def test_bad_row_cache_limit_rejected(self):
         with pytest.raises(ValueError):
             StreamConfig(spatial_row_cache_limit=0)
+
+
+class TestQueueAgeHistograms:
+    """Dispatch records each batch's queue ages in one pass."""
+
+    def test_multi_item_batch_matches_per_item_reference(self, model, rng):
+        from collections import Counter
+
+        from repro.perf.streaming import tick_histogram
+
+        # A large max_wait holds every window until drain, so one batch
+        # spans queue items enqueued at several different ticks.
+        svc = _service(model, max_wait=1000, max_batch=1000)
+        for sid in range(3):
+            svc.open_session(sid)
+        for sid, n_samples in [
+            (0, 10), (1, 5), (2, 20), (0, 15), (1, 25), (0, 5)
+        ]:
+            assert svc.ingest(sid, rng.random((n_samples, 4))) == []
+        decisions = svc.drain()
+        assert len({d.batch_id for d in decisions}) == 1
+        items = Counter((d.session_id, d.enqueued_at) for d in decisions)
+        ticks = {d.enqueued_at for d in decisions}
+        assert len(items) == 6 and len(ticks) == 6
+        reference = tick_histogram()
+        for (_, tick), k in items.items():
+            reference.record_many(
+                np.full(k, decisions[0].decided_at - tick, dtype=np.float64)
+            )
+        got = svc.queue_age_ticks_hist
+        np.testing.assert_array_equal(got.counts, reference.counts)
+        assert got.zeros == reference.zeros
+        assert got.min == reference.min
+        assert got.max == reference.max
+        assert svc.queue_age_s_hist.count == len(decisions)
