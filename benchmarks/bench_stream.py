@@ -28,13 +28,10 @@ The scaling test needs >= 4 usable cores (it is skipped elsewhere, e.g.
 single-core containers); ``python benchmarks/bench_stream.py --shards 4``
 runs the same measurement standalone, as CI does.
 
-The elastic section (PR 7) times worker recovery and ingest transport:
-a checkpointed respawn (restore one snapshot blob) must be >= 5x
-faster than replaying the full ingest journal — that one runs on any
-core count — and at 4 shards the shared-memory ingest rings must
-sustain at least inline-pipe throughput (>= 4 cores; skipped
-elsewhere).  ``python benchmarks/bench_stream.py --elastic`` runs it
-standalone.
+The elastic section times worker recovery: a checkpointed respawn
+(restore one snapshot blob) must be >= 5x faster than replaying the
+full ingest journal.  It uses one shard, so it runs on any core count.
+``python benchmarks/bench_stream.py --elastic`` runs it standalone.
 """
 
 import argparse
@@ -350,7 +347,7 @@ def test_sharded_speedup_target(stream_workload, tmp_path_factory):
     assert rows["speedup"] >= 2.0, rows
 
 
-# -- elastic operations: checkpointed respawn + shm ingest rings ------------
+# -- elastic operations: checkpointed respawn -------------------------------
 
 ELASTIC_SESSIONS = 16
 ELASTIC_SAMPLES = 2000  # per session; long enough to time journal replay
@@ -409,37 +406,9 @@ def _run_checkpoint_respawn(model, store_path):
     }
 
 
-def _run_ring_comparison(model, store_path, n_shards, n_sessions):
-    """Coordinator serialization tax: shm-ring ingest vs. inline pipes.
-
-    Identical trace and fleet either way; the only difference is
-    whether sample payloads ride the per-shard shared-memory ring
-    (pipes carry 3-int descriptors) or are pickled into the pipes.
-    """
-    config = StreamConfig(
-        window=WINDOW,
-        max_batch=512,
-        max_wait=2 * n_sessions,
-        decision_cache=False,
-    )
-    trace = _sharded_workload(model, n_sessions)
-    out = {}
-    for use_ring in (False, True):
-        with ShardedStreamingService(
-            store_path, config, n_shards=n_shards, use_shm_ring=use_ring
-        ) as service:
-            out["ring" if use_ring else "inline"] = (
-                _sustained_windows_per_sec(
-                    service, trace, lambda s: s.stats().n_windows
-                )
-            )
-    out["gain"] = out["ring"] / out["inline"]
-    return out
-
-
-def _render_elastic(model, respawn, ring) -> str:
+def _render_elastic(model, respawn) -> str:
     lines = [
-        "Elastic fleet - recovery and ingest-transport costs",
+        "Elastic fleet - recovery costs",
         f"  (D={model.config.dim}, W=5/stride 5, cache-hostile trace, "
         f"decision cache off, {_usable_cores()} usable cores)",
         "  checkpointed respawn vs. full-journal replay "
@@ -451,18 +420,6 @@ def _render_elastic(model, respawn, ring) -> str:
         f"    checkpoint  respawn: {respawn['restore_s']:.3f} s   "
         f"({respawn['speedup']:.1f}x faster)",
     ]
-    if ring is not None:
-        lines += [
-            f"  shm-ring ingest vs. inline pipes "
-            f"({SHARDED_SESSIONS} sessions, 4 shards):",
-            f"    inline pipes: {ring['inline']:>12,.0f} windows/s",
-            f"    shm rings:    {ring['ring']:>12,.0f} windows/s   "
-            f"({ring['gain']:.2f}x)",
-        ]
-    else:
-        lines.append(
-            "  shm-ring comparison skipped: needs >= 4 usable cores"
-        )
     return "\n".join(lines)
 
 
@@ -474,33 +431,9 @@ def test_checkpointed_respawn_speedup(stream_workload, tmp_path_factory):
         tmp_path_factory.mktemp("elastic-bench") / "model", model
     )
     respawn = _run_checkpoint_respawn(model, store)
-    ring = None
-    if _usable_cores() >= 4:
-        ring = _run_ring_comparison(
-            model, store, n_shards=4, n_sessions=SHARDED_SESSIONS
-        )
-    publish("stream_elastic", _render_elastic(model, respawn, ring))
+    publish("stream_elastic", _render_elastic(model, respawn))
     assert respawn["journal_len"] > 0
     assert respawn["speedup"] >= 5.0, respawn
-
-
-@pytest.mark.skipif(
-    _usable_cores() < 4,
-    reason="ring transport comparison needs >= 4 usable cores",
-)
-def test_shm_ring_reduces_coordinator_overhead(
-    stream_workload, tmp_path_factory
-):
-    """Acceptance: shm-ring ingest sustains at least inline-pipe
-    throughput at 4 shards (the serialization tax does not grow)."""
-    model, _ = stream_workload
-    store = save_model(
-        tmp_path_factory.mktemp("ring-bench") / "model", model
-    )
-    ring = _run_ring_comparison(
-        model, store, n_shards=4, n_sessions=SHARDED_SESSIONS
-    )
-    assert ring["gain"] >= 1.0, ring
 
 
 # -- network ingress: the SLO harness ---------------------------------------
@@ -829,8 +762,8 @@ def _main(argv=None) -> int:
     parser.add_argument(
         "--elastic",
         action="store_true",
-        help="run the elastic section (checkpointed respawn + shm "
-        "rings) instead of the scaling smoke",
+        help="run the elastic section (checkpointed respawn) instead "
+        "of the scaling smoke",
     )
     parser.add_argument(
         "--ingress",
@@ -901,22 +834,12 @@ def _main(argv=None) -> int:
         store = save_model(f"{tmp}/model", model)
         if args.elastic:
             respawn = _run_checkpoint_respawn(model, store)
-            ring = None
-            if cores >= 4:
-                ring = _run_ring_comparison(
-                    model, store, n_shards=4, n_sessions=args.sessions
-                )
-            publish(
-                "stream_elastic", _render_elastic(model, respawn, ring)
-            )
+            publish("stream_elastic", _render_elastic(model, respawn))
             if respawn["speedup"] < 5.0:
                 print(
                     f"FAIL: checkpointed respawn "
                     f"{respawn['speedup']:.2f}x < 5.0x"
                 )
-                return 1
-            if ring is not None and ring["gain"] < 1.0:
-                print(f"FAIL: shm-ring gain {ring['gain']:.2f}x < 1.0x")
                 return 1
             return 0
         rows = _run_sharded_scaling(

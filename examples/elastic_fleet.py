@@ -122,8 +122,7 @@ def run(store: pathlib.Path) -> None:
     with ShardedStreamingService(
         store, config, n_shards=2, checkpoint_interval=200
     ) as service:
-        print(f"fleet: {service.n_shards} shards, shm rings "
-              f"{'on' if service.shm_ring_enabled(0) else 'off'}")
+        print(f"fleet: {service.n_shards} shards")
         per_session = replay(
             service,
             trace,

@@ -19,9 +19,9 @@ low-power device.  This package is that serving layer, scaled out:
 * :class:`~repro.stream.sharded.ShardedStreamingService` — the
   multi-process front end: sessions routed by consistent hash across N
   worker shards, each running its own scheduler against a read-only
-  memory-mapped model store, ingest payloads riding per-shard
-  shared-memory rings (:mod:`~repro.stream.shmring`), with
-  checkpoint-bounded journal respawn, live session migration,
+  memory-mapped model store, ingest chunks crossing the worker pipes
+  as raw float64 bytes, with checkpoint-bounded journal respawn, live
+  session migration,
   :meth:`~repro.stream.sharded.ShardedStreamingService.rescale`, an
   optional :class:`~repro.stream.sharded.AutoscalePolicy`, and
   fleet-wide telemetry;
@@ -82,7 +82,6 @@ from .sharded import (
     session_key_bytes,
     shard_for,
 )
-from .shmring import IngestRing
 from .windower import StreamWindower
 from .wire import (
     PROTOCOL_VERSION,
@@ -101,7 +100,6 @@ __all__ = [
     "Feedback",
     "FeedbackOk",
     "FrameDecoder",
-    "IngestRing",
     "IngressClient",
     "IngressConfig",
     "IngressServer",

@@ -186,6 +186,18 @@ class _ModelEntry:
         return struct.pack("<HI", self.index, self.epoch)
 
 
+def check_finite(samples: np.ndarray) -> None:
+    """Reject a chunk holding a NaN or infinite sample.
+
+    A NaN quantises to an out-of-range level, and the encode of the
+    shared batch it lands in would then fail for every session in that
+    batch.  Checking at ingest confines the error to the caller whose
+    chunk carried it.
+    """
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite (got NaN or inf)")
+
+
 class StreamingService:
     """The serving front end: sessions in, smoothed decisions out.
 
@@ -777,11 +789,16 @@ class StreamingService:
         windows on fleet-wide traffic, and a respawned shard replaying
         its journal reproduces the original batching decisions exactly.
         Injected ticks must be strictly increasing per service.
+
+        A chunk with a non-finite sample raises ``ValueError`` and
+        leaves the service untouched, the clock included.
         """
         try:
             session = self._sessions[session_id]
         except KeyError:
             raise KeyError(f"session {session_id!r} is not open") from None
+        samples = np.asarray(samples, dtype=np.float64)
+        check_finite(samples)
         if tick is None:
             self._clock += 1
         else:

@@ -32,21 +32,20 @@ Architecture::
                  │  consistent-hash routing: shard_for(session_id, N)
                  │  global ingest clock stamped on every chunk
                  │  per-shard journal + checkpoint blob (repair debt)
-                 ├─ pipe + shm ring ─► worker 0: StreamingService
-                 ├─ pipe + shm ring ─► worker 1: StreamingService
-                 └─ pipe + shm ring ─► worker N-1 ...
+                 ├─ pipe ─► worker 0: StreamingService
+                 ├─ pipe ─► worker 1: StreamingService
+                 └─ pipe ─► worker N-1 ...
 
 **Transport.** The coordinator multiplexes commands over
 ``multiprocessing`` pipes with two per-shard credit windows
 (``max_inflight`` unacknowledged commands, and an unacknowledged-bytes
 cap that makes the classic duplex-pipe deadlock structurally
-impossible).  Ingest sample payloads travel through a per-shard
-shared-memory :class:`~repro.stream.shmring.IngestRing` when one is
-enabled — the pipe then carries only ``(offset, shape)`` descriptors,
-lifting the coordinator's pickling tax; chunks that don't fit fall
-back to the inline pipe encoding, so the ring is never a correctness
-dependency.  Decisions are delivered in per-session order (enforced,
-not assumed — an out-of-order index raises).
+impossible).  Every command is pickled once and charged its real
+pickled size against the byte window.  Ingest chunks travel as raw
+float64 bytes plus their shape: pickling a ``bytes`` object is a
+memcpy, where pickling the ndarray itself costs ~4x more per chunk.
+Decisions are delivered in per-session order (enforced, not assumed —
+an out-of-order index raises).
 
 **Repair.** The coordinator keeps a per-shard **journal** of every
 state-bearing command since the shard's last **checkpoint**.
@@ -97,13 +96,13 @@ import pathlib
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
+from multiprocessing.reduction import ForkingPickler
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..hdc.serialize import (
     dumps_snapshot,
-    load_model,
     load_model_mmap,
     loads_snapshot,
     model_info,
@@ -114,21 +113,20 @@ from ..perf.streaming import (
     StreamStats,
     merge_stream_stats,
 )
-from .scheduler import StreamConfig, StreamingService
+from .scheduler import StreamConfig, StreamingService, check_finite
 from .session import Decision
-from .shmring import SHM_AVAILABLE, IngestRing
 
 _READY = -1  # sentinel seq of the worker's startup handshake
 
-#: Cap on unacknowledged command *bytes* per shard.  A worker that is
-#: blocked writing a large decision reply stops reading commands; as
-#: long as the coordinator keeps its unread command bytes below the
-#: pipe's kernel buffer it can never block in ``send`` itself, so it
-#: always returns to the pump loop, reads the reply, and unblocks the
-#: worker — the classic duplex-pipe deadlock is structurally impossible.
-#: 32 KiB is far below any platform's default socketpair buffer.
-#: Ring-carried ingest payloads do not count against this window (only
-#: their tiny descriptors do) — the ring has its own capacity bound.
+#: Cap on unacknowledged command *bytes* per shard, charged at each
+#: command's pickled size.  A worker that is blocked writing a large
+#: decision reply stops reading commands; as long as the coordinator
+#: keeps its unread command bytes below the pipe's kernel buffer it can
+#: never block in ``send`` itself, so it always returns to the pump
+#: loop, reads the reply, and unblocks the worker — the classic
+#: duplex-pipe deadlock is structurally impossible.  32 KiB is far
+#: below any platform's default socketpair buffer, and holds ~47
+#: 20-sample 4-channel ingests in flight.
 _MAX_INFLIGHT_BYTES = 32 << 10
 
 #: Virtual nodes per shard on the consistent-hash routing ring.  More
@@ -334,10 +332,7 @@ def _shard_worker(
     config: StreamConfig,
     device: Optional[DevicePerfModel],
     shard_index: int,
-    use_mmap: bool,
-    ring_name: Optional[str],
-    ring_bytes: int,
-    model_paths: Optional[Dict[str, str]] = None,
+    model_paths: Dict[str, str],
 ) -> None:
     """One shard: a private StreamingService over the shared model store.
 
@@ -349,23 +344,18 @@ def _shard_worker(
     :mod:`repro.hdc.serialize`: ``checkpoint`` returns the full
     scheduler snapshot as a ``"worker"`` blob, ``restore`` adopts one
     on a fresh service, ``extract``/``inject`` move a single session
-    as a ``"session-transfer"`` blob.  Ingest payloads arrive either
-    inline (an ndarray) or as an ``("shm", offset, shape)`` descriptor
-    into the attached :class:`IngestRing`.
+    as a ``"session-transfer"`` blob.  An ingest chunk arrives as raw
+    float64 bytes plus its shape, and is rebuilt here without a copy.
     """
-    ring: Optional[IngestRing] = None
     try:
         try:
-            if ring_name is not None:
-                ring = IngestRing.attach(ring_name, ring_bytes)
-            loader = load_model_mmap if use_mmap else load_model
             service = StreamingService(
-                loader(model_path),
+                load_model_mmap(model_path),
                 config,
                 device=device,
                 models={
-                    mid: loader(path)
-                    for mid, path in (model_paths or {}).items()
+                    mid: load_model_mmap(path)
+                    for mid, path in model_paths.items()
                 },
             )
         except Exception:
@@ -378,10 +368,11 @@ def _shard_worker(
             ages = None
             try:
                 if op == "ingest":
-                    _, _, sid, samples, tick = message
-                    if type(samples) is tuple and samples[0] == "shm":
-                        samples = ring.read(samples[1], samples[2])
-                    payload = service.ingest(sid, samples, tick=tick)
+                    _, _, sid, raw, shape, tick = message
+                    samples = np.frombuffer(raw, dtype=np.float64)
+                    payload = service.ingest(
+                        sid, samples.reshape(shape), tick=tick
+                    )
                     # Piggyback the oldest-queued-window age so the
                     # coordinator can watch queue latency without an
                     # extra stats round-trip per tick.
@@ -442,8 +433,6 @@ def _shard_worker(
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # coordinator went away; nothing left to serve
     finally:
-        if ring is not None:
-            ring.close()
         conn.close()
 
 
@@ -454,12 +443,10 @@ class _Shard:
     index: int
     process: multiprocessing.process.BaseProcess
     conn: object  # multiprocessing.connection.Connection
-    ring: Optional[IngestRing] = None
     next_seq: int = 0
     outstanding: int = 0  # unacknowledged commands (backpressure credit)
+    #: seq -> pickled size of each unacknowledged command.
     inflight_bytes: Dict[int, int] = field(default_factory=dict)
-    #: seqs whose ingest payload occupies a ring span, released on ack.
-    ring_seqs: Set[int] = field(default_factory=set)
     #: seq -> journal position of unacknowledged journaled commands: a
     #: command the worker rejects ("err" reply) is tombstoned out of the
     #: journal — it did not contribute to worker state (the scheduler
@@ -500,7 +487,8 @@ class ShardedStreamingService:
 
     The coordinator never touches the model: workers rebuild it from
     ``model_path`` (the :mod:`repro.hdc.serialize` store), read-only
-    memory-mapped by default so the fleet shares one physical copy.
+    memory-mapped so the fleet shares one physical copy.  Workers are
+    forked where the platform offers ``fork``.
     """
 
     def __init__(
@@ -510,11 +498,7 @@ class ShardedStreamingService:
         n_shards: int = 2,
         device: Optional[DevicePerfModel] = None,
         max_inflight: int = 64,
-        use_mmap: bool = True,
         auto_respawn: bool = True,
-        start_method: Optional[str] = None,
-        use_shm_ring: bool = True,
-        ring_bytes: int = 1 << 20,
         checkpoint_interval: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, pathlib.Path]] = None,
         autoscale: Optional[AutoscalePolicy] = None,
@@ -525,10 +509,6 @@ class ShardedStreamingService:
         if max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if ring_bytes < 1:
-            raise ValueError(
-                f"ring_bytes must be >= 1, got {ring_bytes}"
             )
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(
@@ -560,10 +540,7 @@ class ShardedStreamingService:
         self._config = config
         self._device = device
         self._max_inflight = int(max_inflight)
-        self._use_mmap = bool(use_mmap)
         self._auto_respawn = bool(auto_respawn)
-        self._use_shm_ring = bool(use_shm_ring) and SHM_AVAILABLE
-        self._ring_bytes = int(ring_bytes)
         self._checkpoint_interval = checkpoint_interval
         self._checkpoint_dir = (
             pathlib.Path(checkpoint_dir)
@@ -578,10 +555,10 @@ class ShardedStreamingService:
                 f"n_shards {n_shards} outside autoscale range "
                 f"[{autoscale.min_shards}, {autoscale.max_shards}]"
             )
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
         self._session_shard: Dict[Hashable, int] = {}
         self._delivered: Dict[Hashable, int] = {}
         # Rolling queue-age samples piggybacked on ingest acks, for
@@ -606,10 +583,7 @@ class ShardedStreamingService:
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn(self, index: int) -> _Shard:
-        """Start one worker (with a fresh ingest ring) and handshake."""
-        ring: Optional[IngestRing] = None
-        if self._use_shm_ring:
-            ring = IngestRing.create(self._ring_bytes)
+        """Start one worker and handshake."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_shard_worker,
@@ -619,24 +593,14 @@ class ShardedStreamingService:
                 self._config,
                 self._device,
                 index,
-                self._use_mmap,
-                ring.name if ring is not None else None,
-                self._ring_bytes,
                 self._model_paths,
             ),
             name=f"repro-stream-shard-{index}",
             daemon=True,
         )
-        try:
-            process.start()
-        except Exception:
-            if ring is not None:
-                ring.close()
-            raise
+        process.start()
         child_conn.close()  # parent's copy; worker keeps its own end
-        shard = _Shard(
-            index=index, process=process, conn=parent_conn, ring=ring
-        )
+        shard = _Shard(index=index, process=process, conn=parent_conn)
         try:
             kind, seq, payload = self._recv(shard)
         except ShardCrashError:
@@ -648,7 +612,7 @@ class ShardedStreamingService:
         return shard
 
     def _stop_shard(self, shard: _Shard) -> None:
-        """Stop one worker and free its transport (idempotent)."""
+        """Stop one worker and close its pipe (idempotent)."""
         try:
             shard.conn.send(("stop", shard.next_seq))
         except Exception:
@@ -661,8 +625,6 @@ class ShardedStreamingService:
         if shard.process.is_alive():
             shard.process.terminate()
             shard.process.join(timeout=2.0)
-        if shard.ring is not None:
-            shard.ring.close()
 
     def close(self) -> None:
         """Stop all workers (idempotent).  Pending windows are dropped —
@@ -742,10 +704,6 @@ class ShardedStreamingService:
         """Size of the shard's last checkpoint blob (0 if none)."""
         blob = self._shards[index].checkpoint
         return len(blob) if blob is not None else 0
-
-    def shm_ring_enabled(self, index: int) -> bool:
-        """Whether a shard's ingest payloads ride a shared-memory ring."""
-        return self._shards[index].ring is not None
 
     @property
     def total_delivered(self) -> int:
@@ -856,6 +814,10 @@ class ShardedStreamingService:
         shard — acknowledged by the time the call completes.  When an
         autoscale policy is attached, this is also where it observes
         load and may trigger a :meth:`rescale`.
+
+        A chunk with a non-finite sample raises ``ValueError`` here,
+        before it is journaled or sent, so the error reaches this call
+        and never another session's.
         """
         self._ensure_open()
         try:
@@ -865,6 +827,7 @@ class ShardedStreamingService:
                 f"session {session_id!r} is not open"
             ) from None
         samples = np.ascontiguousarray(samples, dtype=np.float64)
+        check_finite(samples)
         self._clock += 1
         self._post(
             self._shards[index],
@@ -1129,9 +1092,7 @@ class ShardedStreamingService:
         re-deriving the lost scheduler state in O(since-checkpoint)
         work; decisions the caller already saw are filtered by
         per-session index, so nothing is delivered twice and nothing is
-        lost.  The replacement gets a fresh ingest ring (journal
-        entries store real sample arrays, so replay simply re-places
-        them).
+        lost.
 
         Worker-side command errors encountered along the way (salvaged
         "err" acks, or an unacknowledged bad command hitting the fresh
@@ -1165,11 +1126,6 @@ class ShardedStreamingService:
         if shard.process.is_alive():
             shard.process.terminate()
             shard.process.join(timeout=2.0)
-        if shard.ring is not None:
-            # Outstanding spans die with the worker; the replacement
-            # gets a fresh ring and replay re-places the payloads.
-            shard.ring.close()
-            shard.ring = None
 
         # Compact tombstones out before replaying.
         journal = [e for e in shard.journal if e is not None]
@@ -1237,12 +1193,9 @@ class ShardedStreamingService:
     ) -> int:
         """Low-level send with backpressure; raises ShardCrashError.
 
-        Ingest payloads take the shard's shared-memory ring when it has
-        room — the pipe then carries a tiny ``("shm", offset, shape)``
-        descriptor, and only the descriptor counts against the
-        unacked-bytes credit window (the ring is bounded by its own
-        capacity and its spans are freed as acks arrive, in seq order).
-        A chunk the ring cannot hold is sent inline and costed in full.
+        Pickles the command once (an ingest chunk as its raw float64
+        bytes plus shape); those exact bytes are charged against the
+        unacked-bytes credit window and written to the pipe.
 
         The journal records exactly the commands the worker has been
         handed, in hand-over order — so ``journal=True`` appends the
@@ -1256,53 +1209,32 @@ class ShardedStreamingService:
         reply tombstone the entry.  Returns the seq.
         """
         self._pump(shard)
-        # Decide the wire encoding (ring vs. inline) *before* the
-        # credit wait: the wait only ever frees ring spans, so a
-        # placement that fits now still fits after waiting — while the
-        # reverse decision (assume ring, fall back to inline) would
-        # under-count the byte window and break deadlock freedom.
-        use_ring = (
-            entry[0] == "ingest"
-            and shard.ring is not None
-            and entry[2].nbytes > 0
-            and shard.ring.can_place(entry[2].nbytes)
-        )
-        cost = 512
-        if entry[0] == "ingest" and not use_ring:
-            cost += entry[2].nbytes
-        elif entry[0] in ("inject", "restore"):
-            cost += len(entry[1])
+        # The credit wait below only receives replies, so next_seq is
+        # already this command's seq.
+        seq = shard.next_seq
+        if entry[0] == "ingest":
+            _, sid, samples, tick = entry
+            wire = (
+                "ingest", seq, sid, samples.tobytes(), samples.shape, tick
+            )
+        else:
+            wire = (entry[0], seq) + entry[1:]
+        data = ForkingPickler.dumps(wire)
         # Two credit windows: command count (decision-latency knob) and
         # command bytes (deadlock-freedom invariant, see module top).
         # An oversized single command waits for an idle worker instead.
         while shard.outstanding >= self._max_inflight or (
             shard.outstanding > 0
-            and shard.outstanding_bytes + cost > _MAX_INFLIGHT_BYTES
+            and shard.outstanding_bytes + len(data) > _MAX_INFLIGHT_BYTES
         ):
             self._wait_one(shard)
-        seq = shard.next_seq
         shard.next_seq += 1
-        if use_ring:
-            offset = shard.ring.place(entry[2], seq)
-            assert offset is not None, "ring shrank while waiting"
-            shard.ring_seqs.add(seq)
-            wire = (
-                "ingest",
-                seq,
-                entry[1],
-                ("shm", offset, entry[2].shape),
-                entry[3],
-            )
-        else:
-            wire = (entry[0], seq) + tuple(entry[1:])
         try:
-            shard.conn.send(wire)
+            shard.conn.send_bytes(data)
         except (BrokenPipeError, OSError) as exc:
-            if use_ring:
-                shard.ring_seqs.discard(seq)
             raise ShardCrashError(shard.index, str(exc)) from None
         shard.outstanding += 1
-        shard.inflight_bytes[seq] = cost
+        shard.inflight_bytes[seq] = len(data)
         if journal:
             shard.journal.append(entry)
             journal_pos = len(shard.journal) - 1
@@ -1425,10 +1357,6 @@ class ShardedStreamingService:
             self._queue_age_s.append(float(age_s))
         shard.outstanding -= 1
         shard.inflight_bytes.pop(seq, None)
-        if seq in shard.ring_seqs:
-            shard.ring_seqs.discard(seq)
-            if shard.ring is not None:
-                shard.ring.release(seq)
         journal_pos = shard.inflight_journal.pop(seq, None)
         if kind == "err":
             if journal_pos is not None:

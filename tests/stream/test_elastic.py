@@ -1,4 +1,4 @@
-"""Elastic fleet operations: checkpoints, migration, rescaling, rings.
+"""Elastic fleet operations: checkpoints, migration, rescaling, transport.
 
 Every elastic operation is pinned by the same differential harness the
 base sharded service uses: replay one trace twice — once undisturbed on
@@ -10,6 +10,7 @@ Elasticity must be *unobservable* in the output bytes.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -20,15 +21,17 @@ from repro.hdc import BatchHDClassifier, HDClassifierConfig, save_model
 from repro.hdc.serialize import load_model, load_snapshot
 from repro.stream import (
     AutoscalePolicy,
+    ReplayTrace,
     ShardedStreamingService,
     StreamConfig,
     StreamingService,
+    TraceEvent,
     parity_digest,
     replay,
     shard_for,
     synthetic_trace,
 )
-from repro.stream.shmring import SHM_AVAILABLE, IngestRing
+from repro.stream.sharded import _MAX_INFLIGHT_BYTES
 
 DIM = 256
 N_CHANNELS = 4
@@ -70,94 +73,91 @@ def _reference_digest(reference_model, config, trace):
     )
 
 
-class TestIngestRing:
-    """Allocator unit tests: SPSC ring with wrap padding, FIFO release."""
+class TestTransport:
+    """Ingest chunks cross the worker pipe as raw float64 bytes plus
+    their shape; every layout and size a caller may pass must arrive
+    as the same samples the single-process service sees."""
 
-    pytestmark = pytest.mark.skipif(
-        not SHM_AVAILABLE, reason="shared_memory unavailable"
-    )
+    @staticmethod
+    def _trace(chunks):
+        return ReplayTrace(
+            n_channels=N_CHANNELS,
+            events=tuple(TraceEvent(sid, c) for sid, c in chunks),
+        )
 
-    def test_place_read_release_roundtrip(self):
-        ring = IngestRing.create(1024)
-        try:
-            a = np.arange(12, dtype=np.float64).reshape(4, 3)
-            b = np.arange(10, dtype=np.float64).reshape(5, 2) + 100
-            off_a = ring.place(a, seq=1)
-            off_b = ring.place(b, seq=2)
-            assert off_a is not None and off_b is not None
-            peer = IngestRing.attach(ring.name, 1024)
-            try:
-                np.testing.assert_array_equal(peer.read(off_a, (4, 3)), a)
-                np.testing.assert_array_equal(peer.read(off_b, (5, 2)), b)
-            finally:
-                peer.close()
-            ring.release(1)
-            ring.release(2)
-            assert ring.bytes_in_use == 0
-        finally:
-            ring.close()
-
-    def test_wrap_padding_never_splits_a_span(self):
-        # Capacity 100 bytes; three 40-byte spans force a wrap: the
-        # third must start at offset 0, not straddle the boundary.
-        ring = IngestRing.create(100)
-        try:
-            x = np.arange(5, dtype=np.float64)  # 40 bytes
-            assert ring.place(x, seq=1) == 0
-            assert ring.place(x + 1, seq=2) == 40
-            assert not ring.can_place(40)  # 20 left at tail, 0 free
-            ring.release(1)
-            # Head is at 80; a 40-byte span wraps: 20 bytes padding,
-            # then offset 0 (the released prefix).
-            assert ring.can_place(40)
-            assert ring.place(x + 2, seq=3) == 0
-            np.testing.assert_array_equal(ring.read(0, (5,)), x + 2)
-        finally:
-            ring.close()
-
-    def test_oversized_and_full_fall_back_to_none(self):
-        ring = IngestRing.create(64)
-        try:
-            big = np.zeros(9)  # 72 bytes > capacity
-            assert ring.place(big, seq=1) is None
-            assert ring.place(np.zeros(8), seq=1) is not None  # exactly full
-            assert ring.place(np.zeros(1), seq=2) is None
-        finally:
-            ring.close()
-
-    def test_out_of_order_release_is_a_protocol_error(self):
-        ring = IngestRing.create(256)
-        try:
-            ring.place(np.zeros(2), seq=1)
-            ring.place(np.zeros(2), seq=2)
-            with pytest.raises(RuntimeError, match="out-of-order"):
-                ring.release(2)
-        finally:
-            ring.close()
-
-    def test_fleet_parity_with_and_without_ring(self, store):
+    @staticmethod
+    def _assert_fleet_parity(store, config, trace, timeout_s=60.0):
+        """Replay on a 2-shard fleet in a thread, bounded by a timeout
+        so a transport deadlock fails the test instead of hanging."""
         path, reference = store
-        config = _config(max_batch=8, max_wait=3, smooth=3)
-        trace = synthetic_trace(4, 300, n_channels=4, seed=11)
         want = _reference_digest(reference, config, trace)
-        for use_ring in (True, False):
-            with ShardedStreamingService(
-                path, config, n_shards=2, use_shm_ring=use_ring
-            ) as service:
-                assert service.shm_ring_enabled(0) == use_ring
-                assert parity_digest(replay(service, trace)) == want
-
-    def test_chunks_larger_than_ring_fall_back_inline(self, store):
-        path, reference = store
-        config = _config(max_batch=8, max_wait=3)
-        # 256-byte rings hold at most 8 float64 samples/chunk of 4
-        # channels; the trace's 1–40-sample chunks mostly overflow.
-        trace = synthetic_trace(3, 200, n_channels=4, seed=12)
-        want = _reference_digest(reference, config, trace)
+        got = {}
         with ShardedStreamingService(
-            path, config, n_shards=2, ring_bytes=256
+            path, config, n_shards=2
         ) as service:
-            assert parity_digest(replay(service, trace)) == want
+            worker = threading.Thread(
+                target=lambda: got.update(replay(service, trace)),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout_s)
+            assert not worker.is_alive(), "fleet replay deadlocked"
+        assert parity_digest(got) == want
+
+    def test_single_sample_chunks(self, store):
+        rng = np.random.default_rng(31)
+        chunks = [
+            (sid, rng.random(N_CHANNELS))
+            for _ in range(60)
+            for sid in ("a", "b", "c")
+        ]
+        self._assert_fleet_parity(
+            store, _config(max_batch=8, max_wait=3), self._trace(chunks)
+        )
+
+    def test_empty_chunks(self, store):
+        rng = np.random.default_rng(32)
+        chunks = []
+        for _ in range(40):
+            for sid in ("a", "b", "c"):
+                chunks.append((sid, np.empty((0, N_CHANNELS))))
+                chunks.append((sid, rng.random((7, N_CHANNELS))))
+        self._assert_fleet_parity(
+            store, _config(max_batch=8, max_wait=3), self._trace(chunks)
+        )
+
+    def test_float32_and_fortran_ordered_chunks(self, store):
+        rng = np.random.default_rng(33)
+        chunks = []
+        for i in range(30):
+            for sid in ("a", "b", "c"):
+                block = rng.random((25, N_CHANNELS))
+                if i % 2:
+                    block = block.astype(np.float32)
+                else:
+                    block = np.asfortranarray(block)
+                chunks.append((sid, block))
+        self._assert_fleet_parity(
+            store, _config(max_batch=16, max_wait=3), self._trace(chunks)
+        )
+
+    def test_chunks_over_the_byte_window(self, store):
+        # A chunk bigger than the whole credit window waits for an idle
+        # worker, then goes out alone; small chunks of other sessions
+        # keep flowing around it.
+        big = 1100
+        assert big * N_CHANNELS * 8 > _MAX_INFLIGHT_BYTES
+        rng = np.random.default_rng(34)
+        chunks = []
+        for i in range(4):
+            for sid in ("a", "b", "c", "d"):
+                if sid == "a" or (sid == "b" and i % 2):
+                    chunks.append((sid, rng.random((big, N_CHANNELS))))
+                for _ in range(3):
+                    chunks.append((sid, rng.random((25, N_CHANNELS))))
+        self._assert_fleet_parity(
+            store, _config(max_batch=64, max_wait=4), self._trace(chunks)
+        )
 
 
 class TestCheckpointRecovery:

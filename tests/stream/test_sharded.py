@@ -28,6 +28,7 @@ from repro.stream import (
     replay,
     session_key_bytes,
     shard_for,
+    stream_bytes,
     synthetic_trace,
 )
 
@@ -487,6 +488,87 @@ class TestCrashAndRespawn:
                     StreamingService(load_model(path), _config()), trace
                 ).values()
             )
+
+
+class TestNonFiniteSamples:
+    """A NaN or infinite sample is rejected on the call that carries
+    it, before anything is queued, journaled or sent: no shared batch
+    fails, and every other session keeps every window."""
+
+    #: On a 2-shard fleet "good-1" shares "bad"'s shard, "good" does not.
+    SESSIONS = ("good", "good-1", "bad")
+    SAMPLES = 1375
+    CHUNK = 25
+
+    def _run(self, service, streams):
+        """Round-robin 25-sample chunks; returns per-session decisions
+        and the ``(session, offset)`` of every rejected chunk."""
+        out = {sid: [] for sid in streams}
+        rejected = []
+        for sid in streams:
+            service.open_session(sid)
+        for pos in range(0, self.SAMPLES, self.CHUNK):
+            for sid, stream in streams.items():
+                try:
+                    decisions = service.ingest(
+                        sid, stream[pos : pos + self.CHUNK]
+                    )
+                except ValueError:
+                    rejected.append((sid, pos))
+                    continue
+                for d in decisions:
+                    out[d.session_id].append(d)
+        for d in service.drain():
+            out[d.session_id].append(d)
+        return out, rejected
+
+    @pytest.mark.parametrize(
+        "kind,poison",
+        [("single", np.nan), ("single", np.inf), ("fleet", np.nan)],
+    )
+    def test_poisoned_chunk_is_contained(self, store, kind, poison):
+        path, reference = store
+        config = _config(
+            window=WindowConfig(
+                window_samples=5, stride_samples=5, skip_onset_s=0.0
+            ),
+            max_batch=64,
+            max_wait=4,
+        )
+        rng = np.random.default_rng(61)
+        clean = {
+            sid: rng.random((self.SAMPLES, N_CHANNELS))
+            for sid in self.SESSIONS
+        }
+        poisoned = {sid: s.copy() for sid, s in clean.items()}
+        poisoned["bad"][1000, 2] = poison
+        want, _ = self._run(StreamingService(reference, config), clean)
+        # What "bad" must still be served: its stream minus the chunk.
+        without_chunk = dict(
+            clean, bad=np.delete(clean["bad"], np.s_[1000:1025], axis=0)
+        )
+        want_bad, _ = self._run(
+            StreamingService(reference, config), without_chunk
+        )
+        if kind == "single":
+            got, rejected = self._run(
+                StreamingService(reference, config), poisoned
+            )
+        else:
+            with ShardedStreamingService(
+                path, config, n_shards=2
+            ) as service:
+                got, rejected = self._run(service, poisoned)
+                assert service.shard_of("good-1") == service.shard_of(
+                    "bad"
+                )
+                assert service.shard_respawns(service.shard_of("bad")) == 0
+        assert rejected == [("bad", 1000)]
+        for sid in ("good", "good-1"):
+            assert stream_bytes(got[sid]) == stream_bytes(want[sid])
+        # One 25-sample chunk is five W=5, stride-5 windows.
+        assert len(got["bad"]) == len(want["bad"]) - 5
+        assert stream_bytes(got["bad"]) == stream_bytes(want_bad["bad"])
 
 
 class TestFleetTelemetry:
