@@ -391,7 +391,7 @@ def _run_checkpoint_respawn(model, store_path):
         start = time.perf_counter()
         service.respawn_shard(0)  # replays the full journal
         replay_s = time.perf_counter() - start
-        ckpt_mb = service.checkpoint_shard(0) / 1e6
+        ckpt_bytes = service.checkpoint_shard(0)
         start = time.perf_counter()
         service.respawn_shard(0)  # restores the blob, replays nothing
         restore_s = time.perf_counter() - start
@@ -399,7 +399,7 @@ def _run_checkpoint_respawn(model, store_path):
     return {
         "journal_len": journal_len,
         "journal_mb": journal_mb,
-        "ckpt_mb": ckpt_mb,
+        "ckpt_bytes": ckpt_bytes,
         "replay_s": replay_s,
         "restore_s": restore_s,
         "speedup": replay_s / restore_s,
@@ -415,7 +415,7 @@ def _render_elastic(model, respawn) -> str:
         f"({ELASTIC_SESSIONS} sessions, 1 shard):",
         f"    journal: {respawn['journal_len']} commands, "
         f"{respawn['journal_mb']:.1f} MB; "
-        f"checkpoint blob: {respawn['ckpt_mb']:.1f} MB",
+        f"checkpoint blob: {respawn['ckpt_bytes']:,} B",
         f"    full-journal respawn: {respawn['replay_s']:.3f} s",
         f"    checkpoint  respawn: {respawn['restore_s']:.3f} s   "
         f"({respawn['speedup']:.1f}x faster)",

@@ -707,15 +707,15 @@ def model_info(path: Union[str, pathlib.Path]) -> dict:
 SNAPSHOT_MAGIC = "repro-stream-snapshot"
 """Envelope identifier stored in every serialized snapshot."""
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 """Current snapshot envelope version.
 
-Version 1 wraps the ``snapshot()`` dicts of the streaming stack
+The envelope wraps the ``snapshot()`` dicts of the streaming stack
 (windower / smoother / session / session-transfer / worker) produced by
 :mod:`repro.stream`.  Bump on any incompatible change to those dicts.
 """
 
-SUPPORTED_SNAPSHOT_VERSIONS = (1,)
+SUPPORTED_SNAPSHOT_VERSIONS = (2,)
 """Snapshot envelope versions this build reads."""
 
 

@@ -16,7 +16,6 @@ from .latency import (
 )
 from .model import ChainCycleModel, LinearCycleModel
 from .streaming import (
-    BatchDevicePerf,
     DevicePerfModel,
     FleetStats,
     StreamStats,
@@ -25,7 +24,6 @@ from .streaming import (
 )
 
 __all__ = [
-    "BatchDevicePerf",
     "CalibrationRequest",
     "ChainCycleModel",
     "DETECTION_LATENCY_MS",

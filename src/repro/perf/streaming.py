@@ -1,21 +1,24 @@
-"""Per-batch device accounting for the streaming service.
+"""Device operating point and serving telemetry for the streaming service.
 
 The streaming scheduler (:mod:`repro.stream`) executes batched windows on
 the host at NumPy speed, but the system it models is the paper's: one
 classification per window on a low-power device under the 10 ms detection
-deadline.  This module maps every dispatched batch through the
-ISS-calibrated cycle model and the fitted power model so each decision
-can report *simulated on-device* latency and energy next to the host
-wall-clock.
+deadline.  Batching is a host-side construct, so the device cost of a
+run is the window count times one per-window constant.
 
 :class:`DevicePerfModel` freezes one operating point — cycles per window
 (from :class:`~repro.perf.model.ChainCycleModel`), the clock that meets
-the deadline, and the total power there — and :meth:`DevicePerfModel.account`
-turns a batch size into a :class:`BatchDevicePerf`.  The
-:func:`device_model` constructor calibrates against the full ISS for any
-(SoC, cores, shape); :func:`DevicePerfModel.from_cycles` builds one from
-a known cycle count without touching the ISS (used by tests and by
-callers that already ran Table 2/3).
+the deadline, and the total power there — from which ``n_windows *
+cycles_per_window`` and ``n_windows * window_energy_uj`` give a run's
+device totals.  The :func:`device_model` constructor calibrates against
+the full ISS for any (SoC, cores, shape);
+:func:`DevicePerfModel.from_cycles` builds one from a known cycle count
+without touching the ISS (used by tests and by callers that already ran
+Table 2/3).
+
+The rest of the module is host-side telemetry: mergeable latency
+histograms, and the per-scheduler :class:`StreamStats` that fold into a
+fleet-wide :class:`FleetStats`.
 """
 
 from __future__ import annotations
@@ -37,29 +40,6 @@ from ..pulp.power import (
 from ..pulp.soc import PULPV3_SOC, SoCConfig
 from .calibration import calibrate_chain
 from .latency import DETECTION_LATENCY_MS, required_frequency_mhz
-
-
-@dataclass(frozen=True)
-class BatchDevicePerf:
-    """Simulated on-device cost of one dispatched batch."""
-
-    n_windows: int
-    total_cycles: int
-    #: Per-window latency at the model's clock (each window is one
-    #: independent on-device classification; batching is a host-side
-    #: scheduling construct and does not change device latency).
-    window_latency_ms: float
-    window_energy_uj: float
-
-    @property
-    def serial_latency_ms(self) -> float:
-        """Device time to classify the batch's windows back to back."""
-        return self.n_windows * self.window_latency_ms
-
-    @property
-    def energy_uj(self) -> float:
-        """Total energy of the batch's classifications."""
-        return self.n_windows * self.window_energy_uj
 
 
 @dataclass(frozen=True)
@@ -85,17 +65,6 @@ class DevicePerfModel:
         """Energy of one on-device classification."""
         return energy_per_classification_uj(
             self.power_mw, self.window_latency_ms
-        )
-
-    def account(self, n_windows: int) -> BatchDevicePerf:
-        """Device-side cost of a batch of ``n_windows`` classifications."""
-        if n_windows < 0:
-            raise ValueError(f"n_windows must be >= 0, got {n_windows}")
-        return BatchDevicePerf(
-            n_windows=n_windows,
-            total_cycles=n_windows * self.cycles_per_window,
-            window_latency_ms=self.window_latency_ms,
-            window_energy_uj=self.window_energy_uj,
         )
 
     @classmethod
@@ -399,8 +368,6 @@ class StreamStats:
     cache_evictions: int
     cache_size: int
     host_seconds: float  # wall-clock inside engine passes
-    device_cycles: int  # simulated on-device totals (0 without a device)
-    device_energy_uj: float
     #: Queue-age telemetry (PR 8): the age of the *oldest* still-queued
     #: window at snapshot time, and per-window dispatch-wait histograms
     #: over the scheduler's lifetime — in logical ingest ticks (the
@@ -427,8 +394,6 @@ class StreamStats:
             cache_evictions=service.cache_evictions,
             cache_size=service.cache_size,
             host_seconds=service.total_host_seconds,
-            device_cycles=service.total_device_cycles,
-            device_energy_uj=service.total_device_energy_uj,
             oldest_queue_age_ticks=getattr(
                 service, "oldest_queued_tick_age", 0
             ),
@@ -475,7 +440,7 @@ def _format_bytes(n: int) -> str:
 class FleetStats:
     """Merged statistics of a fleet of shard schedulers.
 
-    Counts and simulated device totals are additive across shards.
+    Counts are additive across shards.
     ``host_seconds`` is summed too — across concurrent workers that is
     aggregate *CPU* time in engine passes, not elapsed wall-clock (the
     shards overlap); elapsed time is whatever the caller measured around
@@ -557,16 +522,6 @@ class FleetStats:
     def host_seconds(self) -> float:
         """Aggregate engine CPU seconds across the fleet (overlapping)."""
         return sum(s.host_seconds for s in self.shards)
-
-    @property
-    def device_cycles(self) -> int:
-        """Simulated on-device cycles across the fleet."""
-        return sum(s.device_cycles for s in self.shards)
-
-    @property
-    def device_energy_uj(self) -> float:
-        """Simulated on-device energy across the fleet."""
-        return sum(s.device_energy_uj for s in self.shards)
 
     @property
     def queue_age_ticks_hist(self) -> Optional[LatencyHistogram]:
@@ -652,11 +607,6 @@ class FleetStats:
             lines.append(
                 f"  elastic: {self.checkpoints} checkpoints, "
                 f"{self.migrations} migrations, {self.rescales} rescales"
-            )
-        if self.device_cycles:
-            lines.append(
-                f"  simulated device totals: {self.device_cycles:,} "
-                f"cycles, {self.device_energy_uj / 1e3:.2f} mJ"
             )
         return lines
 

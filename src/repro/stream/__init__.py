@@ -14,8 +14,10 @@ low-power device.  This package is that serving layer, scaled out:
   scheduler: ready windows from all sessions coalesce into single
   packed encode + AM-search passes with ``max_batch`` / ``max_wait``
   backpressure;
-* telemetry — every dispatch reports host wall-clock next to simulated
-  on-device latency/energy via :mod:`repro.perf.streaming`;
+* telemetry — lifetime counters and queue-age histograms only,
+  merged across shards via :mod:`repro.perf.streaming`; no decision
+  or batch log is kept, since ``ingest`` / ``pump`` / ``drain`` return
+  every decision;
 * :class:`~repro.stream.sharded.ShardedStreamingService` — the
   multi-process front end: sessions routed by consistent hash across N
   worker shards, each running its own scheduler against a read-only
@@ -50,8 +52,7 @@ serving never retrains the *shared* model — but a session opened with
 service can host several models side by side (``models=...`` +
 ``open_session(..., model_id=...)``) with gated bit-exact hot-swap
 (``swap_model``).  ``python -m repro.stream`` runs a synthetic-EMG
-demo (``--shards N`` for the multi-process front end); ``--selftest``
-checks streaming/offline and sharded/single-process parity end to end;
+demo (``--shards N`` for the multi-process front end);
 ``--serve HOST:PORT`` / ``--client HOST:PORT`` run the network ingress
 server and a workload-driving client.
 """
@@ -72,7 +73,7 @@ from .replay import (
     synthetic_trace,
     trace_from_streams,
 )
-from .scheduler import BatchReport, StreamConfig, StreamingService
+from .scheduler import StreamConfig, StreamingService
 from .session import Decision, MajorityVoteSmoother, Session
 from .sharded import (
     AutoscalePolicy,
@@ -95,7 +96,6 @@ from .workload import WorkloadConfig, generate_workload, run_workload
 
 __all__ = [
     "AutoscalePolicy",
-    "BatchReport",
     "Decision",
     "Feedback",
     "FeedbackOk",

@@ -10,15 +10,9 @@ instead (N workers over one memory-mapped model store) and prints the
 merged fleet telemetry.  ``--checkpoint-interval N`` checkpoints each
 worker every N journaled commands (recovery replays only the short
 tail); ``--rescale N`` live-rescales the fleet to N workers halfway
-through the trace.
-
-``--selftest`` runs a reduced configuration and *asserts* the subsystem
-invariants end to end — streaming decisions byte-identical to the
-offline batch classifier, sharded decisions byte-identical to the
-single-process scheduler on the same trace, model-store round-trip
-bit-exactness (eager and mmap loads), checkpoint + SIGKILL recovery and
-a live ``rescale(2->4->3)`` both byte-identical to the undisturbed run —
-exiting non-zero on any mismatch (wired into CI).
+through the trace.  The simulated device lines come from the device
+model alone: a run's energy is its window count times the per-window
+energy.
 
 ``--serve HOST:PORT`` starts the network ingress front door
 (:mod:`repro.stream.ingress`) over the configured service and serves
@@ -31,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
-import signal
 import sys
 import tempfile
 import time
@@ -43,16 +35,10 @@ import numpy as np
 from ..emg import EMGDatasetConfig, WindowConfig, generate_subject
 from ..emg.windows import paper_split, windows_from_trials
 from ..hdc import AdaptConfig, BatchHDClassifier, HDClassifierConfig
-from ..hdc.serialize import load_model, load_model_mmap, save_model
+from ..hdc.serialize import load_model, save_model
 from ..perf.streaming import DevicePerfModel, device_model
 from ..pulp.soc import soc_by_name
-from .replay import (
-    ReplayTrace,
-    parity_digest,
-    replay,
-    stream_bytes,
-    trace_from_streams,
-)
+from .replay import ReplayTrace, replay, trace_from_streams
 from .scheduler import StreamConfig, StreamingService
 from .sharded import ShardedStreamingService
 
@@ -111,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--device", choices=[*_DEVICES, "none"],
                         default="pulp4",
                         help="simulated device for telemetry (default pulp4)")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the CI parity selftest and exit")
     parser.add_argument("--serve", type=str, default=None,
                         metavar="HOST:PORT",
                         help="start the network ingress server "
@@ -267,7 +251,7 @@ def _run_single(
     device: Optional[DevicePerfModel],
     adaptive: bool = False,
 ) -> List[str]:
-    service = StreamingService(model, config, device=device)
+    service = StreamingService(model, config)
     t0 = time.perf_counter()
     n_applied = 0
     if adaptive:
@@ -320,7 +304,6 @@ def _run_sharded(
         model_path,
         config,
         n_shards=n_shards,
-        device=device,
         checkpoint_interval=checkpoint_interval or None,
     ) as service:
         t0 = time.perf_counter()
@@ -423,264 +406,6 @@ def run_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_selftest() -> int:
-    """End-to-end invariants, sized for CI (~seconds, not minutes)."""
-    failures: List[str] = []
-
-    def check(name: str, ok: bool) -> None:
-        print(f"  {'ok' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    print("repro.stream selftest")
-    model = _train_model(dim=2048, subject_id=0, repetitions=2)
-    dataset = EMGDatasetConfig(n_subjects=1, n_repetitions=2)
-    trials = generate_subject(dataset, 0).trials
-    window = WindowConfig()
-    config = StreamConfig(window=window, max_batch=64, max_wait=3)
-    trace, truths = _build_workload(
-        trials, 4, window, config.sample_rate_hz, chunk=37,
-    )
-
-    # 1. Streaming parity: raw decisions == offline batch predictions on
-    #    the exact same windows, across interleaved sessions.
-    service = StreamingService(model, config)
-    per_session = replay(service, trace)
-    from ..emg.dataset import Trial
-    from ..emg.windows import windows_from_trial
-
-    for sid, decisions in sorted(per_session.items()):
-        # The offline oracle is the *real* offline slicer, not a copy of
-        # its loop — parity must hold against whatever it does.
-        offline_w = windows_from_trial(
-            Trial(subject_id=0, gesture=0, repetition=0,
-                  envelope=trace.session_stream(sid)),
-            window,
-        )
-        offline = model.predict(np.asarray(offline_w))
-        raw = [d.raw_label for d in decisions]
-        check(
-            f"session {sid}: {len(raw)} streaming decisions match "
-            f"offline",
-            len(raw) == len(offline) and raw == offline,
-        )
-
-    # 2. Model store round trip: bit-exact words and predictions, on
-    #    both the eager and the memory-mapped load path.
-    with tempfile.TemporaryDirectory() as tmp:
-        path = save_model(f"{tmp}/model", model)
-        loaded = load_model(path)
-        mapped = load_model_mmap(path)
-        check(
-            "model store round-trip words bit-exact",
-            np.array_equal(loaded.prototype_words, model.prototype_words)
-            and np.array_equal(
-                loaded.encoder.spatial.item_memory.as_matrix64(),
-                model.encoder.spatial.item_memory.as_matrix64(),
-            ),
-        )
-        check(
-            "mmap load bit-exact and read-only",
-            np.array_equal(mapped.prototype_words, model.prototype_words)
-            and not mapped.prototype_words.flags.writeable,
-        )
-        probe = np.stack(
-            [trials[0].envelope[i: i + window.slice_samples]
-             for i in range(0, 200, window.stride)]
-        )
-        check(
-            "loaded model predicts identically",
-            loaded.predict(probe) == model.predict(probe)
-            and mapped.predict(probe) == model.predict(probe),
-        )
-
-        # 3. Sharded front end: byte-identical decision streams to the
-        #    single-process scheduler on the same trace.
-        reference = parity_digest(per_session)
-        with ShardedStreamingService(
-            path, config, n_shards=2
-        ) as sharded:
-            sharded_sessions = replay(sharded, trace)
-            fleet = sharded.stats()
-        check(
-            "sharded(2) decision streams byte-identical to "
-            "single-process",
-            parity_digest(sharded_sessions) == reference,
-        )
-        check(
-            "fleet telemetry accounts every window",
-            fleet.n_windows == service.total_windows,
-        )
-
-        # 3b. Elasticity must be unobservable in the output bytes:
-        #     periodic checkpoints + SIGKILL one worker mid-trace,
-        #     then a live rescale(2->4->3) under load — both runs stay
-        #     byte-identical to the undisturbed reference.
-        mid = trace.n_events // 2
-
-        def checkpoint_then_kill(s):
-            for index in range(s.n_shards):
-                s.checkpoint_shard(index)
-            os.kill(s.shard_process(0).pid, signal.SIGKILL)
-
-        with ShardedStreamingService(
-            path, config, n_shards=2, checkpoint_interval=25
-        ) as elastic:
-            recovered = replay(
-                elastic, trace, actions={mid: checkpoint_then_kill}
-            )
-            respawns = elastic.shard_respawns(0)
-            n_checkpoints = elastic.checkpoints
-        check(
-            "checkpoint + SIGKILL recovery byte-identical "
-            f"({n_checkpoints} checkpoints, {respawns} respawn)",
-            parity_digest(recovered) == reference
-            and respawns == 1
-            and n_checkpoints > 0,
-        )
-
-        with ShardedStreamingService(
-            path, config, n_shards=2
-        ) as fleet2:
-            rescaled = replay(
-                fleet2,
-                trace,
-                actions={
-                    trace.n_events // 3: lambda s: s.rescale(4),
-                    (2 * trace.n_events) // 3: lambda s: s.rescale(3),
-                },
-            )
-            n_after = fleet2.n_shards
-            n_migrations = fleet2.migrations
-        check(
-            "rescale(2->4->3) under load byte-identical "
-            f"({n_migrations} migrations)",
-            parity_digest(rescaled) == reference and n_after == 3,
-        )
-
-        # 5. Per-user adaptation: tenant isolation, gated hot-swap,
-        #    and sharded parity of adapted streams.  max_wait=0 keeps
-        #    "latest decision" feedback deterministic across topologies.
-        adapt_config = StreamConfig(window=window, max_wait=0)
-        # Long enough to clear the onset skip and then repeat the same
-        # pattern, so the post-feedback flip is visible in the stream.
-        adapter_stream = np.tile(
-            trials[0].envelope[: window.slice_samples], (60, 1)
-        )
-        adapt_trace = trace_from_streams(
-            {
-                "adapter": adapter_stream,
-                "bystander": trials[1].envelope[:400],
-            },
-            seed=4,
-            chunking=(20, 60),
-        )
-        # Feedback needs a decided window: fire right after the event
-        # that completes the adapter's first window (max_wait=0 means
-        # it is decided within that ingest).
-        need = (
-            int(round(window.skip_onset_s * adapt_config.sample_rate_hz))
-            + window.slice_samples
-        )
-        got, first_decidable = 0, None
-        for pos, event in enumerate(adapt_trace.events):
-            if event.session_id == "adapter":
-                got += event.samples.shape[0]
-                if got >= need:
-                    first_decidable = pos
-                    break
-        assert first_decidable is not None
-        feedback_at = {
-            first_decidable: lambda s: s.feedback("adapter", 99)
-            and None
-        }
-
-        def run_adapt(service, with_feedback):
-            service.open_session("adapter", adaptive=True)
-            service.open_session("bystander")
-            return replay(
-                service,
-                adapt_trace,
-                open_sessions=False,
-                actions=feedback_at if with_feedback else None,
-            )
-
-        silent = run_adapt(
-            StreamingService(model, adapt_config), False
-        )
-        adapted = run_adapt(
-            StreamingService(model, adapt_config), True
-        )
-        check(
-            "tenant isolation: feedback never changes a "
-            "neighbour's bytes",
-            stream_bytes(silent["bystander"])
-            == stream_bytes(adapted["bystander"])
-            and stream_bytes(silent["adapter"])
-            != stream_bytes(adapted["adapter"]),
-        )
-
-        with ShardedStreamingService(
-            path, adapt_config, n_shards=2
-        ) as adaptive_fleet:
-            sharded_adapted = run_adapt(adaptive_fleet, True)
-        check(
-            "sharded adapted streams byte-identical to "
-            "single-process",
-            parity_digest(sharded_adapted) == parity_digest(adapted),
-        )
-
-        from ..hdc.serialize import ModelStore
-
-        with ModelStore(f"{tmp}/store") as model_store:
-            model_store.publish("subject", model)
-            version = model_store.hot_swap(
-                "subject", load_model(path), gate_windows=probe
-            )
-            check(
-                "model-store hot-swap cutover gated bit-exact",
-                version == 2
-                and model_store.current_version("subject") == 2,
-            )
-
-        def run_swap(with_swap):
-            service = StreamingService(load_model(path), adapt_config)
-            service.open_session("adapter")
-            service.open_session("bystander")
-            actions = (
-                {
-                    adapt_trace.n_events // 2: lambda s: s.swap_model(
-                        load_model(path), gate_windows=probe
-                    )
-                }
-                if with_swap
-                else None
-            )
-            return replay(
-                service,
-                adapt_trace,
-                open_sessions=False,
-                actions=actions,
-            )
-
-        check(
-            "live swap_model of a republication byte-identical",
-            parity_digest(run_swap(True)) == parity_digest(run_swap(False)),
-        )
-
-    # 4. The scheduler actually batched across sessions.
-    multiplexed = any(r.n_sessions > 1 for r in service.reports)
-    check("dispatches multiplex sessions", multiplexed)
-    raw_acc, smooth_acc = _accuracy(per_session, truths)
-    check(f"raw accuracy sane ({raw_acc:.3f})", raw_acc > 0.5)
-
-    if failures:
-        print(f"selftest FAILED: {failures}")
-        return 1
-    print("selftest ok")
-    return 0
-
-
 def run_serve(args: argparse.Namespace) -> int:
     """Start the ingress front door and serve until interrupted."""
     from .ingress import IngressServer
@@ -778,8 +503,6 @@ def run_client(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.selftest:
-        return run_selftest()
     if args.serve:
         return run_serve(args)
     if args.client:

@@ -197,16 +197,25 @@ class _StampTracker:
 class _ServiceDriver:
     """Single worker thread owning all blocking service calls.
 
-    Commands are ``(op, args, done)``; ``done`` (if given) is invoked
-    on the event loop as ``done(decisions, error)``.  ``close`` drains
-    first so every window of the closing session is decided — exactly
-    what an in-process replay with ``drain=True`` does, which is what
-    keeps cleanly-closed network sessions byte-identical to replay.
+    Commands are ``(seq, op, args, done)``, numbered in submission
+    order.  Every decision a command yields goes to ``route(decisions,
+    seq)`` on the event loop, whether or not the submitter passed
+    ``done``: an ingest or drain decides windows of *any* session, so
+    its decisions are never the submitter's alone.  ``done`` (if given)
+    is invoked after that as ``done(result, error)``, where ``result``
+    is the applied flag of a ``feedback`` and None otherwise.  ``close``
+    drains first so every window of the closing session is decided —
+    exactly what an in-process replay with ``drain=True`` does, which is
+    what keeps cleanly-closed network sessions byte-identical to replay.
     """
 
-    def __init__(self, service, loop: asyncio.AbstractEventLoop):
+    def __init__(
+        self, service, loop: asyncio.AbstractEventLoop, route
+    ):
         self._service = service
         self._loop = loop
+        self._route = route
+        self._next_seq = 0
         self._commands: "queue.Queue" = queue.Queue()
         self._thread = threading.Thread(
             target=self._run, name="ingress-driver", daemon=True
@@ -216,20 +225,28 @@ class _ServiceDriver:
     def backlog(self) -> int:
         return self._commands.qsize()
 
-    def submit(self, op: str, *args, done=None) -> None:
-        self._commands.put((op, args, done))
+    def submit(self, op: str, *args, done=None) -> int:
+        """Queue one command; returns its sequence number.
+
+        Called on the event loop only, which is what lets the counter
+        go unlocked.
+        """
+        seq = self._next_seq
+        self._next_seq += 1
+        self._commands.put((seq, op, args, done))
+        return seq
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._commands.put(("stop", (), None))
+        self.submit("stop")
         self._thread.join(timeout=timeout)
 
     def _run(self) -> None:
         service = self._service
         while True:
-            op, args, done = self._commands.get()
+            seq, op, args, done = self._commands.get()
             if op == "stop":
                 return
-            error = None
+            result = error = None
             decisions: list = []
             try:
                 if op == "ingest":
@@ -239,9 +256,7 @@ class _ServiceDriver:
                         args[0], model_id=args[1], adaptive=args[2]
                     )
                 elif op == "feedback":
-                    # The "decisions" slot carries the applied flag;
-                    # the submitting done-callback knows the shape.
-                    decisions = service.feedback(
+                    result = service.feedback(
                         args[0], args[1], index=args[2]
                     )
                 elif op == "close":
@@ -253,8 +268,18 @@ class _ServiceDriver:
                     raise ValueError(f"unknown driver op {op!r}")
             except Exception as exc:  # reported to the caller, not fatal
                 error = exc
-            if done is not None:
-                self._loop.call_soon_threadsafe(done, decisions, error)
+            if decisions or done is not None:
+                self._loop.call_soon_threadsafe(
+                    self._complete, seq, decisions, done, result, error
+                )
+
+    def _complete(self, seq, decisions, done, result, error) -> None:
+        # On the loop: decisions reach their owners before ``done`` can
+        # forget a closing session.
+        if decisions:
+            self._route(decisions, seq)
+        if done is not None:
+            done(result, error)
 
 
 class _Connection:
@@ -314,7 +339,10 @@ class IngressServer:
         self.stats = IngressStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._driver: Optional[_ServiceDriver] = None
-        self._sessions: Dict[str, Tuple[_Connection, _StampTracker]] = {}
+        # sid -> (connection, stamp tracker, seq of the driver's open).
+        self._sessions: Dict[
+            str, Tuple[_Connection, _StampTracker, int]
+        ] = {}
         self._connections: set = set()
         self._sweeper: Optional[asyncio.Task] = None
         self._dirty = False  # ingested since the last drain
@@ -329,7 +357,9 @@ class IngressServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         loop = asyncio.get_running_loop()
-        self._driver = _ServiceDriver(self._service, loop)
+        self._driver = _ServiceDriver(
+            self._service, loop, self._route_decisions
+        )
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
@@ -536,25 +566,24 @@ class IngressServer:
                 ),
             )
             return
-        tracker = _StampTracker(self._stream_config)
-        self._sessions[sid] = (conn, tracker)
-        conn.sessions.add(sid)
         self.stats.sessions_opened += 1
 
-        def done(decisions, error, conn=conn, sid=sid):
+        def done(_, error, conn=conn, sid=sid):
             if error is not None:
                 self._fail_session(conn, sid, error)
                 return
-            self._route_decisions(decisions)
             self._send(conn, OpenOk(sid))
 
-        self._driver.submit(
+        seq = self._driver.submit(
             "open",
             sid,
             frame.model_id or None,
             frame.adaptive,
             done=done,
         )
+        tracker = _StampTracker(self._stream_config)
+        self._sessions[sid] = (conn, tracker, seq)
+        conn.sessions.add(sid)
 
     def _on_feedback(self, conn: _Connection, frame: Feedback) -> None:
         sid = frame.session_id
@@ -621,13 +650,17 @@ class IngressServer:
         owner[1].push(frame.samples.shape[0], frame.stamp)
         self._dirty = True
 
-        def done(decisions, error, conn=conn, sid=sid, cost=cost):
+        def done(_, error, conn=conn, sid=sid, cost=cost, owner=owner):
             conn.credit_debt = max(0, conn.credit_debt - cost)
             if error is not None:
-                self._fail_session(conn, sid, error)
+                # Only the first failure of this incarnation acts: it
+                # closes the session in the service too, or the id
+                # would stay taken there after the ingress forgets it.
+                if self._sessions.get(sid) is owner:
+                    self._driver.submit("close", sid)
+                    self._fail_session(conn, sid, error)
                 return
             self._send(conn, Credit(cost))
-            self._route_decisions(decisions)
 
         self._driver.submit("ingest", sid, frame.samples, done=done)
         return True
@@ -641,8 +674,7 @@ class IngressServer:
             )
             return
 
-        def done(decisions, error, conn=conn, sid=sid):
-            self._route_decisions(decisions)
+        def done(_, error, conn=conn, sid=sid):
             self._forget_session(sid)
             if error is None:
                 self.stats.sessions_closed += 1
@@ -653,8 +685,7 @@ class IngressServer:
         self._driver.submit("close", sid, done=done)
 
     def _on_bye(self, conn: _Connection) -> None:
-        def done(decisions, error, conn=conn):
-            self._route_decisions(decisions)
+        def done(_, error, conn=conn):
             self._send(conn, Bye())
             conn.closing = True
             self._enqueue(conn, None)  # writer flushes, then closes
@@ -695,12 +726,18 @@ class IngressServer:
             except Exception:
                 pass
 
-    def _route_decisions(self, decisions) -> None:
+    def _route_decisions(self, decisions, seq: int) -> None:
+        """Send decisions a driver command ``seq`` produced to owners.
+
+        A session id reopened after ``seq`` was submitted names a new
+        incarnation: the service opened it only after command ``seq``
+        ran, so the decision belongs to the closed one and is dropped.
+        """
         for decision in decisions:
             owner = self._sessions.get(decision.session_id)
-            if owner is None:
-                continue  # session's connection already went away
-            conn, tracker = owner
+            if owner is None or owner[2] > seq:
+                continue  # that session's connection already went away
+            conn, tracker, _ = owner
             self._send(
                 conn,
                 DecisionFrame(
@@ -774,10 +811,8 @@ class IngressServer:
             self._dirty = False
             self._drain_pending = True
 
-            def done(decisions, error):
+            def done(_, error):
                 self._drain_pending = False
-                if error is None:
-                    self._route_decisions(decisions)
 
             self._driver.submit("drain", done=done)
 

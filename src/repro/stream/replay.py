@@ -26,8 +26,10 @@ module provides the three pieces that turn that property into tests:
   is deliberately outside the projection.
 
 ``tests/stream/test_sharded.py`` pins the sharded front end to the
-single-process service with this harness; ``benchmarks/bench_stream.py``
-and the ``python -m repro.stream`` selftest replay the same traces.
+single-process service with this harness, and
+``benchmarks/bench_stream.py`` replays the same traces.  The harness
+reads decisions from what the service returns, never from retained
+service state.
 """
 
 from __future__ import annotations

@@ -20,9 +20,12 @@ per ingest call):
   light.  ``0`` dispatches on every ingest (lowest latency, smallest
   batches); larger values trade staleness for throughput.
 
-Every dispatch produces a :class:`BatchReport` with host wall-clock and,
-when a :class:`~repro.perf.streaming.DevicePerfModel` is attached, the
-simulated on-device latency/energy of the batch's classifications.
+The service keeps only the state decisions depend on, plus lifetime
+counters (windows, batches, engine seconds, cache hits) and two
+queue-age histograms.  It records no per-decision or per-batch log:
+each call returns its decisions, and a simulated device total is the
+window count times one per-window constant of a
+:class:`~repro.perf.streaming.DevicePerfModel`.
 
 The scheduler's decision cache keeps sustained serving cheap, bit-
 exactly: it memoizes winners by quantised window pattern *across*
@@ -50,13 +53,7 @@ from ..hdc import engine
 from ..hdc.batch import BatchHDClassifier
 from ..hdc.online import AdaptConfig, SessionDelta
 from ..hdc.serialize import CutoverError
-from ..perf.streaming import (
-    BatchDevicePerf,
-    DevicePerfModel,
-    LatencyHistogram,
-    tick_histogram,
-    wall_histogram,
-)
+from ..perf.streaming import LatencyHistogram, tick_histogram, wall_histogram
 from .session import Decision, Session
 
 
@@ -65,7 +62,9 @@ class StreamConfig:
     """Service-wide streaming parameters.
 
     All sessions share one window geometry (they are classified by one
-    model) and one scheduler policy.
+    model) and one scheduler policy.  Callers get the full decision
+    stream from the return values of ``ingest`` / ``pump`` / ``drain``;
+    the service retains none of it.
     """
 
     window: WindowConfig = field(default_factory=WindowConfig)
@@ -73,7 +72,6 @@ class StreamConfig:
     max_batch: int = 256
     max_wait: int = 0
     smooth: int = 1
-    extract_features: bool = False
     #: Memoize decisions by quantised window pattern across batches.
     #: The encode + AM-search chain is a pure function of the integer
     #: level pattern, so a repeated pattern's winner can be served from
@@ -100,12 +98,6 @@ class StreamConfig:
     #: 141-162 us against 96-113 us.
     spatial_row_cache: bool = False
     spatial_row_cache_limit: int = 1 << 16
-    #: Retained per-session decisions and service batch reports (each a
-    #: bounded deque) — a convenience window into recent activity, not
-    #: an unbounded log: a sustained service would otherwise leak one
-    #: record per window forever.  Full streams are available to callers
-    #: as the return values of ``ingest`` / ``pump`` / ``drain``.
-    history: int = 10_000
     #: Per-session adaptation policy, applied to sessions opened with
     #: ``adaptive=True`` (see :class:`~repro.hdc.online.AdaptConfig`).
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
@@ -135,33 +127,6 @@ class StreamConfig:
                 f"spatial_row_cache_limit must be >= 1, "
                 f"got {self.spatial_row_cache_limit}"
             )
-        if self.history < 1:
-            raise ValueError(
-                f"history must be >= 1, got {self.history}"
-            )
-
-
-@dataclass(frozen=True)
-class BatchReport:
-    """Telemetry of one dispatched batch."""
-
-    batch_id: int
-    n_windows: int
-    n_sessions: int  # distinct sessions in the batch
-    decided_at: int  # service clock at dispatch
-    host_seconds: float  # wall-clock of encode + AM search
-    device: Optional[BatchDevicePerf] = None
-    #: Age of the batch's oldest window at dispatch — how long it sat
-    #: in the ready queue, in logical ingest ticks and wall seconds.
-    queue_age_ticks: int = 0
-    queue_age_s: float = 0.0
-
-    @property
-    def host_windows_per_sec(self) -> float:
-        """Host throughput of this dispatch."""
-        if self.host_seconds <= 0.0:
-            return float("inf")
-        return self.n_windows / self.host_seconds
 
 
 @dataclass
@@ -213,7 +178,6 @@ class StreamingService:
         self,
         model: BatchHDClassifier,
         config: StreamConfig = StreamConfig(),
-        device: Optional[DevicePerfModel] = None,
         models: Optional[Mapping[str, BatchHDClassifier]] = None,
     ):
         self._config = config
@@ -226,7 +190,6 @@ class StreamingService:
         if models:
             for model_id, extra in models.items():
                 self.add_model(model_id, extra)
-        self._device = device
         self._sessions: Dict[Hashable, Session] = {}
         # Ready windows in arrival order, blocked per ingest:
         # (session, (k, T, channels) window stack, enqueued_at tick,
@@ -248,14 +211,10 @@ class StreamingService:
         # SLO unit).  Mergeable across shards into FleetStats.
         self.queue_age_ticks_hist: LatencyHistogram = tick_histogram()
         self.queue_age_s_hist: LatencyHistogram = wall_histogram()
-        # Bounded recent-batch telemetry (see StreamConfig.history),
-        # next to unbounded lifetime totals for fleet aggregation.
-        self.reports: Deque[BatchReport] = deque(maxlen=config.history)
-        self._n_reports = 0
+        # Lifetime totals for fleet aggregation.
+        self._n_batches = 0
         self._n_windows = 0
         self._host_seconds = 0.0
-        self._device_cycles = 0
-        self._device_energy_uj = 0.0
 
     # -- model registry ----------------------------------------------------
 
@@ -402,11 +361,6 @@ class StreamingService:
         return self._entry(model_id).model
 
     @property
-    def device(self) -> Optional[DevicePerfModel]:
-        """The attached device telemetry model, if any."""
-        return self._device
-
-    @property
     def clock(self) -> int:
         """The logical service clock (ingest ticks so far)."""
         return self._clock
@@ -461,22 +415,12 @@ class StreamingService:
     @property
     def total_batches(self) -> int:
         """Batches dispatched over the service's lifetime."""
-        return self._n_reports
+        return self._n_batches
 
     @property
     def total_host_seconds(self) -> float:
         """Wall-clock spent in engine passes over the lifetime."""
         return self._host_seconds
-
-    @property
-    def total_device_cycles(self) -> int:
-        """Simulated on-device cycles over the lifetime (0 if no device)."""
-        return self._device_cycles
-
-    @property
-    def total_device_energy_uj(self) -> float:
-        """Simulated on-device energy over the lifetime (0 if no device)."""
-        return self._device_energy_uj
 
     # -- session lifecycle -------------------------------------------------
 
@@ -495,8 +439,6 @@ class StreamingService:
             entry.model.config.n_channels,
             sample_rate_hz=self._config.sample_rate_hz,
             smooth=self._config.smooth,
-            extract_features=self._config.extract_features,
-            history=self._config.history,
             model_id=model_id,
             adaptive=adaptive,
             feedback_window=adapt.feedback_window,
@@ -632,12 +574,9 @@ class StreamingService:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
-            "reports": list(self.reports),
-            "n_reports": self._n_reports,
+            "n_batches": self._n_batches,
             "n_windows": self._n_windows,
             "host_seconds": self._host_seconds,
-            "device_cycles": self._device_cycles,
-            "device_energy_uj": self._device_energy_uj,
         }
 
     def restore(self, state: dict) -> "StreamingService":
@@ -681,14 +620,9 @@ class StreamingService:
         self.cache_hits = int(state["cache_hits"])
         self.cache_misses = int(state["cache_misses"])
         self.cache_evictions = int(state["cache_evictions"])
-        self.reports = deque(
-            state["reports"], maxlen=self._config.history
-        )
-        self._n_reports = int(state["n_reports"])
+        self._n_batches = int(state["n_batches"])
         self._n_windows = int(state["n_windows"])
         self._host_seconds = float(state["host_seconds"])
-        self._device_cycles = int(state["device_cycles"])
-        self._device_energy_uj = float(state["device_energy_uj"])
         return self
 
     def _restore_session(self, s_state: dict) -> Session:
@@ -790,8 +724,10 @@ class StreamingService:
         its journal reproduces the original batching decisions exactly.
         Injected ticks must be strictly increasing per service.
 
-        A chunk with a non-finite sample raises ``ValueError`` and
-        leaves the service untouched, the clock included.
+        A rejected call (a non-finite sample, a chunk of the wrong
+        shape, a tick that does not advance the clock) raises
+        ``ValueError`` and leaves the service untouched, the clock
+        included.
         """
         try:
             session = self._sessions[session_id]
@@ -800,7 +736,7 @@ class StreamingService:
         samples = np.asarray(samples, dtype=np.float64)
         check_finite(samples)
         if tick is None:
-            self._clock += 1
+            tick = self._clock + 1
         else:
             tick = int(tick)
             if tick <= self._clock:
@@ -808,8 +744,10 @@ class StreamingService:
                     f"injected tick {tick} must advance the service "
                     f"clock (currently {self._clock})"
                 )
-            self._clock = tick
+        # The windower checks the chunk's shape before it mutates
+        # anything, so the clock moves only once the chunk is accepted.
         windows = session.push(samples)
+        self._clock = tick
         if windows:
             self._queue.append(
                 (session, np.stack(windows), self._clock,
@@ -992,7 +930,7 @@ class StreamingService:
                     for i in indices[offset : offset + k]
                 ]
                 offset += k
-        host_seconds = time.perf_counter() - start
+        self._host_seconds += time.perf_counter() - start
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         decisions: List[Decision] = []
@@ -1020,26 +958,6 @@ class StreamingService:
                         window=block[j],
                     )
                 )
-        self._n_reports += 1
+        self._n_batches += 1
         self._n_windows += n
-        self._host_seconds += host_seconds
-        device = (
-            self._device.account(n) if self._device is not None else None
-        )
-        if device is not None:
-            self._device_cycles += device.total_cycles
-            self._device_energy_uj += device.energy_uj
-        oldest_tick, oldest_wall = items[0][2], items[0][3]
-        self.reports.append(
-            BatchReport(
-                batch_id=batch_id,
-                n_windows=n,
-                n_sessions=len({id(session) for session, _, _, _ in items}),
-                decided_at=clock,
-                host_seconds=host_seconds,
-                device=device,
-                queue_age_ticks=clock - oldest_tick,
-                queue_age_s=max(0.0, now - oldest_wall),
-            )
-        )
         return decisions

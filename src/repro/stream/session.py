@@ -1,11 +1,14 @@
-"""Per-session state: windowing, label smoothing, decision history.
+"""Per-session state: windowing and label smoothing.
 
 A *session* is one independent sensor stream — one user's electrode
 array pushing samples at its own rate.  Each session owns an incremental
 :class:`~repro.stream.windower.StreamWindower` and a majority-vote
 :class:`MajorityVoteSmoother` (the paper's temporal smoothing of
 consecutive window decisions); the shared classifier and the batching
-across sessions live in :mod:`repro.stream.scheduler`.
+across sessions live in :mod:`repro.stream.scheduler`.  A session keeps
+no record of the decisions it delivered, only their count: callers get
+every decision from what the service's ``ingest`` / ``pump`` / ``drain``
+return.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Hashable, List, Optional
 
 import numpy as np
 
-from ..emg.features import window_features
 from ..emg.windows import WindowConfig
 from .windower import StreamWindower
 
@@ -85,7 +87,6 @@ class Decision:
     batch_id: int  # dispatch batch that carried the window
     enqueued_at: int  # service clock when the window became ready
     decided_at: int  # service clock when the batch dispatched
-    features: Optional[np.ndarray] = None  # MAV features when enabled
 
     @property
     def queue_wait(self) -> int:
@@ -94,7 +95,7 @@ class Decision:
 
 
 class Session:
-    """One stream's windower, smoother, and decision history.
+    """One stream's windower, smoother, and decision counter.
 
     ``model_id`` names which of the service's models classifies this
     stream (None = the default model); it is part of the session's
@@ -113,20 +114,15 @@ class Session:
         n_channels: int,
         sample_rate_hz: int = 500,
         smooth: int = 1,
-        extract_features: bool = False,
-        history: int = 10_000,
         model_id: Optional[str] = None,
         adaptive: bool = False,
         feedback_window: int = 64,
     ):
-        if history < 1:
-            raise ValueError(f"history must be >= 1, got {history}")
         self.id = session_id
         self.windower = StreamWindower(
             window_config, n_channels, sample_rate_hz
         )
         self.smoother = MajorityVoteSmoother(smooth)
-        self.extract_features = bool(extract_features)
         self.model_id = model_id
         self.adaptive = bool(adaptive)
         #: The copy-on-write prototype delta of an adaptive session;
@@ -138,11 +134,6 @@ class Session:
         self.recent: Optional[deque] = (
             deque(maxlen=int(feedback_window)) if self.adaptive else None
         )
-        # Bounded: a long-running service delivers decisions forever;
-        # the retained history is a convenience window, not a log.
-        # Callers that need every decision consume the return values of
-        # ``StreamingService.ingest`` / ``pump`` / ``drain`` as they go.
-        self.decisions: deque = deque(maxlen=history)
         self._n_decisions = 0
 
     @property
@@ -181,11 +172,7 @@ class Session:
             batch_id=batch_id,
             enqueued_at=enqueued_at,
             decided_at=decided_at,
-            features=(
-                window_features(window) if self.extract_features else None
-            ),
         )
-        self.decisions.append(decision)
         self._n_decisions += 1
         if self.recent is not None:
             self.recent.append(
@@ -227,23 +214,20 @@ class Session:
     def snapshot(self) -> dict:
         """Capture the session's full per-stream state as a plain dict.
 
-        Composes the windower and smoother snapshots with the decision
-        history and lifetime counter.  Everything is picklable, so the
-        dict travels over a pipe (live migration) or into a checkpoint
-        file unchanged; :meth:`restore` on a session built with the same
+        Composes the windower and smoother snapshots with the lifetime
+        decision counter.  Everything is picklable, so the dict travels
+        over a pipe (live migration) or into a checkpoint file
+        unchanged; :meth:`restore` on a session built with the same
         configuration continues the stream byte-identically.
         """
         state = {
             "id": self.id,
             "windower": self.windower.snapshot(),
             "smoother": self.smoother.snapshot(),
-            "extract_features": self.extract_features,
-            "history": self.decisions.maxlen,
-            "decisions": list(self.decisions),
             "n_decisions": self._n_decisions,
         }
-        # Adaptation state travels as optional keys: snapshots taken
-        # before per-user adaptation existed restore unchanged.
+        # Model routing and adaptation state travel as optional keys,
+        # present only on sessions that use them.
         if self.model_id is not None:
             state["model_id"] = self.model_id
         if self.adaptive:
@@ -269,15 +253,6 @@ class Session:
                 f"session snapshot is for id {state['id']!r}, "
                 f"not {self.id!r}"
             )
-        if bool(state["extract_features"]) != self.extract_features:
-            raise ValueError(
-                "session snapshot extract_features flag does not match"
-            )
-        if int(state["history"]) != self.decisions.maxlen:
-            raise ValueError(
-                f"session snapshot history={state['history']} does not "
-                f"match this session's history={self.decisions.maxlen}"
-            )
         if state.get("model_id") != self.model_id:
             raise ValueError(
                 f"session snapshot is for model "
@@ -289,7 +264,6 @@ class Session:
             )
         self.windower.restore(state["windower"])
         self.smoother.restore(state["smoother"])
-        self.decisions = deque(state["decisions"], maxlen=self.decisions.maxlen)
         self._n_decisions = int(state["n_decisions"])
         if self.adaptive:
             if int(state["feedback_window"]) != self.recent.maxlen:

@@ -81,9 +81,8 @@ telemetry.
 Fleet telemetry: every worker snapshots its scheduler into a
 :class:`~repro.perf.streaming.StreamStats`; :meth:`stats` merges them
 into one :class:`~repro.perf.streaming.FleetStats` (per-shard and
-fleet-wide batch + decision-cache statistics, journal/checkpoint byte
-sizes, checkpoint/migration/rescale counts, simulated device
-latency/energy).
+fleet-wide batch + decision-cache statistics, queue-age histograms,
+journal/checkpoint byte sizes, checkpoint/migration/rescale counts).
 """
 
 from __future__ import annotations
@@ -107,12 +106,7 @@ from ..hdc.serialize import (
     loads_snapshot,
     model_info,
 )
-from ..perf.streaming import (
-    DevicePerfModel,
-    FleetStats,
-    StreamStats,
-    merge_stream_stats,
-)
+from ..perf.streaming import FleetStats, StreamStats, merge_stream_stats
 from .scheduler import StreamConfig, StreamingService, check_finite
 from .session import Decision
 
@@ -330,7 +324,6 @@ def _shard_worker(
     conn,
     model_path: str,
     config: StreamConfig,
-    device: Optional[DevicePerfModel],
     shard_index: int,
     model_paths: Dict[str, str],
 ) -> None:
@@ -352,7 +345,6 @@ def _shard_worker(
             service = StreamingService(
                 load_model_mmap(model_path),
                 config,
-                device=device,
                 models={
                     mid: load_model_mmap(path)
                     for mid, path in model_paths.items()
@@ -496,7 +488,6 @@ class ShardedStreamingService:
         model_path,
         config: StreamConfig = StreamConfig(),
         n_shards: int = 2,
-        device: Optional[DevicePerfModel] = None,
         max_inflight: int = 64,
         auto_respawn: bool = True,
         checkpoint_interval: Optional[int] = None,
@@ -538,7 +529,6 @@ class ShardedStreamingService:
                 )
             self._model_paths[mid] = str(path)
         self._config = config
-        self._device = device
         self._max_inflight = int(max_inflight)
         self._auto_respawn = bool(auto_respawn)
         self._checkpoint_interval = checkpoint_interval
@@ -591,7 +581,6 @@ class ShardedStreamingService:
                 child_conn,
                 self._model_path,
                 self._config,
-                self._device,
                 index,
                 self._model_paths,
             ),

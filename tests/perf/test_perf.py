@@ -209,11 +209,6 @@ class TestDeviceModel:
             required_frequency_mhz(model.cycles_per_window)
         )
         assert model.window_energy_uj > 0
-        batch = model.account(32)
-        assert batch.total_cycles == 32 * model.cycles_per_window
-        assert batch.energy_uj == pytest.approx(
-            32 * model.window_energy_uj
-        )
 
     def test_more_cores_fewer_cycles(self):
         from repro.perf import device_model

@@ -26,6 +26,7 @@ from repro.stream import (
     StreamingService,
     parity_digest,
     replay,
+    stream_bytes,
     trace_from_streams,
 )
 from repro.stream.wire import (
@@ -293,6 +294,165 @@ class TestSocketParity:
             (d.index, d.raw_label, d.label) for d in dribble
         ] == [(d.index, d.raw_label, d.label) for d in slab]
         assert len(dribble) == 16  # 80 samples / 5-sample windows
+
+
+# -- session teardown --------------------------------------------------------
+
+
+async def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        await asyncio.sleep(0.01)
+    return predicate()
+
+
+def _replayed(model, config, streams):
+    """Decisions of an in-process replay of ``streams``."""
+    return replay(
+        StreamingService(model, config), trace_from_streams(streams, seed=0)
+    )
+
+
+class TestSessionTeardown:
+    def test_disconnect_keeps_other_sessions_decisions(self, model):
+        """A dropped connection's close drains the whole service; the
+        decisions that drain makes for other connections' sessions must
+        still reach them."""
+        config = _config(max_batch=64, max_wait=10_000)
+        ingress = IngressConfig(sweep_interval_s=30.0)
+        stream = np.random.default_rng(12).random((50, N_CHANNELS))
+
+        async def scenario():
+            service = StreamingService(model, config)
+            async with _Server(service, config, ingress) as live:
+                b = IngressClient()
+                await b.connect(live.host, live.port)
+                assert (await b.open("B"))[0]
+                await b.send("B", stream)  # 10 windows, all queued
+                assert await _wait_for(
+                    lambda: service.pending_windows == 10
+                )
+                a = IngressClient()
+                await a.connect(live.host, live.port)
+                assert (await a.open("A"))[0]
+                await a.aclose()  # disconnect without CLOSE or BYE
+                assert await _wait_for(
+                    lambda: all(s.id != "A" for s in service.sessions)
+                )
+                assert service.pending_windows == 0
+                await b.close("B")
+                await b.bye()
+                return b.decisions.get("B", [])
+
+        got = asyncio.run(scenario())
+        want = _replayed(model, config, {"B": stream})["B"]
+        assert len(got) == len(want) == 10
+        assert stream_bytes(got) == stream_bytes(want)
+
+    def test_reopened_id_gets_none_of_the_closed_ones_decisions(
+        self, model
+    ):
+        """The drain of a dropped connection's close runs after another
+        client reopened the same id; the old windows it decides must
+        not reach the new session."""
+        config = _config(max_batch=64, max_wait=10_000)
+        ingress = IngressConfig(sweep_interval_s=30.0)
+        rng = np.random.default_rng(15)
+        old, new = rng.random((25, N_CHANNELS)), rng.random((25, N_CHANNELS))
+
+        class SlowDrain(StreamingService):
+            def drain(self):
+                time.sleep(0.5)  # lets the reopen overtake the close
+                return super().drain()
+
+        async def scenario():
+            service = SlowDrain(model, config)
+            async with _Server(service, config, ingress) as live:
+                a = IngressClient()
+                await a.connect(live.host, live.port)
+                assert (await a.open("s"))[0]
+                await a.send("s", old)  # 5 windows, all queued
+                assert await _wait_for(
+                    lambda: service.pending_windows == 5
+                )
+                await a.aclose()
+                assert await _wait_for(
+                    lambda: live.server.open_sessions == 0
+                )
+                b = IngressClient()
+                await b.connect(live.host, live.port)
+                assert (await b.open("s"))[0]
+                await b.send("s", new)
+                await b.close("s")
+                await b.bye()
+                return b.decisions.get("s", [])
+
+        got = asyncio.run(scenario())
+        want = _replayed(model, config, {"s": new})["s"]
+        assert stream_bytes(got) == stream_bytes(want)
+
+    @staticmethod
+    async def _poison(live, good):
+        """Stream ``good`` on session "n" around one NaN chunk sent on
+        session "s"; returns the client once "n" is closed."""
+        client = IngressClient()
+        await client.connect(live.host, live.port)
+        assert (await client.open("s"))[0]
+        assert (await client.open("n"))[0]
+        await client.send("n", good[:20])
+        await client.send("s", np.zeros((5, N_CHANNELS)))
+        poisoned = np.zeros((5, N_CHANNELS))
+        poisoned[2, 1] = np.nan
+        await client.send("s", poisoned)
+        assert await _wait_for(
+            lambda: any(
+                e.code == ERR_SESSION and e.session_id == "s"
+                for e in client.errors
+            )
+        )
+        await client.send("n", good[20:])
+        # The failure's close was queued before this CLOSE.
+        await client.close("n")
+        return client
+
+    def test_failed_ingest_closes_the_session(self, model):
+        config = _config(max_batch=16, max_wait=3)
+        good = np.random.default_rng(13).random((60, N_CHANNELS))
+
+        async def scenario():
+            service = StreamingService(model, config)
+            async with _Server(service, config) as live:
+                client = await self._poison(live, good)
+                assert all(s.id != "s" for s in service.sessions)
+                reopened, _ = await client.open("s", timeout=5.0)
+                await client.bye()
+                return client, reopened
+
+        client, reopened = asyncio.run(scenario())
+        assert reopened
+        want = _replayed(model, config, {"n": good})["n"]
+        assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
+
+    def test_failed_ingest_closes_the_session_on_a_fleet(
+        self, model, store
+    ):
+        config = _config(max_batch=16, max_wait=3)
+        good = np.random.default_rng(14).random((60, N_CHANNELS))
+
+        async def scenario(service):
+            async with _Server(service, config) as live:
+                client = await self._poison(live, good)
+                open_ids = service.session_ids
+                await client.bye()
+                return client, open_ids
+
+        with ShardedStreamingService(
+            store, config, n_shards=2
+        ) as service:
+            client, open_ids = asyncio.run(scenario(service))
+        assert "s" not in open_ids
+        want = _replayed(model, config, {"n": good})["n"]
+        assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
 
 
 # -- admission control and shedding ------------------------------------------

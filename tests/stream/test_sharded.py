@@ -610,41 +610,6 @@ class TestFleetTelemetry:
         lines = fleet.describe()
         assert any("fleet" in line for line in lines)
 
-    def test_describe_mentions_device_totals_when_present(self):
-        from repro.perf.streaming import (
-            DevicePerfModel,
-            StreamStats,
-            merge_stream_stats,
-        )
-
-        device = DevicePerfModel.from_cycles(143_000, dim=DIM)
-        base = dict(
-            n_sessions=1,
-            n_batches=2,
-            cache_hits=1,
-            cache_misses=3,
-            cache_evictions=0,
-            cache_size=3,
-            host_seconds=0.5,
-        )
-        fleet = merge_stream_stats(
-            [
-                StreamStats(
-                    shard=i,
-                    n_windows=4,
-                    device_cycles=4 * device.cycles_per_window,
-                    device_energy_uj=4 * device.window_energy_uj,
-                    **base,
-                )
-                for i in range(2)
-            ]
-        )
-        assert fleet.device_cycles == 8 * device.cycles_per_window
-        assert fleet.device_energy_uj == pytest.approx(
-            8 * device.window_energy_uj
-        )
-        assert any("cycles" in line for line in fleet.describe())
-
     def test_empty_fleet_rejected(self):
         from repro.perf.streaming import merge_stream_stats
 

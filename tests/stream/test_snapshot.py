@@ -353,3 +353,38 @@ class TestExtractInject:
         b.open_session("x")
         with pytest.raises(ValueError, match="already open"):
             b.inject_session(a.extract_session("x"))
+
+
+class TestSnapshotSize:
+    """Checkpoints and migrations carry serving state, not a log: their
+    size must not scale with the number of decisions delivered."""
+
+    @staticmethod
+    def _blobs(model, n_ingests):
+        config = StreamConfig(
+            window=WindowConfig(window_samples=5, skip_onset_s=0.0),
+            max_wait=0,
+            decision_cache=False,  # the cache grows with unique windows
+        )
+        rng = np.random.default_rng(8)
+        service = StreamingService(model, config)
+        service.open_session("s")
+        decided = 0
+        for _ in range(n_ingests):  # 250 samples = 50 windows per call
+            decided += len(
+                service.ingest("s", rng.random((250, N_CHANNELS)))
+            )
+        worker = dumps_snapshot("worker", service.snapshot())
+        transfer = dumps_snapshot(
+            "session-transfer", service.extract_session("s")
+        )
+        return decided, len(worker), len(transfer)
+
+    def test_blobs_do_not_grow_with_decisions(self, model):
+        few, worker_few, transfer_few = self._blobs(model, 6)
+        many, worker_many, transfer_many = self._blobs(model, 60)
+        assert (few, many) == (300, 3000)
+        # 2,700 more decisions; a retained record costs ~44 B each.
+        # The slack covers counters pickled in wider integer opcodes.
+        assert worker_many <= worker_few + 8
+        assert transfer_many <= transfer_few + 8

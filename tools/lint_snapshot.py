@@ -38,11 +38,12 @@ EXEMPT: Dict[Tuple[str, str], str] = {
     ("StreamWindower", "_config"): (
         "construction-time shape config; restore() asserts it matches"
     ),
+    ("StreamingService", "_config"): (
+        "construction-time policy; restore() runs on a service built "
+        "with the snapshot's config"
+    ),
     ("StreamingService", "_entries"): (
         "session registry is rebuilt entry-by-entry by restore()"
-    ),
-    ("StreamingService", "_device"): (
-        "device handle is re-injected by the restoring host"
     ),
 }
 
