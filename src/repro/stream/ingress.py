@@ -18,7 +18,8 @@ Design constraints this module resolves:
   window of unacknowledged SAMPLES payload bytes (granted in WELCOME);
   the server returns CREDIT only after ``service.ingest`` has accepted
   the chunk, so coordinator credit pressure delays CREDIT frames and a
-  well-behaved client stops sending.  A client that overdraws its
+  well-behaved client stops sending.  A rejected chunk returns its
+  credit too, with an ERR_SESSION answer.  A client that overdraws its
   window is a protocol violation and is disconnected.
 * **Admission control sheds load at the edge.**  New OPENs are
   rejected with a retry-after ERROR frame when fleet credit
@@ -623,14 +624,19 @@ class IngressServer:
 
     def _on_samples(self, conn: _Connection, frame: Samples) -> bool:
         sid = frame.session_id
+        cost = frame.samples.size * 8
         owner = self._sessions.get(sid)
         if owner is None or owner[0] is not conn:
+            # Typically a frame the client pipelined before it saw its
+            # session fail.  Answered like CLOSE and FEEDBACK are, so
+            # the connection's other sessions keep their service; the
+            # client charged the bytes to its window, so they go back.
             self._send(
                 conn,
                 Error(ERR_SESSION, "session not open here", 0.0, sid),
             )
-            return False
-        cost = frame.samples.size * 8
+            self._send(conn, Credit(cost))
+            return True
         conn.credit_debt += cost
         if conn.credit_debt > self._config.credit_bytes:
             self.stats.protocol_errors += 1
@@ -652,14 +658,13 @@ class IngressServer:
 
         def done(_, error, conn=conn, sid=sid, cost=cost, owner=owner):
             conn.credit_debt = max(0, conn.credit_debt - cost)
-            if error is not None:
-                # Only the first failure of this incarnation acts: it
-                # closes the session in the service too, or the id
-                # would stay taken there after the ingress forgets it.
-                if self._sessions.get(sid) is owner:
-                    self._driver.submit("close", sid)
-                    self._fail_session(conn, sid, error)
-                return
+            # Only the first failure of this incarnation acts: it
+            # closes the session in the service too, or the id would
+            # stay taken there after the ingress forgets it.
+            if error is not None and self._sessions.get(sid) is owner:
+                self._driver.submit("close", sid)
+                self._fail_session(conn, sid, error)
+            # Served or rejected, the chunk no longer holds window bytes.
             self._send(conn, Credit(cost))
 
         self._driver.submit("ingest", sid, frame.samples, done=done)

@@ -68,7 +68,10 @@ SAMPLES payload bytes; each SAMPLES frame consumes its body size, and
 the server returns the bytes via CREDIT only after the fleet has
 accepted the chunk — coordinator backpressure therefore propagates to
 socket-level pushback, and a well-behaved client never has more than
-``credit_bytes`` in flight.
+``credit_bytes`` in flight.  A rejected SAMPLES frame (its session is
+not open on this connection, or the service refused the chunk) is
+answered with ``ERR_SESSION`` and still returns its bytes; the
+connection stays open.
 
 Admission control: an OPEN may be answered with ``ERROR`` code
 ``ERR_SHED`` carrying a ``retry_after_s`` hint instead of OPEN_OK; the

@@ -9,6 +9,7 @@ Elasticity must be *unobservable* in the output bytes.
 """
 
 import os
+import select
 import signal
 import threading
 import time
@@ -369,6 +370,68 @@ class TestRescale:
             # Routing stays consistent-hash after resharding.
             for sid in trace.session_ids:
                 assert service.shard_of(sid) == shard_for(sid, 3)
+
+    @staticmethod
+    def _assert_poller_holds_live_pipes(service, retired_fds=()):
+        """The coordinator polls exactly the pipes of its live shards."""
+        shards = [service._shards[i] for i in range(service.n_shards)]
+        assert sorted(service._pipes) == sorted(s.fd for s in shards)
+        for shard in shards:
+            assert service._pipes[shard.fd] is shard
+            assert shard.conn.fileno() == shard.fd
+            service._poller.modify(shard.fd, select.POLLIN)  # registered
+        for fd in set(retired_fds) - set(service._pipes):
+            with pytest.raises(OSError):
+                service._poller.modify(fd, select.POLLIN)
+
+    def test_poller_tracks_respawn_rescale_and_close(self, store):
+        """SIGKILL respawn, rescale(4), rescale(3) and close() each
+        leave the coordinator's poller holding exactly the live shards'
+        pipes, and the decisions stay those of an undisturbed run."""
+        path, reference = store
+        config = _config(max_batch=8, max_wait=3, smooth=3)
+        trace = synthetic_trace(6, 250, n_channels=4, seed=41)
+        want = _reference_digest(reference, config, trace)
+        check = self._assert_poller_holds_live_pipes
+        retired = []
+
+        def kill0(service):
+            check(service)
+            retired.append(service._shards[0].fd)
+            victim = service.shard_process(0)
+            victim.kill()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+
+        def grow(service):
+            assert service.shard_respawns(0) == 1
+            check(service, retired)
+            delivered = service.rescale(4)
+            check(service, retired)
+            return delivered
+
+        def shrink(service):
+            retired.append(service._shards[3].fd)
+            delivered = service.rescale(3)
+            check(service, retired)
+            return delivered
+
+        with ShardedStreamingService(
+            path, config, n_shards=2
+        ) as service:
+            n = trace.n_events
+            got = replay(
+                service,
+                trace,
+                actions={n // 4: kill0, n // 2: grow, (3 * n) // 4: shrink},
+            )
+            check(service, retired)
+            live = [s.fd for s in service._shards]
+        assert parity_digest(got) == want
+        assert service._pipes == {}
+        for fd in retired + live:
+            with pytest.raises(OSError):
+                service._poller.modify(fd, select.POLLIN)
 
     def test_growing_moves_sessions_only_to_new_shards(self, store):
         path, _ = store

@@ -454,6 +454,47 @@ class TestSessionTeardown:
         want = _replayed(model, config, {"n": good})["n"]
         assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
 
+    def test_late_frame_for_a_failed_session_keeps_the_connection(
+        self, model
+    ):
+        """A SAMPLES frame that arrives after its session failed gets
+        ERR_SESSION, not a disconnect, and every rejected frame (the
+        failed one and the late one) returns its credit."""
+        config = _config(max_batch=16, max_wait=3)
+        good = np.random.default_rng(16).random((60, N_CHANNELS))
+
+        async def scenario():
+            service = StreamingService(model, config)
+            async with _Server(service, config) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("s"))[0]
+                assert (await client.open("n"))[0]
+                await client.send("n", good[:20])
+                poisoned = np.zeros((5, N_CHANNELS))
+                poisoned[2, 1] = np.nan
+                await client.send("s", poisoned)
+                assert await _wait_for(
+                    lambda: any(
+                        e.code == ERR_SESSION and e.session_id == "s"
+                        for e in client.errors
+                    )
+                )
+                await client.send("s", np.zeros((5, N_CHANNELS)))
+                await client.send("n", good[20:])
+                await client.close("n")
+                # CLOSED follows every CREDIT the server owed.
+                credit = client._credit
+                late = [e for e in client.errors if e.session_id == "s"]
+                await client.bye()
+                return client, credit, late
+
+        client, credit, late = asyncio.run(scenario())
+        want = _replayed(model, config, {"n": good})["n"]
+        assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
+        assert [e.code for e in late] == [ERR_SESSION, ERR_SESSION]
+        assert credit == client.credit_bytes
+
 
 # -- admission control and shedding ------------------------------------------
 

@@ -6,6 +6,7 @@ on the same windows, no matter how many sessions are multiplexed or how
 the scheduler batches them.
 """
 
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.hdc import BatchHDClassifier, HDClassifierConfig
 from repro.perf.streaming import DevicePerfModel
 from repro.pulp.soc import CORTEX_M4_SOC, PULPV3_SOC
 from repro.stream import (
+    Decision,
     MajorityVoteSmoother,
     StreamConfig,
     StreamingService,
@@ -77,6 +79,58 @@ class TestSmoother:
         sm.update("a")
         sm.reset()
         assert sm.update("b") == "b"
+
+
+class TestDecision:
+    """The record every service returns: seven fields in a fixed order,
+    built by keyword or by position, picklable, and immutable."""
+
+    FIELDS = (
+        "session_id",
+        "index",
+        "label",
+        "raw_label",
+        "batch_id",
+        "enqueued_at",
+        "decided_at",
+    )
+
+    def test_field_order(self):
+        assert Decision._fields == self.FIELDS
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Decision("s", 3, "fist", "open", 7, 10, 12)
+        keyword = Decision(
+            session_id="s",
+            index=3,
+            label="fist",
+            raw_label="open",
+            batch_id=7,
+            enqueued_at=10,
+            decided_at=12,
+        )
+        assert positional == keyword
+        assert (positional.index, positional.raw_label) == (3, "open")
+        assert positional.queue_wait == 2
+        assert repr(positional) == (
+            "Decision(session_id='s', index=3, label='fist', "
+            "raw_label='open', batch_id=7, enqueued_at=10, decided_at=12)"
+        )
+
+    def test_pickle_round_trip(self):
+        decision = Decision(("user", 4), 9, 2, 1, 5, 40, 41)
+        back = pickle.loads(pickle.dumps(decision))
+        assert type(back) is Decision
+        assert back == decision
+        assert back.queue_wait == 1
+
+    def test_immutable(self):
+        decision = Decision("s", 0, 1, 1, 0, 0, 0)
+        with pytest.raises(AttributeError):
+            decision.label = 2
+        with pytest.raises(AttributeError):
+            decision.index = 5
+        assert decision == Decision("s", 0, 1, 1, 0, 0, 0)
 
 
 class TestSessionLifecycle:

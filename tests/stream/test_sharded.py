@@ -225,6 +225,44 @@ class TestDifferentialParity:
             got = replay(service, trace)
         assert parity_digest(got) == parity_digest(expected)
 
+    def test_string_labels_cross_the_pipe_unchanged(self, tmp_path):
+        """Decision columns carry the model's own label objects: a
+        fleet serving a model fitted on string labels decides exactly
+        as the in-process service does."""
+        rng = np.random.default_rng(19)
+        names = ("fist", "open", "pinch", "rest")
+        clf = BatchHDClassifier(
+            HDClassifierConfig(
+                dim=DIM, n_channels=N_CHANNELS, n_levels=8, signal_hi=1.0
+            )
+        ).fit(
+            rng.random((40, 5, N_CHANNELS)),
+            [names[i % 4] for i in range(40)],
+        )
+        path = save_model(tmp_path / "named", clf)
+        config = _config(max_batch=8, max_wait=4, smooth=3)
+        trace = synthetic_trace(
+            n_sessions=5,
+            samples_per_session=150,
+            n_channels=N_CHANNELS,
+            seed=31,
+        )
+        expected, _ = _single_reference(load_model(path), config, trace)
+        with ShardedStreamingService(
+            path, config, n_shards=2
+        ) as service:
+            got = replay(service, trace)
+        # The digest folds in each label's repr, so a numpy scalar
+        # label would change it; the type check names the failure.
+        assert parity_digest(got) == parity_digest(expected)
+        labels = [
+            label
+            for decisions in got.values()
+            for d in decisions
+            for label in (d.label, d.raw_label)
+        ]
+        assert labels and all(type(label) is str for label in labels)
+
     def test_ordered_per_session_delivery(self, store):
         """Decisions come back in strict per-session index order, in
         whatever interleaving the shards produce them."""
@@ -430,6 +468,8 @@ class TestCrashAndRespawn:
         handed to the worker, the caller retries it, and a later
         respawn replay serves the retried stream — not a phantom
         double-ingest of the aborted chunk."""
+        import os
+        import signal
         import time
 
         path, reference_model = store
@@ -441,12 +481,21 @@ class TestCrashAndRespawn:
         ) as service:
             service.open_session(0)
             service.ingest(0, stream[:50])
-            with pytest.raises(ShardError):
-                service.ingest(0, rng.random((10, N_CHANNELS + 2)))
+            victim = service.shard_process(0)
+            with pytest.raises(ShardError) as info:
+                # Frozen, the worker cannot answer the bad chunk before
+                # the next call: its err can only surface pre-send.
+                os.kill(victim.pid, signal.SIGSTOP)
+                time.sleep(0.05)
+                try:
+                    service.ingest(0, rng.random((10, N_CHANNELS + 2)))
+                finally:
+                    os.kill(victim.pid, signal.SIGCONT)
                 time.sleep(0.3)  # let the err reply land in the pipe
                 # This send aborts on the stale err, pre-send: the
                 # chunk must be neither served nor journaled.
                 service.ingest(0, stream[50:100])
+            assert info.value.sent is False
             # Either way the middle chunk has not been ingested;
             # retrying it is the documented recovery.
             got = list(service.ingest(0, stream[50:100]))
@@ -464,6 +513,47 @@ class TestCrashAndRespawn:
         expected += single.drain()
         got.sort(key=lambda d: d.index)
         assert parity_digest({0: got}) == parity_digest({0: expected})
+
+    def test_stale_error_after_the_send_reports_sent(self, store):
+        """Another shard's stale error can surface after this call's
+        chunk was sent and journaled.  ``sent`` then says so, and the
+        chunk is served once without a retry."""
+        import os
+        import signal
+        import time
+
+        path, reference_model = store
+        config = _config(max_wait=50, max_batch=64)
+        sid0 = next(s for s in range(100) if shard_for(s, 2) == 0)
+        sid1 = next(s for s in range(100) if shard_for(s, 2) == 1)
+        rng = np.random.default_rng(53)
+        good = rng.random((60, N_CHANNELS))
+        with ShardedStreamingService(
+            path, config, n_shards=2
+        ) as service:
+            service.open_session(sid0)
+            service.open_session(sid1)
+            victim = service.shard_process(0)
+            os.kill(victim.pid, signal.SIGSTOP)
+            time.sleep(0.05)
+            try:
+                service.ingest(sid0, rng.random((10, N_CHANNELS + 2)))
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            time.sleep(0.3)  # let shard 0's err reply land in its pipe
+            assert service.journal_length(1) == 1
+            with pytest.raises(ShardError) as info:
+                service.ingest(sid1, good)
+            assert info.value.shard == 0
+            assert info.value.sent is True
+            assert service.journal_length(1) == 2
+            got = [d for d in service.drain() if d.session_id == sid1]
+        single = StreamingService(reference_model, config)
+        single.open_session(sid1)
+        expected = single.ingest(sid1, good) + single.drain()
+        assert parity_digest({sid1: got}) == parity_digest(
+            {sid1: expected}
+        )
 
     def test_stats_survive_a_crash(self, store):
         path, _ = store
