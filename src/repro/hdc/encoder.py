@@ -34,8 +34,7 @@ so no whole-batch temporary ever round-trips through memory.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +71,10 @@ encoded fastest at 160 rows per tile (3.8-3.9 ms, 80 and 320 within
 class SpatialEncoder:
     """Encodes multi-channel samples into spatial hypervectors."""
 
+    # Always 0: read only by perfbench's encoder.row_cache_hit_frac.
+    row_cache_hits = 0
+    row_cache_misses = 0
+
     def __init__(
         self,
         item_memory: ItemMemory,
@@ -98,41 +101,6 @@ class SpatialEncoder:
             ^ continuous_memory.as_matrix64()[None, :, :]
         )
         self._channels = np.arange(len(item_memory))
-        # Optional cross-call spatial-row cache (see enable_row_cache).
-        self._row_cache: "Optional[OrderedDict[bytes, np.ndarray]]" = None
-        self._row_cache_limit = 0
-        self.row_cache_hits = 0
-        self.row_cache_misses = 0
-        self.row_cache_evictions = 0
-
-    def enable_row_cache(self, limit: int = 1 << 16) -> None:
-        """Memoize packed spatial rows across encode calls.
-
-        The whole-window keys of a streaming decision cache cannot see
-        that two windows shifted by ``stride < W`` share ``W - stride``
-        sample rows; this per-sample LRU does, so overlapping strides
-        re-encode only the truly new timestamps.  Rows are keyed by
-        their quantised level tuple and the spatial kernel is
-        row-independent, so cached reconstruction is bit-exact (pinned
-        by tests against the uncached path).  The lookup is a per-row
-        Python loop; at the hit rates of the serving benchmark it costs
-        more than re-encoding the rows from the prebound table, which is
-        why streaming services leave it off unless configured.
-        """
-        if limit < 1:
-            raise ValueError(f"row cache limit must be >= 1, got {limit}")
-        self._row_cache = OrderedDict()
-        self._row_cache_limit = limit
-
-    def disable_row_cache(self) -> None:
-        """Drop the spatial-row cache and stop memoizing."""
-        self._row_cache = None
-        self._row_cache_limit = 0
-
-    @property
-    def row_cache_size(self) -> int:
-        """Entries currently held by the spatial-row cache."""
-        return len(self._row_cache) if self._row_cache is not None else 0
 
     @property
     def dim(self) -> int:
@@ -172,11 +140,13 @@ class SpatialEncoder:
 
     # -- batched kernels ---------------------------------------------------
 
-    def _bind_bundle(self, levels: np.ndarray) -> np.ndarray:
-        """Gather ``(..., n_channels)`` levels from the prebound table
-        and take the channel majority: packed ``(..., n_words)`` rows,
-        built ``_TILE_ROWS`` rows at a time into one output.
+    def _levels_to_words(self, levels: np.ndarray) -> np.ndarray:
+        """Spatial-encode pre-quantised levels ``(..., n_channels)`` into
+        packed ``(..., n_words)`` rows: a gather from the prebound table,
+        then the channel majority, ``_TILE_ROWS`` rows at a time into one
+        output.
         """
+        levels = np.asarray(levels)
         flat = levels.reshape(-1, levels.shape[-1])
         out = np.empty((flat.shape[0], self._bound.shape[-1]), np.uint64)
         for start in range(0, flat.shape[0], _TILE_ROWS):
@@ -185,58 +155,6 @@ class SpatialEncoder:
                 self._bound[self._channels, flat[start:stop]], self.dim
             )
         return out.reshape(levels.shape[:-1] + (out.shape[-1],))
-
-    def _levels_to_words(self, levels: np.ndarray) -> np.ndarray:
-        """Spatial-encode pre-quantised levels ``(..., n_channels)`` into
-        packed ``(..., n_words)`` rows (bind + channel majority)."""
-        levels = np.asarray(levels)
-        if self._row_cache is not None:
-            return self._levels_to_words_cached(levels)
-        return self._bind_bundle(levels)
-
-    def _levels_to_words_cached(self, levels: np.ndarray) -> np.ndarray:
-        """Row-cache variant of :meth:`_levels_to_words`.
-
-        Hits come back from the LRU verbatim; the misses run through
-        the exact same table kernel as the uncached path, so the
-        assembled output is bit-identical to it.
-        """
-        cache = self._row_cache
-        flat = np.ascontiguousarray(
-            levels.reshape(-1, levels.shape[-1]).astype(np.int64, copy=False)
-        )
-        n = flat.shape[0]
-        rows: List[Optional[np.ndarray]] = [None] * n
-        keys: List[bytes] = []
-        missing: List[int] = []
-        for i in range(n):
-            key = flat[i].tobytes()
-            keys.append(key)
-            row = cache.get(key)
-            if row is None:
-                missing.append(i)
-            else:
-                cache.move_to_end(key)  # refresh LRU recency
-                rows[i] = row
-        self.row_cache_hits += n - len(missing)
-        self.row_cache_misses += len(missing)
-        if missing:
-            spatial = self._bind_bundle(flat[missing])
-            limit = self._row_cache_limit
-            for j, i in enumerate(missing):
-                row = spatial[j]
-                rows[i] = row
-                key = keys[i]
-                if key not in cache:
-                    while len(cache) >= limit:
-                        cache.popitem(last=False)  # evict coldest
-                        self.row_cache_evictions += 1
-                # Own the row's memory so the cache never pins a whole
-                # batch result alive through one of its views.
-                cache[key] = row.copy()
-        return np.stack(rows).reshape(
-            levels.shape[:-1] + (self._bound.shape[-1],)
-        )
 
     def quantize_batch(self, samples: np.ndarray) -> np.ndarray:
         """Quantise raw samples ``(..., n_channels)`` to integer levels."""
@@ -471,7 +389,7 @@ class WindowEncoder:
         ``levels`` is ``(n, T, n_channels)`` integers in range; this is
         the quantisation-free tail of :meth:`encode_batch`, exposed for
         callers that memoize on the quantised pattern (the streaming
-        scheduler's query cache).
+        scheduler's decision cache).
         """
         levels = np.asarray(levels)
         if levels.ndim != 3 or levels.shape[-1] != self._spatial.n_channels:

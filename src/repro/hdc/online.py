@@ -316,7 +316,8 @@ class SessionDelta:
     compacted row as the new base.
 
     ``generation`` increments on every applied update; the serving
-    layer keys its decision-cache partitions on it.
+    layer classifies a session with ``generation > 0`` against its own
+    prototypes, outside its model's decision cache.
     """
 
     def __init__(

@@ -707,7 +707,7 @@ def model_info(path: Union[str, pathlib.Path]) -> dict:
 SNAPSHOT_MAGIC = "repro-stream-snapshot"
 """Envelope identifier stored in every serialized snapshot."""
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 """Current snapshot envelope version.
 
 The envelope wraps the ``snapshot()`` dicts of the streaming stack
@@ -715,7 +715,7 @@ The envelope wraps the ``snapshot()`` dicts of the streaming stack
 :mod:`repro.stream`.  Bump on any incompatible change to those dicts.
 """
 
-SUPPORTED_SNAPSHOT_VERSIONS = (2,)
+SUPPORTED_SNAPSHOT_VERSIONS = (3,)
 """Snapshot envelope versions this build reads."""
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import operator
 import queue
 import threading
 import time
@@ -84,6 +85,18 @@ from .wire import (
 _NAN = float("nan")
 
 
+def _wire_label(label) -> int:
+    """``label`` as the i64 a DECISION frame carries; ValueError if it
+    is not an integer in that range."""
+    try:
+        value = operator.index(label)
+        if -(1 << 63) <= value < 1 << 63:
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"label {label!r} does not fit a DECISION frame's i64")
+
+
 @dataclass(frozen=True)
 class IngressConfig:
     """Tunables for one :class:`IngressServer`."""
@@ -114,19 +127,32 @@ class IngressConfig:
     sweep_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.credit_bytes < 1:
-            raise ValueError(
-                f"credit_bytes must be >= 1, got {self.credit_bytes}"
-            )
+        for name in (
+            "credit_bytes", "max_frame_bytes", "write_queue_frames",
+            "shed_backlog",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("idle_timeout_s", "sweep_interval_s"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0.0 < self.shed_utilization <= 1.0:
             raise ValueError(
                 f"shed_utilization must be in (0, 1], got "
                 f"{self.shed_utilization}"
             )
-        if self.shed_backlog < 1:
+        if not self.retry_after_s >= 0.0:
             raise ValueError(
-                f"shed_backlog must be >= 1, got {self.shed_backlog}"
+                f"retry_after_s must be >= 0, got {self.retry_after_s}"
             )
+        for name in ("shed_queue_age_ticks", "shed_queue_age_s"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ValueError(
+                    f"{name} must be >= 0 or None, got {value}"
+                )
 
 
 @dataclass
@@ -737,20 +763,27 @@ class IngressServer:
         A session id reopened after ``seq`` was submitted names a new
         incarnation: the service opened it only after command ``seq``
         ran, so the decision belongs to the closed one and is dropped.
+        DECISION frames carry i64 labels: a decision whose labels are
+        not integers in that range fails its session, which is closed
+        in the service too, and routing goes on.
         """
         for decision in decisions:
-            owner = self._sessions.get(decision.session_id)
+            sid = decision.session_id
+            owner = self._sessions.get(sid)
             if owner is None or owner[2] > seq:
                 continue  # that session's connection already went away
             conn, tracker, _ = owner
+            try:
+                raw = _wire_label(decision.raw_label)
+                label = _wire_label(decision.label)
+            except ValueError as exc:
+                self._driver.submit("close", sid)
+                self._fail_session(conn, sid, exc)
+                continue
             self._send(
                 conn,
                 DecisionFrame(
-                    decision.session_id,
-                    decision.index,
-                    int(decision.raw_label),
-                    int(decision.label),
-                    tracker.pop(),
+                    sid, decision.index, raw, label, tracker.pop()
                 ),
             )
 

@@ -27,20 +27,20 @@ each call returns its decisions, and a simulated device total is the
 window count times one per-window constant of a
 :class:`~repro.perf.streaming.DevicePerfModel`.
 
-The scheduler's decision cache keeps sustained serving cheap, bit-
-exactly: it memoizes winners by quantised window pattern *across*
-batches — the whole chain is a pure function of those integer levels,
+Each served model keeps one decision cache, bit-exactly: it memoizes
+winners by quantised window pattern *across* batches — the whole chain
+is a pure function of those integer levels and the model's prototypes,
 so a repeat is a dict hit instead of a re-encode.  The misses of a
 batch go through the encoder's tiled chain in one call
 (:mod:`repro.hdc.encoder`).  The cache evicts least-recently-used
 entries one at a time when full (hot plateau patterns survive bursts of
-cold ones), and since it only ever short-circuits a pure function, any
-eviction policy is bit-exact by construction.
+cold ones).  Since it only ever short-circuits a pure function, any
+eviction policy is bit-exact by construction, and checkpoints leave it
+out: a restored service starts cold and decides identically.
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -72,32 +72,15 @@ class StreamConfig:
     max_batch: int = 256
     max_wait: int = 0
     smooth: int = 1
-    #: Memoize decisions by quantised window pattern across batches.
-    #: The encode + AM-search chain is a pure function of the integer
-    #: level pattern, so a repeated pattern's winner can be served from
-    #: a dict hit instead of a re-encode — bit-exactly.  Plateau-heavy
-    #: biosignal streams repeat patterns constantly, which is what makes
-    #: sustained serving cheap.  Bounded by ``decision_cache_limit``
-    #: entries (a key plus one small int each); least-recently-used
-    #: entries are evicted one at a time when full, so a hot pattern
+    #: Entries each served model's decision cache holds (a key plus one
+    #: small int each).  The encode + AM-search chain is a pure function
+    #: of the quantised window pattern, so a repeated pattern's winner
+    #: is served from a dict hit instead of a re-encode — bit-exactly.
+    #: Plateau-heavy biosignal streams repeat patterns constantly.  When
+    #: full, the least-recently-used entry is evicted, so a hot pattern
     #: never goes cold just because the service saw many one-off
     #: patterns since it was last refreshed.
-    decision_cache: bool = True
     decision_cache_limit: int = 1 << 20
-    #: Opt-in: memoize packed *spatial rows* (one per quantised
-    #: timestamp) across batches, beneath the decision cache.  Whole-
-    #: window keys cannot see that windows shifted by ``stride < W``
-    #: share ``W - stride`` sample rows; the row cache dedups exactly
-    #: those, bit-exactly, since the spatial kernel is row-independent.
-    #: Bounded LRU like the decision cache (a key plus one packed row
-    #: each).  Off by default: its per-row Python lookup costs more than
-    #: re-encoding the row from the prebound bind table.  At D=10k on a
-    #: 2-core Xeon VM, a 512-window batch of uniform noise (29 % row
-    #: hits) encoded in 14 ms cached against 4 ms uncached, and a
-    #: 5-window batch of EMG decision-cache misses (83 % row hits) in
-    #: 141-162 us against 96-113 us.
-    spatial_row_cache: bool = False
-    spatial_row_cache_limit: int = 1 << 16
     #: Per-session adaptation policy, applied to sessions opened with
     #: ``adaptive=True`` (see :class:`~repro.hdc.online.AdaptConfig`).
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
@@ -122,33 +105,24 @@ class StreamConfig:
                 f"decision_cache_limit must be >= 1, "
                 f"got {self.decision_cache_limit}"
             )
-        if self.spatial_row_cache_limit < 1:
-            raise ValueError(
-                f"spatial_row_cache_limit must be >= 1, "
-                f"got {self.spatial_row_cache_limit}"
-            )
 
 
 @dataclass
 class _ModelEntry:
-    """One served model: the classifier plus its cache identity.
+    """One served model: the classifier plus its decision cache.
 
-    ``index`` is the attach order (stable across a respawn that rebuilds
-    the same model set in the same order); ``epoch`` counts hot-swaps.
-    Together they form the decision-cache tag, so two models — or two
-    versions of one model — can never collide on a window pattern.
+    ``cache`` maps a window's quantised level bytes to the index of its
+    winning prototype, oldest-used entry first.  It memoizes this
+    model's shared prototypes only, so two models can never collide on
+    a window pattern, and :meth:`StreamingService.swap_model` gives the
+    entry a fresh cache.
     """
 
     model_id: Optional[str]
     model: BatchHDClassifier
     proto_words: np.ndarray
     labels: tuple
-    index: int
-    epoch: int = 0
-
-    @property
-    def cache_tag(self) -> bytes:
-        return struct.pack("<HI", self.index, self.epoch)
+    cache: "OrderedDict[bytes, int]" = field(default_factory=OrderedDict)
 
 
 def check_finite(samples: np.ndarray) -> None:
@@ -200,8 +174,6 @@ class StreamingService:
         self._pending = 0
         self._clock = 0
         self._next_batch_id = 0
-        # LRU order: oldest-used entry first (see StreamConfig).
-        self._decision_cache: "OrderedDict[bytes, int]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
@@ -231,16 +203,11 @@ class StreamingService:
                 f"; set WindowConfig.extra_samples >= "
                 f"{model.config.ngram_size - config.window.window_samples}"
             )
-        if config.spatial_row_cache:
-            model.encoder.spatial.enable_row_cache(
-                config.spatial_row_cache_limit
-            )
         entry = _ModelEntry(
             model_id=model_id,
             model=model,
             proto_words=proto_words,
             labels=model.labels,
-            index=len(self._entries),
         )
         self._entries[model_id] = entry
         return entry
@@ -280,14 +247,19 @@ class StreamingService:
         """Hot-swap the served classifier for ``model_id``.
 
         The cutover is bit-exact from the scheduler's point of view: the
-        entry's cache epoch is bumped, so no decision memoized against
-        the old prototypes can ever be served for a window classified
-        after the swap.  When ``gate_windows`` is given they act as a
-        cutover gate: the swap is refused (:class:`CutoverError`, old
-        model keeps serving) unless old and new models decide them
-        identically — the validation step of a rollout that is supposed
-        to be a byte-exact refresh (e.g. a recompacted or re-published
-        store of the same weights).
+        entry gets a fresh decision cache, so no decision memoized
+        against the old prototypes can ever be served for a window
+        classified after the swap.  When ``gate_windows`` is given they
+        act as a cutover gate: the swap is refused
+        (:class:`CutoverError`, old model keeps serving) unless old and
+        new models decide them identically — the validation step of a
+        rollout that is supposed to be a byte-exact refresh (e.g. a
+        recompacted or re-published store of the same weights).
+
+        A swap that changes the channel count is refused while a
+        session of this model is open or still has queued windows (a
+        closed session's windows dispatch after it closes); ``drain()``
+        first.
 
         Sessions with applied adaptation keep the base their delta was
         built over (the delta owns a copy); every other session of this
@@ -297,13 +269,15 @@ class StreamingService:
         entry = self._entry(model_id)
         proto_words = new_model.prototype_words
         old = entry.model
-        if new_model.config.n_channels != old.config.n_channels and any(
-            s.model_id == model_id for s in self._sessions.values()
+        if new_model.config.n_channels != old.config.n_channels and (
+            any(s.model_id == model_id for s in self._sessions.values())
+            or any(item[0].model_id == model_id for item in self._queue)
         ):
             raise ValueError(
                 f"cannot swap model {model_id!r} to "
                 f"{new_model.config.n_channels} channels while sessions "
-                f"opened at {old.config.n_channels} channels are live"
+                f"opened at {old.config.n_channels} channels are live "
+                f"or have queued windows"
             )
         if self._config.window.slice_samples < new_model.config.ngram_size:
             raise ValueError(
@@ -328,14 +302,10 @@ class StreamingService:
                     f"differently; {which} keeps serving "
                     f"the old version"
                 )
-        if self._config.spatial_row_cache:
-            new_model.encoder.spatial.enable_row_cache(
-                self._config.spatial_row_cache_limit
-            )
         entry.model = new_model
         entry.proto_words = proto_words
         entry.labels = new_model.labels
-        entry.epoch += 1
+        entry.cache = OrderedDict()
 
     # -- introspection -----------------------------------------------------
 
@@ -372,8 +342,8 @@ class StreamingService:
 
     @property
     def cache_size(self) -> int:
-        """Entries currently held by the decision cache."""
-        return len(self._decision_cache)
+        """Entries currently held by the decision caches of all models."""
+        return sum(len(entry.cache) for entry in self._entries.values())
 
     @property
     def oldest_queued_tick_age(self) -> int:
@@ -523,8 +493,10 @@ class StreamingService:
     # -- snapshot protocol -------------------------------------------------
     #
     # Everything mutable in the serving path — windower buffers, vote
-    # histories, the ready queue, the decision cache, the clock and
-    # lifetime counters — round-trips through plain picklable dicts.
+    # histories, the ready queue, the clock and lifetime counters —
+    # round-trips through plain picklable dicts.  The decision caches do
+    # not: they only short-circuit a pure function, so a service that
+    # starts with them empty decides identically.
     # ``snapshot``/``restore`` capture the whole service (worker
     # checkpoints); ``extract_session``/``inject_session`` move one
     # session between services (live migration).  Both preserve the
@@ -570,7 +542,6 @@ class StreamingService:
             "queue": queue_state,
             "queue_age_ticks_hist": self.queue_age_ticks_hist.copy(),
             "queue_age_s_hist": self.queue_age_s_hist.copy(),
-            "decision_cache": list(self._decision_cache.items()),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -584,8 +555,8 @@ class StreamingService:
 
         The service must be pristine (no sessions, no ticks) and built
         over the same model + config the snapshot was taken under;
-        returns ``self``.  Restoring re-adopts the decision cache, so a
-        respawned worker keeps its warm hit rate.
+        returns ``self``.  The decision caches stay empty: a restored
+        or respawned worker starts cold and decides identically.
         """
         if self._sessions or self._queue or self._clock:
             raise ValueError(
@@ -614,9 +585,6 @@ class StreamingService:
         self._pending = int(state["pending"])
         self._clock = int(state["clock"])
         self._next_batch_id = int(state["next_batch_id"])
-        self._decision_cache = OrderedDict(
-            (bytes(k), int(v)) for k, v in state["decision_cache"]
-        )
         self.cache_hits = int(state["cache_hits"])
         self.cache_misses = int(state["cache_misses"])
         self.cache_evictions = int(state["cache_evictions"])
@@ -782,39 +750,16 @@ class StreamingService:
     def _group_of(session: Session) -> Tuple[Optional[str], Hashable]:
         """Classification-group key of a session's windows.
 
-        Sessions of one model share a single engine pass and one cache
-        partition; a session with *applied* adaptation (generation > 0)
-        classifies against its own delta prototypes, so it forms a group
-        — and a cache partition — of its own.  An adaptive session that
-        has received no feedback yet still decides byte-identically to
-        its non-adaptive neighbours, so it rides the shared partition.
+        Sessions of one model share a single engine pass and the model's
+        decision cache; a session with *applied* adaptation (generation
+        > 0) classifies against its own delta prototypes, so it forms a
+        group of its own and bypasses the cache.  An adaptive session
+        that has received no feedback yet still decides byte-identically
+        to its non-adaptive neighbours, so it rides the shared group.
         """
         if session.delta is not None and session.delta.generation > 0:
             return (session.model_id, session.id)
         return (session.model_id, None)
-
-    def _cache_prefix(
-        self, entry: _ModelEntry, session: Optional[Session]
-    ) -> bytes:
-        """Decision-cache key prefix: model identity (+ delta identity).
-
-        The chain being memoized is a pure function of (quantised
-        levels, prototypes) — so the key must name the prototypes too.
-        ``entry.cache_tag`` (attach index + hot-swap epoch) covers the
-        shared read-only case; adapted sessions get a private partition
-        tagged with their session id *and* delta generation, so a stale
-        pre-feedback winner can never be replayed after the prototypes
-        moved.  The kind byte keeps the two key families prefix-free.
-        """
-        if session is None:
-            return entry.cache_tag + b"s"
-        sid = repr(session.id).encode("utf-8")
-        return (
-            entry.cache_tag
-            + b"a"
-            + struct.pack("<IQ", len(sid), session.delta.generation)
-            + sid
-        )
 
     def _classify(
         self,
@@ -824,35 +769,31 @@ class StreamingService:
     ) -> np.ndarray:
         """Winner indices of a window stack, through the decision cache.
 
-        Cache keys are the quantised level patterns prefixed with the
-        identity of the prototypes in play (see :meth:`_cache_prefix`);
-        the encode + AM search chain is a pure, deterministic function
-        of those, so a hit returns exactly the winner the chain would
-        compute.  Misses run as one batched engine pass and populate
-        the cache.  ``session``
-        is the owning session when (and only when) the stack classifies
-        against that session's adapted prototypes.
+        Cache keys are the quantised level patterns; the encode + AM
+        search chain is a pure, deterministic function of those and the
+        entry's prototypes, so a hit returns exactly the winner the
+        chain would compute.  Misses run as one batched engine pass and
+        populate the cache.  ``session`` is the owning session when (and
+        only when) the stack classifies against that session's adapted
+        prototypes; those move with every feedback, so its windows are
+        never memoized.
         """
-        proto_words = (
-            session.delta.prototype_words()
-            if session is not None
-            else entry.proto_words
-        )
         encoder = entry.model.encoder
-        if not self._config.decision_cache:
-            queries = entry.model.encode_windows_packed(stacked)
-            indices, _ = engine.am_search(queries.words, proto_words)
-            return indices
         levels = encoder.spatial.quantize_batch(stacked)
+        if session is not None:
+            queries = encoder.encode_levels_batch(levels)
+            indices, _ = engine.am_search(
+                queries.words, session.delta.prototype_words()
+            )
+            return indices
         n = levels.shape[0]
         flat = levels.reshape(n, -1)
-        prefix = self._cache_prefix(entry, session)
-        cache = self._decision_cache
+        cache = entry.cache
         winners = np.empty(n, dtype=np.int64)
         keys: List[bytes] = []
         missing: List[int] = []
         for i in range(n):
-            key = prefix + flat[i].tobytes()
+            key = flat[i].tobytes()
             keys.append(key)
             winner = cache.get(key)
             if winner is None:
@@ -864,7 +805,7 @@ class StreamingService:
         self.cache_misses += len(missing)
         if missing:
             queries = encoder.encode_levels_batch(levels[missing])
-            found, _ = engine.am_search(queries.words, proto_words)
+            found, _ = engine.am_search(queries.words, entry.proto_words)
             limit = self._config.decision_cache_limit
             for j, i in enumerate(missing):
                 winner = int(found[j])

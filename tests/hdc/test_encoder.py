@@ -162,54 +162,3 @@ class TestWindowEncoder:
             clf.encoder.encode(window).to_bits(),
             ref.encode_window(window),
         )
-
-
-class TestSpatialRowCache:
-    """The cross-call per-sample row cache (overlapping-stride dedup)."""
-
-    def _overlap_windows(self, rng, n_windows=6, w=5, stride=1):
-        """Windows sliding by ``stride < w`` over one synthetic stream."""
-        stream = rng.uniform(0, 21, size=(w + stride * (n_windows - 1), 4))
-        return np.stack(
-            [stream[i * stride : i * stride + w] for i in range(n_windows)]
-        )
-
-    def test_cached_rows_bit_exact(self, spatial, rng):
-        windows = self._overlap_windows(rng)
-        flat = spatial.quantize_batch(windows)
-        baseline = spatial._levels_to_words(flat)
-        spatial.enable_row_cache()
-        try:
-            # Twice: once populating, once serving fully from the cache.
-            assert np.array_equal(spatial._levels_to_words(flat), baseline)
-            assert np.array_equal(spatial._levels_to_words(flat), baseline)
-            assert spatial.row_cache_hits > 0
-        finally:
-            spatial.disable_row_cache()
-
-    def test_overlapping_strides_hit_shared_rows(self, spatial, rng):
-        spatial.enable_row_cache()
-        try:
-            windows = self._overlap_windows(rng, n_windows=4, w=5, stride=1)
-            levels = spatial.quantize_batch(windows[:1])
-            spatial._levels_to_words(levels)
-            hits0 = spatial.row_cache_hits
-            # The next window shares w - stride = 4 of its 5 rows.
-            spatial._levels_to_words(spatial.quantize_batch(windows[1:2]))
-            assert spatial.row_cache_hits - hits0 >= 4
-        finally:
-            spatial.disable_row_cache()
-
-    def test_eviction_is_bounded_lru(self, spatial, rng):
-        spatial.enable_row_cache(limit=3)
-        try:
-            levels = np.tile(np.arange(5)[:, None], (1, 4))  # 5 distinct rows
-            spatial._levels_to_words(levels)
-            assert spatial.row_cache_size <= 3
-            assert spatial.row_cache_evictions >= 2
-        finally:
-            spatial.disable_row_cache()
-
-    def test_bad_limit_rejected(self, spatial):
-        with pytest.raises(ValueError):
-            spatial.enable_row_cache(limit=0)

@@ -111,20 +111,6 @@ class TestTileBoundaries:
             assert got.shape == (n, engine.words_for_dim(1000))
             np.testing.assert_array_equal(got, untiled_queries(enc, levels))
 
-    def test_row_cache_matches_table_across_tiles(self, rng):
-        enc = make_encoder(rng, 1000)
-        levels = rng.integers(0, 8, size=(3 * (TILE // 5) + 7, 5, 4))
-        want = untiled_queries(enc, levels)
-        enc.spatial.enable_row_cache()
-        try:
-            for _ in range(2):  # populate, then serve from the cache
-                np.testing.assert_array_equal(
-                    enc.encode_levels_batch(levels).words, want
-                )
-            assert enc.spatial.row_cache_hits > 0
-        finally:
-            enc.spatial.disable_row_cache()
-
     def test_long_spatial_batch_matches_untiled(self, rng):
         """Spatial rows beyond one tile assemble into one output."""
         spatial = make_encoder(rng, 1000).spatial

@@ -6,16 +6,16 @@ The three acceptance invariants of the subsystem:
     prototype delta never changes another session's decision bytes,
     whether the neighbour shares the model or serves a different one.
 (b) **Hot-swap cutover is bit-exact** — a gated ``swap_model`` of a
-    byte-identical republication changes no decision, and the cache
-    epoch bump means no stale decision survives a real swap.
+    byte-identical republication changes no decision, and the fresh
+    decision cache a swap brings means no stale decision survives a
+    real swap.
 (c) **Elastic parity** — adapted sessions ride checkpoints, SIGKILL
     respawn, live migration, and rescale byte-identically to an
     undisturbed single-process run, deltas and all.
 
-Plus the latent-bug regression the tentpole exposed: the decision
-cache must partition by model identity *and* adaptation generation —
-two models (or an adapted session) can never collide on a window
-pattern.
+Plus a regression pin on the decision cache: each model keeps its own
+and adapted sessions bypass it, so two models (or an adapted session)
+can never collide on a window pattern.
 """
 
 import asyncio
@@ -109,58 +109,49 @@ def _labels(decisions):
 
 
 class TestCachePartitioning:
-    """Regression: the decision cache keys on model + adaptation."""
+    """Regression: each model has its own decision cache, and adapted
+    sessions bypass it."""
 
     def test_two_models_cannot_collide_on_a_window_pattern(
         self, model_a, model_b
     ):
         chunk = _pattern(seed=11)
-        results = {}
-        for cached in (True, False):
-            service = StreamingService(
-                model_a,
-                _config(decision_cache=cached),
-                models={"b": model_b},
-            )
-            service.open_session("on-a")
-            service.open_session("on-b", model_id="b")
-            out = []
-            # Identical byte patterns, alternating models, repeated so
-            # a shared-key cache would definitely serve a stale hit.
-            for _ in range(3):
-                out.append(_labels(service.ingest("on-a", chunk)))
-                out.append(_labels(service.ingest("on-b", chunk)))
-            results[cached] = out
-        assert results[True] == results[False]
+        service = StreamingService(
+            model_a, _config(), models={"b": model_b}
+        )
+        service.open_session("on-a")
+        service.open_session("on-b", model_id="b")
+        out = []
+        # Identical byte patterns, alternating models, repeated so a
+        # shared-key cache would definitely serve a stale hit.
+        for _ in range(3):
+            out.append(_labels(service.ingest("on-a", chunk)))
+            out.append(_labels(service.ingest("on-b", chunk)))
         # The window must genuinely decide through its own model.
         expected_a = list(model_a.predict(chunk[None, :, :]))
         expected_b = list(model_b.predict(chunk[None, :, :]))
-        assert results[True][0] == expected_a
-        assert results[True][1] == expected_b
+        assert expected_a != expected_b
+        assert out == [expected_a, expected_b] * 3
+        assert service.cache_hits == 4
 
     def test_adapted_session_gets_its_own_cache_partition(self, model_a):
         chunk = _pattern(seed=13)
         base_label = model_a.predict(chunk[None, :, :])[0]
-        results = {}
-        for cached in (True, False):
-            service = StreamingService(
-                model_a, _config(decision_cache=cached)
-            )
-            service.open_session("frozen")
-            service.open_session("adapted", adaptive=True)
-            frozen, adapted = [], []
-            frozen += _labels(service.ingest("frozen", chunk))
-            adapted += _labels(service.ingest("adapted", chunk))
-            # One-shot feedback with a brand-new label: the next
-            # identical window of the adapted session must flip to it.
-            assert service.feedback("adapted", 99) is True
-            adapted += _labels(service.ingest("adapted", chunk))
-            frozen += _labels(service.ingest("frozen", chunk))
-            results[cached] = (frozen, adapted)
-        assert results[True] == results[False]
-        frozen, adapted = results[True]
+        service = StreamingService(model_a, _config())
+        service.open_session("frozen")
+        service.open_session("adapted", adaptive=True)
+        frozen, adapted = [], []
+        frozen += _labels(service.ingest("frozen", chunk))
+        adapted += _labels(service.ingest("adapted", chunk))
+        # One-shot feedback with a brand-new label: the next identical
+        # window of the adapted session must flip to it.
+        assert service.feedback("adapted", 99) is True
+        adapted += _labels(service.ingest("adapted", chunk))
+        frozen += _labels(service.ingest("frozen", chunk))
         assert frozen == [base_label, base_label]
         assert adapted == [base_label, 99]
+        # The adapted window was never memoized.
+        assert service.cache_size == 1
 
     def test_cache_still_hits_within_a_partition(self, model_a):
         service = StreamingService(model_a, _config())
@@ -266,8 +257,9 @@ class TestHotSwap:
         got = _labels(service.ingest("s", chunk))
         assert got == list(model_b.predict(chunk[None, :, :]))
 
-    def test_channel_change_guarded_while_sessions_live(self, model_a):
-        other = BatchHDClassifier(
+    @staticmethod
+    def _two_channel_model():
+        return BatchHDClassifier(
             HDClassifierConfig(
                 dim=DIM, n_channels=2, n_levels=8, signal_hi=1.0
             )
@@ -275,10 +267,40 @@ class TestHotSwap:
             np.random.default_rng(0).random((8, WINDOW, 2)),
             [i % 2 for i in range(8)],
         )
+
+    def test_channel_change_guarded_while_sessions_live(self, model_a):
+        other = self._two_channel_model()
         service = StreamingService(model_a, _config())
         service.open_session("s")
         with pytest.raises(ValueError, match="channels"):
             service.swap_model(other)
+
+    def test_channel_change_guarded_while_windows_queued(self, model_a):
+        """A closed session's queued windows still need the old
+        channel count: the swap waits for them to drain, and the drain
+        decides them as the old model does."""
+        other = self._two_channel_model()
+        rng = np.random.default_rng(4)
+        service = StreamingService(
+            model_a, _config(max_batch=64, max_wait=100)
+        )
+        service.open_session("old")
+        old = rng.random((2 * WINDOW, N_CHANNELS))
+        assert service.ingest("old", old) == []
+        service.close_session("old")
+        with pytest.raises(ValueError, match="queued windows"):
+            service.swap_model(other)
+        assert service.pending_windows == 2
+        assert _labels(service.drain()) == list(
+            model_a.predict(old.reshape(2, WINDOW, N_CHANNELS))
+        )
+        service.swap_model(other)
+        service.open_session("new")
+        new = rng.random((2 * WINDOW, 2))
+        assert service.ingest("new", new) == []
+        assert _labels(service.drain()) == list(
+            other.predict(new.reshape(2, WINDOW, 2))
+        )
 
 
 def _repeating_stream(seed, n_repeats):

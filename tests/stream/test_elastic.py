@@ -239,7 +239,7 @@ class TestCheckpointRecovery:
         snap = ckpt_dir / "shard-1.snap"
         assert snap.is_file()
         state = load_snapshot(snap, "worker")
-        assert "sessions" in state and "decision_cache" in state
+        assert "sessions" in state and "decision_cache" not in state
 
 
 class TestMigration:

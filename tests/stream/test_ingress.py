@@ -195,6 +195,26 @@ class TestWorkloadGenerator:
             IngressConfig(shed_utilization=0.0)
         with pytest.raises(ValueError, match="shed_backlog"):
             IngressConfig(shed_backlog=0)
+        # Each of these would silently switch off one of the server's
+        # own bounds (or spin its sweeper).
+        for bad in (
+            dict(write_queue_frames=0),
+            dict(write_queue_frames=-1),
+            dict(sweep_interval_s=0.0),
+            dict(idle_timeout_s=0.0),
+            dict(idle_timeout_s=-1.0),
+            dict(max_frame_bytes=0),
+            dict(retry_after_s=-0.5),
+            dict(shed_queue_age_ticks=-1.0),
+            dict(shed_queue_age_s=-0.1),
+        ):
+            (name,) = bad
+            with pytest.raises(ValueError, match=name):
+                IngressConfig(**bad)
+        IngressConfig(
+            retry_after_s=0.0, shed_queue_age_ticks=0.0,
+            shed_queue_age_s=0.0,
+        )
 
 
 # -- the parity contract over real sockets -----------------------------------
@@ -493,6 +513,57 @@ class TestSessionTeardown:
         want = _replayed(model, config, {"n": good})["n"]
         assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
         assert [e.code for e in late] == [ERR_SESSION, ERR_SESSION]
+        assert credit == client.credit_bytes
+
+
+class TestNonIntegerLabels:
+    def test_str_labelled_session_fails_and_routing_goes_on(self, model):
+        """DECISION frames carry i64 labels.  A session served by a
+        model fitted on string labels gets ERR_SESSION and is closed in
+        the service; the connection's other session is served as an
+        in-process replay is, and every chunk's credit comes back."""
+        config = _config(max_batch=16, max_wait=3)
+        rng = np.random.default_rng(17)
+        named = BatchHDClassifier(
+            HDClassifierConfig(
+                dim=DIM, n_channels=N_CHANNELS, n_levels=8, signal_hi=1.0
+            )
+        ).fit(
+            rng.random((20, 5, N_CHANNELS)),
+            ["fist", "open"] * 10,
+        )
+        good = rng.random((60, N_CHANNELS))
+
+        async def scenario():
+            service = StreamingService(model, config, models={"s": named})
+            async with _Server(service, config) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("n"))[0]
+                assert (await client.open("t", model_id="s"))[0]
+                await client.send("t", rng.random((25, N_CHANNELS)))
+                await client.send("n", good[:30])
+                assert await _wait_for(
+                    lambda: any(
+                        e.code == ERR_SESSION and e.session_id == "t"
+                        for e in client.errors
+                    )
+                )
+                await client.send("n", good[30:])
+                await client.close("n")
+                # CLOSED follows every CREDIT the server owed.
+                credit = client._credit
+                await client.bye()
+                return client, credit, [s.id for s in service.sessions]
+
+        client, credit, open_ids = asyncio.run(scenario())
+        failed = [e for e in client.errors if e.session_id == "t"]
+        assert [e.code for e in failed] == [ERR_SESSION]
+        assert "'fist'" in failed[0].message or "'open'" in failed[0].message
+        assert "t" not in client.decisions
+        assert open_ids == []
+        want = _replayed(model, config, {"n": good})["n"]
+        assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
         assert credit == client.credit_bytes
 
 

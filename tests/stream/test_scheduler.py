@@ -288,16 +288,42 @@ class TestDecisionCacheLRU:
 
     def test_eviction_is_bit_exact(self, model, rng):
         """Predictions with a 2-entry cache thrashing constantly equal
-        the cache-less service's on the same stream."""
+        offline ``predict`` on the same windows."""
         stream = rng.random((400, 4))
         thrash = _service(model, max_wait=0, decision_cache_limit=2)
         thrash.open_session(0)
-        plain = _service(model, max_wait=0, decision_cache=False)
-        plain.open_session(0)
         got = [d.raw_label for d in thrash.ingest(0, stream)]
-        want = [d.raw_label for d in plain.ingest(0, stream)]
+        want = model.predict(
+            np.stack([stream[i * 5: i * 5 + 5] for i in range(80)])
+        )
         assert got == want
         assert thrash.cache_evictions > 0
+
+    def test_limit_bounds_each_model(self, model):
+        """``decision_cache_limit`` sizes every served model's cache
+        on its own: two models hold up to the limit each."""
+        rng = np.random.default_rng(11)
+        other = BatchHDClassifier(
+            HDClassifierConfig(dim=DIM, n_channels=4, n_levels=8,
+                               signal_hi=1.0)
+        ).fit(rng.random((40, 5, 4)), [i % 4 for i in range(40)])
+        service = StreamingService(
+            model,
+            StreamConfig(
+                window=WindowConfig(window_samples=5, skip_onset_s=0.0),
+                sample_rate_hz=RATE,
+                decision_cache_limit=2,
+            ),
+            models={"other": other},
+        )
+        service.open_session("a")
+        service.open_session("b", model_id="other")
+        for value in np.linspace(0.05, 0.95, 4):
+            service.ingest("a", self._window(value))
+            service.ingest("b", self._window(value))
+            assert service.cache_size <= 4
+        assert service.cache_size == 4
+        assert service.cache_evictions == 4
 
     def test_batch_larger_than_limit(self, model, rng):
         """One dispatch carrying more unique patterns than the limit
@@ -452,7 +478,8 @@ class TestTelemetry:
 
 
 class TestSpatialRowCache:
-    """Overlapping strides dedup shared sample rows across batches."""
+    """Windows shifted by ``stride < W`` share ``W - stride`` spatial
+    rows, across chunks and batches; each still decides as offline."""
 
     @staticmethod
     def _fresh_model(seed=7):
@@ -466,67 +493,27 @@ class TestSpatialRowCache:
         return clf.fit(windows, [i % 4 for i in range(40)])
 
     def test_overlapping_stride_bit_exact(self, rng):
-        """stride < W service equals the fully uncached one, and its
-        shifted windows actually hit the shared spatial rows."""
+        """A stride-1 service decides every window as offline
+        ``predict`` does."""
         stream = rng.random((200, 4))
         window = WindowConfig(
             window_samples=5, stride_samples=1, skip_onset_s=0.0
         )
-        cached = StreamingService(
-            self._fresh_model(),
-            StreamConfig(
-                window=window,
-                sample_rate_hz=RATE,
-                max_wait=0,
-                spatial_row_cache=True,
-            ),
-        )
-        default = StreamingService(
-            self._fresh_model(),
+        model = self._fresh_model()
+        service = StreamingService(
+            model,
             StreamConfig(window=window, sample_rate_hz=RATE, max_wait=0),
         )
-        plain = StreamingService(
-            self._fresh_model(),
-            StreamConfig(
-                window=window,
-                sample_rate_hz=RATE,
-                max_wait=0,
-                decision_cache=False,
-                spatial_row_cache=False,
-            ),
-        )
-        cached.open_session(0)
-        plain.open_session(0)
-        default.open_session(0)
-        got, want = [], []
+        service.open_session(0)
+        got = []
         # Chunked delivery, as a live stream would arrive: windows that
         # straddle chunk boundaries share rows with earlier encodes.
         for chunk in np.array_split(stream, 8):
-            got.extend(d.raw_label for d in cached.ingest(0, chunk))
-            want.extend(d.raw_label for d in plain.ingest(0, chunk))
-            default.ingest(0, chunk)
-        assert got == want
-        spatial = cached.model.encoder.spatial
-        assert spatial.row_cache_hits > 0  # shifted windows dedup'd
-        assert plain.model.encoder.spatial.row_cache_size == 0
-        # The row cache is opt-in: a default config never fills it.
-        assert default.model.encoder.spatial.row_cache_size == 0
-
-    def test_row_cache_disabled_leaves_encoder_alone(self):
-        model = self._fresh_model()
-        StreamingService(
-            model,
-            StreamConfig(
-                window=WindowConfig(window_samples=5, skip_onset_s=0.0),
-                sample_rate_hz=RATE,
-                spatial_row_cache=False,
-            ),
+            got.extend(d.raw_label for d in service.ingest(0, chunk))
+        want = model.predict(
+            np.stack([stream[i: i + 5] for i in range(len(stream) - 4)])
         )
-        assert model.encoder.spatial.row_cache_size == 0
-
-    def test_bad_row_cache_limit_rejected(self):
-        with pytest.raises(ValueError):
-            StreamConfig(spatial_row_cache_limit=0)
+        assert got == want
 
 
 class TestQueueAgeHistograms:

@@ -159,7 +159,6 @@ class TestDifferentialParity:
         max_batch=st.integers(1, 16),
         max_wait=st.integers(0, 5),
         smooth=st.integers(1, 4),
-        decision_cache=st.booleans(),
     )
     def test_sharded_equals_single_process(
         self,
@@ -172,7 +171,6 @@ class TestDifferentialParity:
         max_batch,
         max_wait,
         smooth,
-        decision_cache,
     ):
         path, reference_model = store
         window_samples, stride, skip = geometry
@@ -185,7 +183,6 @@ class TestDifferentialParity:
             max_batch=max_batch,
             max_wait=max_wait,
             smooth=smooth,
-            decision_cache=decision_cache,
         )
         trace = synthetic_trace(
             n_sessions=n_sessions,
