@@ -458,17 +458,18 @@ def _ingress_parity(result, model, config):
 
 
 def _run_ingress_slo(model):
-    """Steady phase + overload burst against a live TCP server.
+    """Steady phase + overload phase against a live TCP server.
 
     Latency stamps ride the wire (client ``perf_counter`` on each
     SAMPLES frame, echoed on the DECISION frames of the windows that
     chunk completed), so the percentiles are true ingest→decision wall
     latency over real sockets — scheduler queueing, coordinator
-    round-trips, and network framing included.  The overload burst
-    slams an arrival herd at a server with tight admission watermarks:
-    OPENs past the watermark are shed with retry-after, and the
-    decisions of every *admitted* session must stay byte-identical to
-    an in-process replay of exactly the streams that were accepted.
+    round-trips, and network framing included.  In the overload phase
+    most sessions arrive while earlier ones stream, against a server
+    that admits no OPEN while any queued window has aged a tick: those
+    OPENs are shed with retry-after, and the decisions of every
+    *admitted* session must stay byte-identical to an in-process
+    replay of exactly the streams that were accepted.
     """
     import asyncio
 
@@ -512,15 +513,18 @@ def _run_ingress_slo(model):
         result=result, stats=stats, hist=hist, parity=ok, digest=digest
     )
 
-    # Overload burst: a thundering herd against tight watermarks.
+    # Overload: a quarter of the sessions open at t=0, the rest arrive
+    # while paced earlier ones stream and their windows wait in the
+    # queue, which is what the zero-tick queue-age watermark sheds on.
     result, stats = asyncio.run(
         drive(
-            IngressConfig(shed_backlog=4, retry_after_s=0.25),
+            IngressConfig(shed_queue_age_ticks=0.0, retry_after_s=0.25),
             WorkloadConfig(
                 n_sessions=INGRESS_BURST_SESSIONS,
                 n_channels=model.config.n_channels,
                 samples_per_session=INGRESS_SAMPLES,
-                burst_fraction=1.0,
+                burst_fraction=0.25,
+                pacing_s=0.01,
             ),
             seed=13,
         )
@@ -560,7 +564,7 @@ def _render_ingress(model, phases) -> str:
 
 def test_ingress_slo_harness(stream_workload):
     """Acceptance: the ingress harness publishes non-empty latency
-    percentiles and shed counts; the overload burst sheds load while
+    percentiles and shed counts; the overload phase sheds OPENs while
     accepted sessions stay byte-identical to in-process replay."""
     model, _ = stream_workload
     phases = _run_ingress_slo(model)
@@ -570,8 +574,8 @@ def test_ingress_slo_harness(stream_workload):
     assert phases["steady"]["hist"].count > 0
     assert phases["steady"]["result"].completed
     overload = phases["overload"]["result"]
-    assert overload.rejected, "overload burst shed no sessions"
-    assert overload.completed, "overload burst admitted no sessions"
+    assert overload.rejected, "overload phase shed no sessions"
+    assert overload.completed, "overload phase admitted no sessions"
 
 
 ADAPT_SEGMENTS = 6
@@ -827,7 +831,7 @@ def _main(argv=None) -> int:
             print("FAIL: steady phase produced no latency samples")
             return 1
         if not phases["overload"]["result"].rejected:
-            print("FAIL: overload burst shed no sessions")
+            print("FAIL: overload phase shed no sessions")
             return 1
         return 0
     with tempfile.TemporaryDirectory() as tmp:

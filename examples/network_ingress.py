@@ -16,8 +16,9 @@ The walkthrough demonstrates the four ingress properties:
    their own ``perf_counter``; the server echoes the stamp on the
    DECISION frames of the windows that chunk completed, so p50/p95/p99
    below are honest ingest->decision wall latency over sockets;
-3. **Admission control** — a thundering herd against tight watermarks:
-   OPENs past the watermark are shed with a retry-after hint, while
+3. **Admission control** — sessions that arrive while earlier ones
+   stream meet a tight queue-age watermark: OPENs that land while
+   queued windows have aged are shed with a retry-after hint, while
    every admitted session still gets byte-exact service;
 4. **Slow-client eviction** — a client that stops reading is
    disconnected once its bounded outbound queue fills, instead of
@@ -27,6 +28,7 @@ Run:  PYTHONPATH=src python examples/network_ingress.py
 """
 
 import asyncio
+import socket
 import time
 
 import numpy as np
@@ -107,12 +109,12 @@ async def steady_phase(model, config) -> None:
 
 
 async def overload_phase(model, config) -> None:
-    # -- 3: a thundering herd against tight admission watermarks --------
+    # -- 3: arrivals during traffic against a tight queue-age watermark -
     service = StreamingService(model, config)
     server = IngressServer(
         service,
         config,
-        IngressConfig(shed_backlog=4, retry_after_s=0.25),
+        IngressConfig(shed_queue_age_ticks=0.0, retry_after_s=0.25),
     )
     host, port = await server.start("127.0.0.1", 0)
     scripts = generate_workload(
@@ -120,7 +122,8 @@ async def overload_phase(model, config) -> None:
             n_sessions=24,
             n_channels=model.config.n_channels,
             samples_per_session=600,
-            burst_fraction=1.0,  # everyone at t=0
+            burst_fraction=0.25,  # the rest arrive while these stream
+            pacing_s=0.01,
         ),
         seed=13,
     )
@@ -153,7 +156,14 @@ async def slow_client_phase(model, config) -> None:
         IngressConfig(write_queue_frames=8, write_buffer_bytes=2048),
     )
     host, port = await server.start("127.0.0.1", 0)
-    reader, writer = await asyncio.open_connection(host, port)
+    # A small receive buffer, fixed before connect: a kernel left to
+    # grow it would absorb megabytes of decisions before the server's
+    # queue fills.
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, (host, port))
+    reader, writer = await asyncio.open_connection(sock=sock)
     writer.write(encode_frame(Hello()))
     writer.write(encode_frame(Open("hog")))
     await writer.drain()

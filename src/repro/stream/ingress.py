@@ -8,23 +8,29 @@ speaking the framed protocol of :mod:`repro.stream.wire`.
 
 Design constraints this module resolves:
 
-* **The coordinator is single-threaded and blocking.**  All service
-  calls run on one dedicated driver thread (:class:`_ServiceDriver`)
-  fed by a command queue; results hop back to the event loop via
-  ``call_soon_threadsafe``.  The driver's queue depth is itself an
-  admission signal — a deep backlog means the fleet is not keeping up
-  with arrival rate no matter what the credit windows say.
+* **The service is single-threaded and blocking, and so is the
+  server.**  Every service call runs inline on the event loop, in the
+  handler of the frame that asks for it, so frames are served in
+  arrival order by construction.  A connection's next frame is read
+  only after the ones before it are served: nothing queues inside the
+  server, and TCP flow control plus the credit window bound what waits
+  outside it.  The server yields to the loop after each frame, so the
+  writer sends its answers and other connections get in between; one
+  long call (a fleet's shard respawn or rescale) still stalls every
+  connection while it runs.
 * **Backpressure must reach the socket.**  Each connection gets a
   window of unacknowledged SAMPLES payload bytes (granted in WELCOME);
   the server returns CREDIT only after ``service.ingest`` has accepted
   the chunk, so coordinator credit pressure delays CREDIT frames and a
   well-behaved client stops sending.  A rejected chunk returns its
-  credit too, with an ERR_SESSION answer.  A client that overdraws its
-  window is a protocol violation and is disconnected.
+  credit too, with an ERR_SESSION answer.  The client sent every frame
+  of one read before it could see any of their CREDITs, so together
+  they must fit its window; a client that overdraws it is a protocol
+  violation and is disconnected.
 * **Admission control sheds load at the edge.**  New OPENs are
   rejected with a retry-after ERROR frame when fleet credit
-  utilization, rolling p95 queue age, or driver backlog crosses the
-  configured watermarks; established sessions keep their service.
+  utilization or rolling p95 queue age crosses the configured
+  watermarks; established sessions keep their service.
 * **Slow clients cannot stall the pump.**  Outbound frames go through
   a bounded per-connection queue drained by a writer task with tight
   transport write-buffer limits; a full queue disconnects the client
@@ -48,10 +54,9 @@ from __future__ import annotations
 import asyncio
 import collections
 import operator
-import queue
-import threading
+import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,8 +114,9 @@ class IngressConfig:
     idle_timeout_s: float = 30.0
     #: Outbound frames buffered per connection before it counts as slow.
     write_queue_frames: int = 256
-    #: Transport write-buffer high watermark (bytes); small so a
-    #: non-reading peer back-pressures into the frame queue quickly.
+    #: Transport write-buffer high watermark and socket send buffer
+    #: (bytes); small so a non-reading peer back-pressures into the
+    #: frame queue quickly.
     write_buffer_bytes: int = 1 << 16
     #: Admit no new sessions while fleet credit utilization >= this.
     shed_utilization: float = 0.90
@@ -118,8 +124,6 @@ class IngressConfig:
     #: (``None`` disables the respective signal).
     shed_queue_age_ticks: Optional[float] = None
     shed_queue_age_s: Optional[float] = None
-    #: Admit no new sessions while the driver backlog is this deep.
-    shed_backlog: int = 64
     #: Retry hint carried on shed ERROR frames.
     retry_after_s: float = 0.5
     #: Period of the idle sweeper that drains max_wait-aged windows
@@ -128,8 +132,7 @@ class IngressConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "credit_bytes", "max_frame_bytes", "write_queue_frames",
-            "shed_backlog",
+            "credit_bytes", "max_frame_bytes", "write_queue_frames"
         ):
             value = getattr(self, name)
             if value < 1:
@@ -221,94 +224,6 @@ class _StampTracker:
         return self.stamps.popleft() if self.stamps else _NAN
 
 
-class _ServiceDriver:
-    """Single worker thread owning all blocking service calls.
-
-    Commands are ``(seq, op, args, done)``, numbered in submission
-    order.  Every decision a command yields goes to ``route(decisions,
-    seq)`` on the event loop, whether or not the submitter passed
-    ``done``: an ingest or drain decides windows of *any* session, so
-    its decisions are never the submitter's alone.  ``done`` (if given)
-    is invoked after that as ``done(result, error)``, where ``result``
-    is the applied flag of a ``feedback`` and None otherwise.  ``close``
-    drains first so every window of the closing session is decided —
-    exactly what an in-process replay with ``drain=True`` does, which is
-    what keeps cleanly-closed network sessions byte-identical to replay.
-    """
-
-    def __init__(
-        self, service, loop: asyncio.AbstractEventLoop, route
-    ):
-        self._service = service
-        self._loop = loop
-        self._route = route
-        self._next_seq = 0
-        self._commands: "queue.Queue" = queue.Queue()
-        self._thread = threading.Thread(
-            target=self._run, name="ingress-driver", daemon=True
-        )
-        self._thread.start()
-
-    def backlog(self) -> int:
-        return self._commands.qsize()
-
-    def submit(self, op: str, *args, done=None) -> int:
-        """Queue one command; returns its sequence number.
-
-        Called on the event loop only, which is what lets the counter
-        go unlocked.
-        """
-        seq = self._next_seq
-        self._next_seq += 1
-        self._commands.put((seq, op, args, done))
-        return seq
-
-    def stop(self, timeout: float = 10.0) -> None:
-        self.submit("stop")
-        self._thread.join(timeout=timeout)
-
-    def _run(self) -> None:
-        service = self._service
-        while True:
-            seq, op, args, done = self._commands.get()
-            if op == "stop":
-                return
-            result = error = None
-            decisions: list = []
-            try:
-                if op == "ingest":
-                    decisions = service.ingest(args[0], args[1])
-                elif op == "open":
-                    service.open_session(
-                        args[0], model_id=args[1], adaptive=args[2]
-                    )
-                elif op == "feedback":
-                    result = service.feedback(
-                        args[0], args[1], index=args[2]
-                    )
-                elif op == "close":
-                    decisions = service.drain()
-                    service.close_session(args[0])
-                elif op == "drain":
-                    decisions = service.drain()
-                else:
-                    raise ValueError(f"unknown driver op {op!r}")
-            except Exception as exc:  # reported to the caller, not fatal
-                error = exc
-            if decisions or done is not None:
-                self._loop.call_soon_threadsafe(
-                    self._complete, seq, decisions, done, result, error
-                )
-
-    def _complete(self, seq, decisions, done, result, error) -> None:
-        # On the loop: decisions reach their owners before ``done`` can
-        # forget a closing session.
-        if decisions:
-            self._route(decisions, seq)
-        if done is not None:
-            done(result, error)
-
-
 class _Connection:
     """Server-side state for one client connection."""
 
@@ -333,7 +248,7 @@ class _Connection:
         )
         self.writer_task: Optional[asyncio.Task] = None
         self.sessions: set = set()
-        self.credit_debt = 0
+        self.credit_debt = 0  # SAMPLES bytes of the current read
         self.closing = False
         self.slow = False
 
@@ -341,9 +256,9 @@ class _Connection:
 class IngressServer:
     """Framed-TCP front door over one streaming service.
 
-    The server takes *ownership of the service's call schedule* (all
-    calls go through its driver thread) but not of the service's
-    lifecycle — callers create and close the service.
+    The server makes every service call itself, inline on its event
+    loop, but does not own the service's lifecycle — callers create
+    and close the service.  Both backends take this one path.
 
     Usage::
 
@@ -365,15 +280,10 @@ class IngressServer:
         self._config = config
         self.stats = IngressStats()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._driver: Optional[_ServiceDriver] = None
-        # sid -> (connection, stamp tracker, seq of the driver's open).
-        self._sessions: Dict[
-            str, Tuple[_Connection, _StampTracker, int]
-        ] = {}
+        self._sessions: Dict[str, Tuple[_Connection, _StampTracker]] = {}
         self._connections: set = set()
         self._sweeper: Optional[asyncio.Task] = None
         self._dirty = False  # ingested since the last drain
-        self._drain_pending = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -383,10 +293,6 @@ class IngressServer:
         """Bind and serve; returns the actual (host, port)."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        loop = asyncio.get_running_loop()
-        self._driver = _ServiceDriver(
-            self._service, loop, self._route_decisions
-        )
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
@@ -395,7 +301,7 @@ class IngressServer:
         return sock[0], sock[1]
 
     async def stop(self) -> None:
-        """Stop accepting, drop connections, stop the driver thread."""
+        """Stop accepting and drop every connection."""
         if self._server is None:
             return
         self._server.close()
@@ -410,9 +316,6 @@ class IngressServer:
             self._sweeper = None
         for conn in list(self._connections):
             await self._drop_connection(conn)
-        if self._driver is not None:
-            self._driver.stop()
-            self._driver = None
 
     @property
     def open_sessions(self) -> int:
@@ -420,8 +323,8 @@ class IngressServer:
 
     # -- admission ---------------------------------------------------------
 
-    def _admission_signals(self) -> Tuple[float, float, float, int]:
-        """(utilization, age_p95_ticks, age_p95_s, backlog) right now."""
+    def _admission_signals(self) -> Tuple[float, float, float]:
+        """(utilization, age_p95_ticks, age_p95_s) right now."""
         service = self._service
         if hasattr(service, "credit_utilization"):
             utilization = service.credit_utilization()
@@ -436,15 +339,12 @@ class IngressServer:
             age_s = float(
                 getattr(service, "oldest_queued_wall_age", 0.0)
             )
-        backlog = self._driver.backlog() if self._driver else 0
-        return utilization, age_ticks, age_s, backlog
+        return utilization, age_ticks, age_s
 
     def _shed_reason(self) -> Optional[str]:
         """Why a new OPEN must be rejected, or None to admit."""
         cfg = self._config
-        utilization, age_ticks, age_s, backlog = self._admission_signals()
-        if backlog >= cfg.shed_backlog:
-            return f"driver backlog {backlog} >= {cfg.shed_backlog}"
+        utilization, age_ticks, age_s = self._admission_signals()
         if utilization >= cfg.shed_utilization:
             return (
                 f"credit utilization {utilization:.2f} >= "
@@ -483,6 +383,11 @@ class IngressServer:
         writer.transport.set_write_buffer_limits(
             high=cfg.write_buffer_bytes
         )
+        # The kernel's send buffer too: left to grow to megabytes, it
+        # would hide a peer that stopped reading from the frame queue.
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, cfg.write_buffer_bytes
+        )
         conn.writer_task = asyncio.ensure_future(self._write_loop(conn))
         try:
             await self._read_loop(conn)
@@ -519,7 +424,13 @@ class IngressServer:
                 self.stats.protocol_errors += 1
                 self._send(conn, Error(ERR_PROTOCOL, str(exc), 0.0))
                 return
+            # Each frame of this read was sent before the client could
+            # see a CREDIT for any of them, so their SAMPLES bytes must
+            # fit its window together.
+            conn.credit_debt = 0
             for frame in frames:
+                if conn.closing or conn.slow:
+                    return  # BYE, an eviction, or the server stopped
                 if not hello_seen:
                     if (
                         not isinstance(frame, Hello)
@@ -544,6 +455,11 @@ class IngressServer:
                     continue
                 if not self._dispatch_frame(conn, frame):
                     return
+                # One read can hold a hundred SAMPLES frames.  Yielding
+                # after each lets the writer send its CREDIT and
+                # DECISIONs before they fill the bounded outbound queue,
+                # and lets other connections in between.
+                await asyncio.sleep(0)
 
     def _dispatch_frame(self, conn: _Connection, frame) -> bool:
         """Handle one post-handshake frame; False ends the connection."""
@@ -593,74 +509,56 @@ class IngressServer:
                 ),
             )
             return
+        try:
+            self._service.open_session(
+                sid, model_id=frame.model_id or None, adaptive=frame.adaptive
+            )
+        except Exception as exc:  # e.g. an unknown model id
+            self._session_error(conn, sid, exc)
+            return
         self.stats.sessions_opened += 1
-
-        def done(_, error, conn=conn, sid=sid):
-            if error is not None:
-                self._fail_session(conn, sid, error)
-                return
-            self._send(conn, OpenOk(sid))
-
-        seq = self._driver.submit(
-            "open",
-            sid,
-            frame.model_id or None,
-            frame.adaptive,
-            done=done,
-        )
-        tracker = _StampTracker(self._stream_config)
-        self._sessions[sid] = (conn, tracker, seq)
+        self._sessions[sid] = (conn, _StampTracker(self._stream_config))
         conn.sessions.add(sid)
+        self._send(conn, OpenOk(sid))
+
+    def _owner(
+        self, conn: _Connection, sid: str
+    ) -> Optional[Tuple[_Connection, _StampTracker]]:
+        """``sid``'s entry if it is open on ``conn``; otherwise answer
+        ERR_SESSION and return None."""
+        owner = self._sessions.get(sid)
+        if owner is not None and owner[0] is conn:
+            return owner
+        self._send(
+            conn, Error(ERR_SESSION, "session not open here", 0.0, sid)
+        )
+        return None
 
     def _on_feedback(self, conn: _Connection, frame: Feedback) -> None:
         sid = frame.session_id
-        owner = self._sessions.get(sid)
-        if owner is None or owner[0] is not conn:
-            self._send(
-                conn,
-                Error(ERR_SESSION, "session not open here", 0.0, sid),
-            )
+        if self._owner(conn, sid) is None:
             return
-
-        def done(applied, error, conn=conn, frame=frame):
-            if error is not None:
-                # A rejected feedback (not adaptive, index fell out of
-                # the buffer, ...) is answered, not fatal: the stream
-                # itself is untouched, so the session stays open.
-                self._send(
-                    conn,
-                    Error(
-                        ERR_SESSION,
-                        f"{type(error).__name__}: {error}",
-                        0.0,
-                        frame.session_id,
-                    ),
-                )
-                return
-            self._send(
-                conn,
-                FeedbackOk(
-                    frame.session_id, bool(applied), frame.index
-                ),
+        try:
+            applied = self._service.feedback(
+                sid, frame.label, index=frame.index
             )
-
-        self._driver.submit(
-            "feedback", sid, frame.label, frame.index, done=done
-        )
+        except Exception as exc:
+            # A rejected feedback (not adaptive, index fell out of the
+            # buffer, ...) is answered, not fatal: the stream itself is
+            # untouched, so the session stays open.
+            self._session_error(conn, sid, exc)
+            return
+        self._send(conn, FeedbackOk(sid, bool(applied), frame.index))
 
     def _on_samples(self, conn: _Connection, frame: Samples) -> bool:
         sid = frame.session_id
         cost = frame.samples.size * 8
-        owner = self._sessions.get(sid)
-        if owner is None or owner[0] is not conn:
+        owner = self._owner(conn, sid)
+        if owner is None:
             # Typically a frame the client pipelined before it saw its
             # session fail.  Answered like CLOSE and FEEDBACK are, so
             # the connection's other sessions keep their service; the
             # client charged the bytes to its window, so they go back.
-            self._send(
-                conn,
-                Error(ERR_SESSION, "session not open here", 0.0, sid),
-            )
             self._send(conn, Credit(cost))
             return True
         conn.credit_debt += cost
@@ -681,47 +579,42 @@ class IngressServer:
         self.stats.sample_bytes += cost
         owner[1].push(frame.samples.shape[0], frame.stamp)
         self._dirty = True
-
-        def done(_, error, conn=conn, sid=sid, cost=cost, owner=owner):
-            conn.credit_debt = max(0, conn.credit_debt - cost)
-            # Only the first failure of this incarnation acts: it
-            # closes the session in the service too, or the id would
-            # stay taken there after the ingress forgets it.
-            if error is not None and self._sessions.get(sid) is owner:
-                self._driver.submit("close", sid)
-                self._fail_session(conn, sid, error)
-            # Served or rejected, the chunk no longer holds window bytes.
-            self._send(conn, Credit(cost))
-
-        self._driver.submit("ingest", sid, frame.samples, done=done)
+        try:
+            decisions = self._service.ingest(sid, frame.samples)
+        except Exception as exc:
+            # Closed in the service too, or the id would stay taken
+            # there after the ingress forgets it.
+            self._fail_session(conn, sid, exc)
+            self._close_in_service([sid])
+        else:
+            self._route_decisions(decisions)
+        # Served or rejected, the chunk no longer holds window bytes.
+        self._send(conn, Credit(cost))
         return True
 
     def _on_close(self, conn: _Connection, sid: str) -> None:
-        owner = self._sessions.get(sid)
-        if owner is None or owner[0] is not conn:
-            self._send(
-                conn,
-                Error(ERR_SESSION, "session not open here", 0.0, sid),
-            )
+        if self._owner(conn, sid) is None:
             return
-
-        def done(_, error, conn=conn, sid=sid):
-            self._forget_session(sid)
-            if error is None:
-                self.stats.sessions_closed += 1
-                self._send(conn, Closed(sid))
-            else:
-                self._fail_session(conn, sid, error)
-
-        self._driver.submit("close", sid, done=done)
+        # The drain decides every window of the closing session, as an
+        # in-process replay with ``drain=True`` does; that is what keeps
+        # cleanly closed network sessions byte-identical to replay.
+        try:
+            self._drain()
+            if sid not in conn.sessions:
+                return  # failed on a decision the drain routed
+            self._service.close_session(sid)
+        except Exception as exc:
+            self._fail_session(conn, sid, exc)
+            return
+        self._forget_session(sid)
+        self.stats.sessions_closed += 1
+        self._send(conn, Closed(sid))
 
     def _on_bye(self, conn: _Connection) -> None:
-        def done(_, error, conn=conn):
-            self._send(conn, Bye())
-            conn.closing = True
-            self._enqueue(conn, None)  # writer flushes, then closes
-
-        self._driver.submit("drain", done=done)
+        self._drain_if_dirty()
+        self._send(conn, Bye())
+        conn.closing = True
+        self._enqueue(conn, None)  # writer flushes, then closes
 
     # -- outbound ----------------------------------------------------------
 
@@ -757,28 +650,47 @@ class IngressServer:
             except Exception:
                 pass
 
-    def _route_decisions(self, decisions, seq: int) -> None:
-        """Send decisions a driver command ``seq`` produced to owners.
+    def _drain(self) -> None:
+        """Decide every queued window; route the decisions."""
+        decisions = self._service.drain()
+        self._dirty = False
+        self._route_decisions(decisions)
 
-        A session id reopened after ``seq`` was submitted names a new
-        incarnation: the service opened it only after command ``seq``
-        ran, so the decision belongs to the closed one and is dropped.
-        DECISION frames carry i64 labels: a decision whose labels are
-        not integers in that range fails its session, which is closed
-        in the service too, and routing goes on.
+    def _drain_if_dirty(self) -> None:
+        """Drain if anything was ingested since the last drain.
+
+        For callers with no one to report a failed drain to; it leaves
+        the server dirty, so the next sweep tries again.
         """
+        if self._dirty:
+            try:
+                self._drain()
+            except Exception:
+                pass
+
+    def _route_decisions(self, decisions) -> None:
+        """Send each decision to the session it belongs to.
+
+        Decisions of sessions the ingress has forgotten are dropped.
+        DECISION frames carry i64 labels: a decision whose labels are
+        not integers in that range fails its session, and routing goes
+        on.  Such sessions are closed in the service only once the whole
+        list is routed: the drain that closing takes would otherwise
+        send newer decisions ahead of the rest of this list.
+        """
+        failed = []
         for decision in decisions:
             sid = decision.session_id
             owner = self._sessions.get(sid)
-            if owner is None or owner[2] > seq:
+            if owner is None:
                 continue  # that session's connection already went away
-            conn, tracker, _ = owner
+            conn, tracker = owner
             try:
                 raw = _wire_label(decision.raw_label)
                 label = _wire_label(decision.label)
             except ValueError as exc:
-                self._driver.submit("close", sid)
                 self._fail_session(conn, sid, exc)
+                failed.append(sid)
                 continue
             self._send(
                 conn,
@@ -786,29 +698,50 @@ class IngressServer:
                     sid, decision.index, raw, label, tracker.pop()
                 ),
             )
+        if failed:
+            self._close_in_service(failed)
 
     # -- teardown paths ----------------------------------------------------
 
-    def _fail_session(self, conn: _Connection, sid: str, error) -> None:
-        self._forget_session(sid)
+    def _session_error(self, conn: _Connection, sid: str, error) -> None:
         self._send(
             conn,
             Error(ERR_SESSION, f"{type(error).__name__}: {error}", 0.0, sid),
         )
+
+    def _fail_session(self, conn: _Connection, sid: str, error) -> None:
+        self._forget_session(sid)
+        self._session_error(conn, sid, error)
 
     def _forget_session(self, sid: str) -> None:
         owner = self._sessions.pop(sid, None)
         if owner is not None:
             owner[0].sessions.discard(sid)
 
+    def _close_in_service(self, sids) -> None:
+        """Close sessions the ingress has already forgotten.
+
+        The drain first decides their queued windows, so none is left
+        over to reach a session that reopens one of the ids; what it
+        decides for other sessions still reaches them.
+        """
+        self._drain_if_dirty()
+        for sid in sids:
+            try:
+                self._service.close_session(sid)
+            except Exception:
+                pass  # the service no longer holds it
+
     async def _drop_connection(self, conn: _Connection) -> None:
         if conn not in self._connections:
             return
         self._connections.discard(conn)
         self.stats.connections_closed += 1
-        for sid in list(conn.sessions):
+        sids = list(conn.sessions)
+        for sid in sids:
             self._forget_session(sid)
-            self._driver.submit("close", sid)
+        if sids:
+            self._close_in_service(sids)
         conn.closing = True
         if conn.writer_task is not None:
             if not conn.slow:
@@ -832,7 +765,7 @@ class IngressServer:
             pass
 
     async def _sweep_loop(self) -> None:
-        """Drain the fleet when ingest traffic pauses.
+        """Drain the service when ingest traffic pauses.
 
         ``max_wait`` batching ages on the ingest clock; when clients go
         quiet the clock stops and queued partial batches would wait
@@ -842,17 +775,7 @@ class IngressServer:
         interval = self._config.sweep_interval_s
         while True:
             await asyncio.sleep(interval)
-            if not self._dirty or self._drain_pending:
-                continue
-            if self._driver is None or self._driver.backlog() > 0:
-                continue  # traffic is flowing; no sweep needed
-            self._dirty = False
-            self._drain_pending = True
-
-            def done(_, error):
-                self._drain_pending = False
-
-            self._driver.submit("drain", done=done)
+            self._drain_if_dirty()
 
 
 # -- client ------------------------------------------------------------------
@@ -886,6 +809,9 @@ class IngressClient:
         self.credit_bytes = 0
         self._credit = 0
         self._credit_event = asyncio.Event()
+        #: Session of each SAMPLES frame sent and not yet credited,
+        #: oldest first: the server credits every frame, in order.
+        self._uncredited: Deque[str] = collections.deque()
         self._reader = None
         self._writer = None
         self._reader_task: Optional[asyncio.Task] = None
@@ -931,16 +857,31 @@ class IngressClient:
 
         ``model_id`` selects one of the server's named models ("" =
         the default); ``adaptive=True`` requests a per-user prototype
-        delta fed by :meth:`feedback`.
+        delta fed by :meth:`feedback`.  A shed OPEN returns
+        ``(False, retry_after_s)``; one the service refuses (an unknown
+        model, an id still open there, ...) raises ``RuntimeError``.
+        The OPEN goes out once every SAMPLES frame already sent for
+        ``session_id`` is credited.
         """
         loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        # An error answering a SAMPLES frame already sent for this id
+        # (its session failed, say) names the id too.  Once every such
+        # frame is credited, an error naming it can only answer this OPEN.
+        while session_id in self._uncredited:
+            self._credit_event.clear()
+            if self._closed_event.is_set():
+                raise ConnectionError("connection closed")
+            await asyncio.wait_for(
+                self._credit_event.wait(), deadline - loop.time()
+            )
         future = loop.create_future()
         self._open_waiters[session_id] = future
         self._writer.write(
             encode_frame(Open(session_id, model_id, adaptive))
         )
         await self._writer.drain()
-        return await asyncio.wait_for(future, timeout)
+        return await asyncio.wait_for(future, deadline - loop.time())
 
     async def feedback(
         self,
@@ -986,6 +927,7 @@ class IngressClient:
                 raise ConnectionError("connection closed")
             await self._credit_event.wait()
         self._credit -= cost
+        self._uncredited.append(session_id)
         if stamp is None:
             stamp = time.perf_counter()
         self._writer.write(
@@ -994,6 +936,9 @@ class IngressClient:
         await self._writer.drain()
 
     async def close(self, session_id: str, timeout: float = 30.0) -> None:
+        """CLOSE a session; returns once the server confirms.  Raises
+        ``RuntimeError`` if the session is not open there (it failed,
+        say)."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._close_waiters[session_id] = future
@@ -1070,6 +1015,8 @@ class IngressClient:
             return
         if isinstance(frame, Credit):
             self._credit += frame.bytes
+            if self._uncredited:
+                self._uncredited.popleft()
             self._credit_event.set()
             return
         if isinstance(frame, DecisionFrame):
@@ -1109,10 +1056,17 @@ class IngressClient:
                 if future is not None and not future.done():
                     future.set_result((False, frame.retry_after_s))
             elif frame.session_id:
-                queue_ = self._feedback_waiters.get(frame.session_id)
-                if queue_:
-                    future = queue_.popleft()
-                    if not future.done():
-                        future.set_exception(
-                            RuntimeError(frame.message)
-                        )
+                future = self._first_waiter(frame.session_id)
+                if future is not None and not future.done():
+                    future.set_exception(RuntimeError(frame.message))
+
+    def _first_waiter(self, session_id: str) -> Optional[asyncio.Future]:
+        """Pop the request an error naming ``session_id`` answers: its
+        pending OPEN, else its oldest FEEDBACK, else its pending CLOSE."""
+        future = self._open_waiters.pop(session_id, None)
+        if future is not None:
+            return future
+        queue_ = self._feedback_waiters.get(session_id)
+        if queue_:
+            return queue_.popleft()
+        return self._close_waiters.pop(session_id, None)

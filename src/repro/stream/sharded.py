@@ -120,6 +120,7 @@ from ..hdc.serialize import (
 from ..perf.streaming import FleetStats, StreamStats, merge_stream_stats
 from .scheduler import StreamConfig, StreamingService, check_finite
 from .session import Decision
+from .windower import as_chunk
 
 _READY = -1  # sentinel seq of the worker's startup handshake
 
@@ -549,8 +550,11 @@ class ShardedStreamingService:
                 f"cannot form the model's {info['ngram_size']}-grams"
             )
         self._model_path = str(model_path)
-        self._model_info = info
         self._model_paths: Dict[str, str] = {}
+        # Channels per sample of each served model (None = the default).
+        self._model_channels: Dict[Optional[str], int] = {
+            None: info["n_channels"]
+        }
         for mid, path in (models or {}).items():
             if not isinstance(mid, str) or not mid:
                 raise ValueError(
@@ -564,6 +568,7 @@ class ShardedStreamingService:
                     f"{extra['ngram_size']}-grams"
                 )
             self._model_paths[mid] = str(path)
+            self._model_channels[mid] = extra["n_channels"]
         self._config = config
         self._max_inflight = int(max_inflight)
         self._auto_respawn = bool(auto_respawn)
@@ -586,6 +591,7 @@ class ShardedStreamingService:
             "fork" if "fork" in methods else methods[0]
         )
         self._session_shard: Dict[Hashable, int] = {}
+        self._session_channels: Dict[Hashable, int] = {}
         self._delivered: Dict[Hashable, int] = {}
         # Rolling queue-age samples piggybacked on ingest acks, for
         # latency-SLO admission control and autoscaling.
@@ -792,6 +798,7 @@ class ShardedStreamingService:
             ("open", session_id, model_id, bool(adaptive)),
         )
         self._session_shard[session_id] = index
+        self._session_channels[session_id] = self._model_channels[model_id]
         self._delivered[session_id] = 0
         return index
 
@@ -842,6 +849,7 @@ class ShardedStreamingService:
             raise KeyError(
                 f"session {session_id!r} is not open"
             ) from None
+        del self._session_channels[session_id]
         self._post(self._shards[index], ("close", session_id))
 
     def ingest(
@@ -856,9 +864,10 @@ class ShardedStreamingService:
         autoscale policy is attached, this is also where it observes
         load and may trigger a :meth:`rescale`.
 
-        A chunk with a non-finite sample raises ``ValueError`` here,
-        before it is journaled or sent, so the error reaches this call
-        and never another session's.
+        A chunk with a non-finite sample, or of a shape the session's
+        windower would refuse, raises ``ValueError`` here, before it is
+        journaled or sent, so the error reaches this call and never
+        another session's.
 
         Retry rule: a :class:`ShardError` raised here may report an
         earlier command of any session.  If its ``sent`` is False, this
@@ -876,6 +885,7 @@ class ShardedStreamingService:
             ) from None
         samples = np.ascontiguousarray(samples, dtype=np.float64)
         check_finite(samples)
+        samples = as_chunk(samples, self._session_channels[session_id])
         self._clock += 1
         self._post(
             self._shards[index],

@@ -30,6 +30,23 @@ import numpy as np
 from ..emg.windows import WindowConfig
 
 
+def as_chunk(samples: np.ndarray, n_channels: int) -> np.ndarray:
+    """``samples`` as float64 ``(k, n_channels)`` rows.
+
+    A single ``(n_channels,)`` sample is one row, and an empty chunk is
+    allowed; any other shape raises ``ValueError``.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim == 1:
+        samples = samples[None, :]
+    if samples.ndim != 2 or samples.shape[1] != n_channels:
+        raise ValueError(
+            f"expected (k, {n_channels}) samples, "
+            f"got shape {samples.shape}"
+        )
+    return samples
+
+
 class StreamWindower:
     """Ring-buffered incremental windower for one session's stream.
 
@@ -89,14 +106,7 @@ class StreamWindower:
         sample); returned windows are fresh ``(slice_samples, n_channels)``
         float64 copies, oldest first.
         """
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim == 1:
-            samples = samples[None, :]
-        if samples.ndim != 2 or samples.shape[1] != self._n_channels:
-            raise ValueError(
-                f"expected (k, {self._n_channels}) samples, "
-                f"got shape {samples.shape}"
-            )
+        samples = as_chunk(samples, self._n_channels)
         k = samples.shape[0]
         self.samples_in += k
         if k:

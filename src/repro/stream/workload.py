@@ -230,7 +230,7 @@ async def _drive_session(
         await client.close(script.session_id)
         await client.bye()
         clean = True
-    except (ConnectionError, asyncio.TimeoutError, OSError):
+    except (ConnectionError, asyncio.TimeoutError, OSError, RuntimeError):
         try:
             await client.aclose()
         except Exception:

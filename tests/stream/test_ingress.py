@@ -9,7 +9,9 @@ drives real TCP sockets against a real :class:`IngressServer`.
 """
 
 import asyncio
+import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -104,8 +106,17 @@ async def _read_frames(reader, decoder, n, timeout=10.0):
     return frames
 
 
-async def _raw_handshake(host, port, version=1):
-    reader, writer = await asyncio.open_connection(host, port)
+async def _raw_handshake(host, port, version=1, rcvbuf=None):
+    if rcvbuf is None:
+        reader, writer = await asyncio.open_connection(host, port)
+    else:
+        # Set before connect, the receive buffer stays this size: the
+        # kernel does not grow it for a peer that stops reading.
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, (host, port))
+        reader, writer = await asyncio.open_connection(sock=sock)
     writer.write(encode_frame(Hello(version)))
     await writer.drain()
     decoder = FrameDecoder()
@@ -193,8 +204,6 @@ class TestWorkloadGenerator:
             IngressConfig(credit_bytes=0)
         with pytest.raises(ValueError, match="shed_utilization"):
             IngressConfig(shed_utilization=0.0)
-        with pytest.raises(ValueError, match="shed_backlog"):
-            IngressConfig(shed_backlog=0)
         # Each of these would silently switch off one of the server's
         # own bounds (or spin its sweeper).
         for bad in (
@@ -411,6 +420,41 @@ class TestSessionTeardown:
         want = _replayed(model, config, {"s": new})["s"]
         assert stream_bytes(got) == stream_bytes(want)
 
+    def test_reopen_after_a_failed_ingest_gets_none_of_its_windows(
+        self, model
+    ):
+        """A failed session's queued windows are decided before the
+        service closes it, so an id reopened right after the failure
+        gets none of the old incarnation's decisions."""
+        config = _config(max_batch=64, max_wait=10_000)
+        ingress = IngressConfig(sweep_interval_s=30.0)
+        rng = np.random.default_rng(18)
+        old, new = rng.random((25, N_CHANNELS)), rng.random((25, N_CHANNELS))
+        poisoned = np.zeros((5, N_CHANNELS))
+        poisoned[2, 1] = np.nan
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config, ingress
+            ) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("s"))[0]
+                await client.send("s", old)  # 5 windows, all queued
+                await client.send("s", poisoned)
+                assert await _wait_for(
+                    lambda: any(e.code == ERR_SESSION for e in client.errors)
+                )
+                assert (await client.open("s"))[0]
+                await client.send("s", new)
+                await client.close("s")
+                await client.bye()
+                return client.decisions.get("s", [])
+
+        got = asyncio.run(scenario())
+        want = _replayed(model, config, {"s": new})["s"]
+        assert stream_bytes(got) == stream_bytes(want)
+
     @staticmethod
     async def _poison(live, good):
         """Stream ``good`` on session "n" around one NaN chunk sent on
@@ -474,6 +518,38 @@ class TestSessionTeardown:
         want = _replayed(model, config, {"n": good})["n"]
         assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
 
+    def test_reopen_behind_frames_of_the_failed_session(self, model):
+        """A chunk pipelined behind a poisoned one draws an error naming
+        the session too.  A reopen sent right behind both must wait for
+        their answers, not take one of them as its own."""
+        config = _config(max_batch=16, max_wait=3)
+        new = np.random.default_rng(20).random((25, N_CHANNELS))
+        poisoned = np.zeros((5, N_CHANNELS))
+        poisoned[2, 1] = np.nan
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config
+            ) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("s"))[0]
+                await client.send("s", poisoned)
+                await client.send("s", np.zeros((5, N_CHANNELS)))
+                assert (await client.open("s", timeout=5.0))[0]
+                await client.send("s", new)
+                await client.close("s")
+                await client.bye()
+                return client, live.server.stats
+
+        client, stats = asyncio.run(scenario())
+        assert [e.code for e in client.errors] == [ERR_SESSION, ERR_SESSION]
+        assert "not open here" in client.errors[1].message
+        assert stats.sessions_opened == 2
+        assert stats.sessions_closed == 1
+        want = _replayed(model, config, {"s": new})["s"]
+        assert stream_bytes(client.decisions["s"]) == stream_bytes(want)
+
     def test_late_frame_for_a_failed_session_keeps_the_connection(
         self, model
     ):
@@ -514,6 +590,55 @@ class TestSessionTeardown:
         assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
         assert [e.code for e in late] == [ERR_SESSION, ERR_SESSION]
         assert credit == client.credit_bytes
+
+
+class TestOneThread:
+    def test_service_calls_run_on_the_loop_thread(self, model):
+        """The server calls the service inline on its event loop: no
+        call of a session's life runs on another thread."""
+        config = _config(max_batch=8, max_wait=0)
+        threads = []
+
+        class Recording(StreamingService):
+            def open_session(self, *args, **kwargs):
+                threads.append(("open_session", threading.get_ident()))
+                return super().open_session(*args, **kwargs)
+
+            def ingest(self, *args, **kwargs):
+                threads.append(("ingest", threading.get_ident()))
+                return super().ingest(*args, **kwargs)
+
+            def feedback(self, *args, **kwargs):
+                threads.append(("feedback", threading.get_ident()))
+                return super().feedback(*args, **kwargs)
+
+            def drain(self):
+                threads.append(("drain", threading.get_ident()))
+                return super().drain()
+
+            def close_session(self, *args, **kwargs):
+                threads.append(("close_session", threading.get_ident()))
+                return super().close_session(*args, **kwargs)
+
+        async def scenario():
+            async with _Server(Recording(model, config), config) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("s", adaptive=True))[0]
+                await client.send(
+                    "s", np.random.default_rng(19).random((10, N_CHANNELS))
+                )
+                assert await _wait_for(lambda: client.decisions.get("s"))
+                assert await client.feedback("s", 99) is True
+                await client.close("s")
+                await client.bye()
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(scenario())
+        assert {name for name, _ in threads} == {
+            "open_session", "ingest", "feedback", "drain", "close_session",
+        }
+        assert {ident for _, ident in threads} == {loop_thread}
 
 
 class TestNonIntegerLabels:
@@ -721,6 +846,88 @@ class TestProtocol:
         assert "overdraft" in errors[0].message
         assert eof == b""
 
+    def test_credit_overdraft_across_frames_of_one_read(self, model):
+        """Two frames that each fit the window but arrive in one read
+        overdraw it together: the client sent both before it could see
+        either one's CREDIT."""
+        config = _config()
+        ingress = IngressConfig(credit_bytes=1024)
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config, ingress
+            ) as live:
+                reader, writer, decoder, _ = await _raw_handshake(
+                    live.host, live.port
+                )
+                writer.write(encode_frame(Open("greedy")))
+                await writer.drain()
+                await _read_frames(reader, decoder, 1)  # OPEN_OK
+                # 20x4 float64 = 640 payload bytes each, 1280 together.
+                frame = encode_frame(
+                    Samples("greedy", np.zeros((20, N_CHANNELS)))
+                )
+                writer.write(frame + frame)
+                await writer.drain()
+                frames = await _read_frames(reader, decoder, 3)
+                eof = await reader.read()
+                writer.close()
+                return frames, eof
+
+        frames, eof = asyncio.run(scenario())
+        errors = [f for f in frames if isinstance(f, Error)]
+        assert errors and errors[0].code == ERR_PROTOCOL
+        assert "credit overdraft" in errors[0].message
+        assert eof == b""
+
+    def test_refused_open_raises_at_once(self, model):
+        """An OPEN the service refuses is answered with ERR_SESSION,
+        which the client raises instead of waiting out its timeout;
+        the server does not count it as opened."""
+        config = _config()
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config
+            ) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                start = time.monotonic()
+                with pytest.raises(RuntimeError, match="nope"):
+                    await client.open("x", model_id="nope", timeout=3.0)
+                elapsed = time.monotonic() - start
+                await client.bye()
+                return elapsed, live.server.stats
+
+        elapsed, stats = asyncio.run(scenario())
+        assert elapsed < 1.0
+        assert stats.sessions_opened == 0
+
+    def test_close_of_a_failed_session_raises_at_once(self, model):
+        config = _config()
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config
+            ) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("s"))[0]
+                poisoned = np.zeros((5, N_CHANNELS))
+                poisoned[2, 1] = np.nan
+                await client.send("s", poisoned)
+                assert await _wait_for(
+                    lambda: any(e.code == ERR_SESSION for e in client.errors)
+                )
+                start = time.monotonic()
+                with pytest.raises(RuntimeError, match="not open here"):
+                    await client.close("s", timeout=3.0)
+                elapsed = time.monotonic() - start
+                await client.bye()
+                return elapsed
+
+        assert asyncio.run(scenario()) < 1.0
+
     def test_client_waits_for_credit_and_completes(self, model):
         """A window smaller than the stream forces CREDIT round trips;
         the client must stall, resume, and still get every decision."""
@@ -819,7 +1026,9 @@ class TestProtocol:
 class TestResourceBounds:
     def test_slow_client_is_disconnected(self, model):
         """A peer that never reads cannot buffer the server without
-        bound — its outbound queue fills and it is evicted."""
+        bound — its outbound queue fills and it is evicted.  Its receive
+        buffer is small, as the server's send buffer is: kernel buffers
+        left to grow would take megabytes before the queue fills."""
         config = _config(max_batch=4, max_wait=1)
         ingress = IngressConfig(
             write_queue_frames=8, write_buffer_bytes=2048
@@ -830,7 +1039,7 @@ class TestResourceBounds:
                 StreamingService(model, config), config, ingress
             ) as live:
                 reader, writer, decoder, _ = await _raw_handshake(
-                    live.host, live.port
+                    live.host, live.port, rcvbuf=4096
                 )
                 writer.write(encode_frame(Open("hog")))
                 await writer.drain()
@@ -861,6 +1070,33 @@ class TestResourceBounds:
 
         stats = asyncio.run(scenario())
         assert stats.slow_client_disconnects >= 1
+
+    def test_burst_of_frames_in_one_read_keeps_the_client(self, model):
+        """A client may send its whole window back to back, so one read
+        can hold a hundred SAMPLES frames.  Their CREDITs and DECISIONs
+        must reach a client that reads them, not fill its outbound queue
+        and evict it."""
+        config = _config(max_batch=64, max_wait=0)
+        stream = np.random.default_rng(21).random((2000, N_CHANNELS))
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config
+            ) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open("s"))[0]
+                for start in range(0, len(stream), 20):  # 640 B frames
+                    await client.send("s", stream[start:start + 20])
+                await client.close("s")
+                await client.bye()
+                return client, live.server.stats
+
+        client, stats = asyncio.run(scenario())
+        assert stats.slow_client_disconnects == 0
+        want = _replayed(model, config, {"s": stream})["s"]
+        assert len(want) == 400
+        assert stream_bytes(client.decisions["s"]) == stream_bytes(want)
 
     def test_idle_connection_times_out(self, model):
         config = _config()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.emg.windows import WindowConfig
 from repro.hdc import BatchHDClassifier, HDClassifierConfig, save_model
 from repro.hdc.serialize import load_model
+from repro.stream import sharded
 from repro.stream import (
     ShardedStreamingService,
     ShardError,
@@ -66,6 +67,14 @@ def _config(**kwargs):
     )
     defaults.update(kwargs)
     return StreamConfig(**defaults)
+
+
+@pytest.fixture
+def worker_checks_width(monkeypatch):
+    """Let chunks of the wrong width past the coordinator, so that only
+    the worker's windower rejects them: the tests that take it use such
+    a chunk to make a command fail inside a worker."""
+    monkeypatch.setattr(sharded, "as_chunk", lambda samples, _: samples)
 
 
 def _single_reference(reference_model, config, trace):
@@ -422,7 +431,9 @@ class TestCrashAndRespawn:
             ref[d.session_id].append(d)
         assert parity_digest(per_session) == parity_digest(ref)
 
-    def test_rejected_command_does_not_poison_the_journal(self, store):
+    def test_rejected_command_does_not_poison_the_journal(
+        self, store, worker_checks_width
+    ):
         """A command the worker errors on is tombstoned: a later
         respawn replays cleanly instead of re-raising the old error
         mid-repair and losing the journal suffix."""
@@ -458,7 +469,7 @@ class TestCrashAndRespawn:
         )
 
     def test_stale_error_does_not_journal_the_aborted_command(
-        self, store
+        self, store, worker_checks_width
     ):
         """A send aborted by a *stale* "err" reply (of an earlier bad
         command) must leave no journal trace: the chunk was never
@@ -511,7 +522,9 @@ class TestCrashAndRespawn:
         got.sort(key=lambda d: d.index)
         assert parity_digest({0: got}) == parity_digest({0: expected})
 
-    def test_stale_error_after_the_send_reports_sent(self, store):
+    def test_stale_error_after_the_send_reports_sent(
+        self, store, worker_checks_width
+    ):
         """Another shard's stale error can surface after this call's
         chunk was sent and journaled.  ``sent`` then says so, and the
         chunk is served once without a retry."""
@@ -658,6 +671,62 @@ class TestNonFiniteSamples:
         assert stream_bytes(got["bad"]) == stream_bytes(want_bad["bad"])
 
 
+class TestWrongWidthChunks:
+    def test_wrong_width_fails_its_own_call_not_another_shards(
+        self, store
+    ):
+        """A chunk of the wrong width raises ``ValueError`` in its own
+        session's call, before it is sent, as the single-process service
+        does.  Sent, it would fail inside the worker, and that error
+        would surface on a later call of any session."""
+        import os
+        import signal
+        import time
+
+        path, reference = store
+        config = _config(max_batch=16, max_wait=3)
+        rng = np.random.default_rng(67)
+        a, b = rng.random((40, N_CHANNELS)), rng.random((40, N_CHANNELS))
+        narrow = rng.random((10, N_CHANNELS - 1))
+
+        def run(service, stall=lambda: None, resume=lambda: None):
+            got = {"s0": [], "s3": []}
+            for sid in got:
+                service.open_session(sid)
+            for d in service.ingest("s0", a[:20]):
+                got[d.session_id].append(d)
+            stall()
+            try:
+                with pytest.raises(ValueError, match=r"expected \(k, 4\)"):
+                    service.ingest("s0", narrow)
+            finally:
+                resume()
+            for sid, chunk in (("s3", b[:20]), ("s0", a[20:]), ("s3", b[20:])):
+                for d in service.ingest(sid, chunk):
+                    got[d.session_id].append(d)
+            for d in service.drain():
+                got[d.session_id].append(d)
+            return got
+
+        want = run(StreamingService(reference, config))
+        with ShardedStreamingService(path, config, n_shards=2) as service:
+            victim = service.shard_process(0)
+
+            def stall():
+                assert service.shard_of("s0") == 0
+                assert service.shard_of("s3") == 1
+                os.kill(victim.pid, signal.SIGSTOP)
+                time.sleep(0.05)
+
+            def resume():
+                os.kill(victim.pid, signal.SIGCONT)
+                time.sleep(0.3)  # an error reply would land by now
+
+            got = run(service, stall, resume)
+        assert all(got.values())
+        assert parity_digest(got) == parity_digest(want)
+
+
 class TestFleetTelemetry:
     def test_fleet_stats_merge_shard_totals(self, store):
         path, reference_model = store
@@ -738,7 +807,9 @@ class TestCoordinatorAPI:
                 tmp_path / "absent.npz", _config(), n_shards=1
             )
 
-    def test_worker_exception_surfaces_as_shard_error(self, store):
+    def test_worker_exception_surfaces_as_shard_error(
+        self, store, worker_checks_width
+    ):
         path, _ = store
         with ShardedStreamingService(
             path, _config(), n_shards=1, auto_respawn=False
