@@ -199,21 +199,28 @@ def _parse_extra_models(specs: Optional[Sequence[str]]) -> Dict[str, str]:
     return extra
 
 
-def _replay_adaptive(service, trace: ReplayTrace, truths) -> tuple:
+def _replay_adaptive(
+    service, trace: ReplayTrace, truths, actions: Optional[Dict] = None
+) -> tuple:
     """Replay with ground-truth feedback folded back per decision.
 
     Works against both service flavours (they share ``open_session`` /
     ``ingest`` / ``feedback``); feedback always names the decision's
-    explicit index, so it is batching-independent.  Returns
-    ``(per_session, n_applied)``.
+    explicit index, so it is batching-independent.  ``actions`` maps
+    an event index to a callable run with the service after that
+    event, as in :func:`~repro.stream.replay.replay`; the decisions it
+    returns get feedback too.  Returns ``(per_session, n_applied)``.
     """
     per_session: Dict = {}
     for sid in trace.session_ids:
         service.open_session(sid, adaptive=True)
         per_session[sid] = []
     applied = 0
-    for event in trace.events:
-        for decision in service.ingest(event.session_id, event.samples):
+    for position, event in enumerate(trace.events):
+        decisions = service.ingest(event.session_id, event.samples)
+        if actions and position in actions:
+            decisions += actions[position](service) or []
+        for decision in decisions:
             per_session[decision.session_id].append(decision)
             applied += service.feedback(
                 decision.session_id,
@@ -309,7 +316,7 @@ def _run_sharded(
         t0 = time.perf_counter()
         if adaptive:
             per_session, n_applied = _replay_adaptive(
-                service, trace, truths
+                service, trace, truths, actions
             )
         else:
             per_session = replay(service, trace, actions=actions)

@@ -181,6 +181,33 @@ def trace_from_streams(
     return ReplayTrace(n_channels=int(n_channels), events=tuple(events))
 
 
+def plateau_stream(
+    rng: np.random.Generator,
+    n_samples: int,
+    n_channels: int,
+    lo: float,
+    hi: float,
+) -> np.ndarray:
+    """One session's plateau-heavy ``(n_samples, n_channels)`` stream.
+
+    Constant plateaus (random level, random 5–40-sample length) with
+    small additive noise, clipped to ``[lo, hi]`` — the redundancy
+    profile of a smoothed biosignal envelope.  Every value is drawn
+    from ``rng`` in a fixed order, so a seeded generator yields the
+    same stream on any machine.
+    """
+    span = hi - lo
+    parts: List[np.ndarray] = []
+    remaining = n_samples
+    while remaining > 0:
+        length = min(int(rng.integers(5, 41)), remaining)
+        level = lo + span * rng.random(n_channels)
+        noise = 0.02 * span * rng.standard_normal((length, n_channels))
+        parts.append(np.clip(level + noise, lo, hi))
+        remaining -= length
+    return np.concatenate(parts)
+
+
 def synthetic_trace(
     n_sessions: int,
     samples_per_session: int,
@@ -192,11 +219,9 @@ def synthetic_trace(
 ) -> ReplayTrace:
     """Fabricate a plateau-heavy multi-session trace from one seed.
 
-    Each session's stream is a sequence of constant plateaus (random
-    level, random 5–40-sample length) with small additive noise — the
-    redundancy profile of a smoothed biosignal envelope, which is what
-    exercises both memoization layers *and* the eviction policy of the
-    decision cache.  Everything (levels, plateau lengths, noise, chunk
+    Each session's stream comes from :func:`plateau_stream`; its
+    repeated windows are what exercise the decision cache and its
+    eviction policy.  Everything (levels, plateau lengths, noise, chunk
     sizes, session interleaving) derives from ``seed``.
     """
     if n_sessions < 1:
@@ -209,20 +234,10 @@ def synthetic_trace(
     if hi <= lo:
         raise ValueError(f"invalid signal range [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
-    span = hi - lo
-    streams: List[np.ndarray] = []
-    for _ in range(n_sessions):
-        parts: List[np.ndarray] = []
-        remaining = samples_per_session
-        while remaining > 0:
-            length = min(int(rng.integers(5, 41)), remaining)
-            level = lo + span * rng.random(n_channels)
-            noise = 0.02 * span * rng.standard_normal(
-                (length, n_channels)
-            )
-            parts.append(np.clip(level + noise, lo, hi))
-            remaining -= length
-        streams.append(np.concatenate(parts))
+    streams = [
+        plateau_stream(rng, samples_per_session, n_channels, lo, hi)
+        for _ in range(n_sessions)
+    ]
     return trace_from_streams(
         streams, seed=int(rng.integers(1 << 31)), chunking=chunking
     )

@@ -38,7 +38,7 @@ Architecture::
 
 **Transport.** The coordinator multiplexes commands over
 ``multiprocessing`` pipes with two per-shard credit windows
-(``max_inflight`` unacknowledged commands, and an unacknowledged-bytes
+(``_MAX_INFLIGHT`` unacknowledged commands, and an unacknowledged-bytes
 cap that makes the classic duplex-pipe deadlock structurally
 impossible).  Every command is pickled once and charged its real
 pickled size against the byte window.  Ingest chunks travel as raw
@@ -55,7 +55,9 @@ pickle and unpickle ~10x faster than a list of :class:`Decision`
 objects; labels stay the model's own label objects.  Decisions are
 delivered in per-session order (enforced, not assumed — an
 out-of-order index raises), and the coordinator builds a
-:class:`Decision` only for each row it delivers.
+:class:`Decision` only for each row it delivers.  Every other reply
+payload is filed under the op of the command it answers (matched by
+seq), where the one synchronous request path picks it up.
 
 **Repair.** The coordinator keeps a per-shard **journal** of every
 state-bearing command since the shard's last **checkpoint**.
@@ -102,11 +104,11 @@ import functools
 import hashlib
 import multiprocessing
 import pathlib
+import pickle
 import select
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.reduction import ForkingPickler
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -134,6 +136,11 @@ _READY = -1  # sentinel seq of the worker's startup handshake
 #: below any platform's default socketpair buffer, and holds ~47
 #: 20-sample 4-channel ingests in flight.
 _MAX_INFLIGHT_BYTES = 32 << 10
+
+#: Cap on unacknowledged *commands* per shard: the decision-latency
+#: knob of the credit windows, and the denominator of
+#: :meth:`ShardedStreamingService.credit_utilization`.
+_MAX_INFLIGHT = 64
 
 #: Virtual nodes per shard on the consistent-hash routing ring.  More
 #: vnodes → flatter load split; 64 keeps the worst shard within a few
@@ -258,12 +265,13 @@ class AutoscalePolicy:
     """Queue-pressure driven shard-count policy.
 
     The coordinator's cheapest live load signal is its own credit
-    windows: the fraction of ``max_inflight`` command credits currently
-    outstanding, averaged over shards (1.0 = every send would block).
-    The policy steps the fleet by one shard at a time — up when mean
-    utilization sits at/above ``high_watermark``, down when at/below
-    ``low_watermark`` — and enforces a cooldown of global ingest ticks
-    between rescales so one burst cannot thrash the fleet size.
+    windows: the fraction of the ``_MAX_INFLIGHT`` command credits
+    currently outstanding, averaged over shards (1.0 = every send
+    would block).  The policy steps the fleet by one shard at a time —
+    up when mean utilization sits at/above ``high_watermark``, down
+    when at/below ``low_watermark`` — and enforces a cooldown of
+    global ingest ticks between rescales so one burst cannot thrash
+    the fleet size.
 
     Credit utilization alone is a *throughput* signal; a fleet can sit
     below the watermark while ``max_wait`` batching quietly ages
@@ -473,15 +481,16 @@ class _Shard:
     conn: object  # multiprocessing.connection.Connection
     fd: int  # the pipe's descriptor, its key in the coordinator's poller
     next_seq: int = 0
-    outstanding: int = 0  # unacknowledged commands (backpressure credit)
-    #: seq -> pickled size of each unacknowledged command.
-    inflight_bytes: Dict[int, int] = field(default_factory=dict)
-    #: seq -> journal position of unacknowledged journaled commands: a
-    #: command the worker rejects ("err" reply) is tombstoned out of the
-    #: journal — it did not contribute to worker state (the scheduler
-    #: validates before mutating; the clock is injected), so replaying
-    #: it on respawn would only re-raise the same error mid-repair.
-    inflight_journal: Dict[int, int] = field(default_factory=dict)
+    #: seq -> (op, pickled size, journal position or None) of each
+    #: unacknowledged command.  A journaled command the worker rejects
+    #: ("err" reply) is tombstoned out of the journal — it did not
+    #: contribute to worker state (the scheduler validates before
+    #: mutating; the clock is injected), so replaying it on respawn
+    #: would only re-raise the same error mid-repair.
+    inflight: Dict[int, Tuple[str, int, Optional[int]]] = field(
+        default_factory=dict
+    )
+    inflight_bytes: int = 0  # sum of the pickled sizes in ``inflight``
     #: State-bearing commands since the last checkpoint.  The repair
     #: invariant: ``checkpoint (blob) + journal`` always reconstructs
     #: the worker exactly; the journal is truncated *only* at the
@@ -489,16 +498,16 @@ class _Shard:
     journal: List[Optional[tuple]] = field(default_factory=list)
     #: Last full worker snapshot (versioned "worker" blob), if any.
     checkpoint: Optional[bytes] = None
-    last_stats: Optional[StreamStats] = None
-    #: Last state blob returned by a checkpoint/extract command.
-    last_state: Optional[bytes] = None
-    #: Last boolean flag returned by a feedback command.
-    last_flag: Optional[bool] = None
+    #: op -> payload of the latest reply to a command that returns a
+    #: value (a feedback flag, a snapshot blob, stats); ``_request``
+    #: pops the one it waits for.
+    replies: Dict[str, object] = field(default_factory=dict)
     respawns: int = 0
 
     @property
-    def outstanding_bytes(self) -> int:
-        return sum(self.inflight_bytes.values())
+    def outstanding(self) -> int:
+        """Unacknowledged commands (the backpressure credit in use)."""
+        return len(self.inflight)
 
 
 class ShardedStreamingService:
@@ -525,8 +534,6 @@ class ShardedStreamingService:
         model_path,
         config: StreamConfig = StreamConfig(),
         n_shards: int = 2,
-        max_inflight: int = 64,
-        auto_respawn: bool = True,
         checkpoint_interval: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, pathlib.Path]] = None,
         autoscale: Optional[AutoscalePolicy] = None,
@@ -534,10 +541,6 @@ class ShardedStreamingService:
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, "
@@ -570,8 +573,6 @@ class ShardedStreamingService:
             self._model_paths[mid] = str(path)
             self._model_channels[mid] = extra["n_channels"]
         self._config = config
-        self._max_inflight = int(max_inflight)
-        self._auto_respawn = bool(auto_respawn)
         self._checkpoint_interval = checkpoint_interval
         self._checkpoint_dir = (
             pathlib.Path(checkpoint_dir)
@@ -825,20 +826,9 @@ class ShardedStreamingService:
             raise KeyError(
                 f"session {session_id!r} is not open"
             ) from None
-        self._shards[shard_index].last_flag = None
-        self._post(
-            self._shards[shard_index],
-            ("feedback", session_id, label, index),
+        return self._request(
+            shard_index, ("feedback", session_id, label, index)
         )
-        # A crash inside _post (or _flush) respawns the shard, replacing
-        # the _Shard object — re-read it before trusting the flag.
-        self._flush(self._shards[shard_index])
-        applied = self._shards[shard_index].last_flag
-        if applied is None:
-            raise ShardError(
-                shard_index, "feedback was not acknowledged"
-            )
-        return applied
 
     def close_session(self, session_id: Hashable) -> None:
         """Close a stream; its already-queued windows still dispatch."""
@@ -897,7 +887,7 @@ class ShardedStreamingService:
                 age_ticks, age_s = self.queue_age_p95()
                 target = self._autoscale.decide(
                     len(self._shards),
-                    self._utilization(),
+                    self.credit_utilization(),
                     self._clock - self._last_rescale_tick,
                     queue_age_p95_ticks=age_ticks,
                     queue_age_p95_s=age_s,
@@ -916,53 +906,50 @@ class ShardedStreamingService:
         return self._take_ready()
 
     def drain(self) -> List[Decision]:
-        """Flush every shard's pending windows; block for all results."""
+        """Flush every shard's pending windows; block for all results.
+
+        Afterwards no shard holds a queued window, so the rolling
+        queue-age samples are cleared with it.
+        """
         self._ensure_open()
         for shard in self._shards:
             self._post(shard, ("drain",))
         for shard in self._shards:
             self._flush(shard)
+        self._queue_age_ticks.clear()
+        self._queue_age_s.clear()
         return self._take_ready()
 
     def stats(self) -> FleetStats:
         """Merged per-shard + fleet-wide serving statistics.
 
         Synchronous: each shard's snapshot is taken after everything the
-        coordinator sent so far has been acknowledged, so after a
-        ``drain`` the numbers are exact, not racy.  Coordinator-side
-        elastic telemetry (journal/checkpoint sizes, operation counts)
-        rides along.
+        coordinator sent it so far has been acknowledged, so after a
+        ``drain`` the numbers are exact, not racy.  A shard whose worker
+        dies mid-snapshot is respawned and asked once more.
+        Coordinator-side elastic telemetry (journal/checkpoint sizes,
+        operation counts) rides along.
         """
         self._ensure_open()
-        for attempt in range(2):
+        snapshots = []
+        for index in range(len(self._shards)):
             try:
-                for shard in self._shards:
-                    shard.last_stats = None
-                    self._post(shard, ("stats",), journal=False)
-                for shard in self._shards:
-                    self._flush(shard)
+                snapshot = self._request(index, ("stats",), journal=False)
             except ShardCrashError:
-                if not self._auto_respawn:
-                    raise
-                continue  # shard was respawned; retake the snapshot
-            snapshots = [s.last_stats for s in self._shards]
-            if all(s is not None for s in snapshots):
-                return merge_stream_stats(
-                    snapshots,
-                    journal_bytes=[
-                        self.journal_bytes(i)
-                        for i in range(len(self._shards))
-                    ],
-                    checkpoint_bytes=[
-                        self.checkpoint_bytes(i)
-                        for i in range(len(self._shards))
-                    ],
-                    checkpoints=self.checkpoints,
-                    migrations=self.migrations,
-                    rescales=self.rescales,
-                )
-            # A shard crashed mid-snapshot and was respawned; retry once.
-        raise ShardError(-1, "could not collect fleet statistics")
+                snapshot = self._request(index, ("stats",), journal=False)
+            snapshots.append(snapshot)
+        return merge_stream_stats(
+            snapshots,
+            journal_bytes=[
+                self.journal_bytes(i) for i in range(len(self._shards))
+            ],
+            checkpoint_bytes=[
+                self.checkpoint_bytes(i) for i in range(len(self._shards))
+            ],
+            checkpoints=self.checkpoints,
+            migrations=self.migrations,
+            rescales=self.rescales,
+        )
 
     # -- elastic operations ------------------------------------------------
 
@@ -976,29 +963,20 @@ class ShardedStreamingService:
         all of them, replies arrive in seq order, and the
         single-threaded coordinator sent nothing else while waiting.
         Returns the blob size in bytes.  A respawn afterwards restores
-        the blob and replays only commands journaled since.
+        the blob and replays only commands journaled since.  If the
+        worker dies mid-checkpoint, it is respawned from the intact
+        journal and :class:`ShardCrashError` says the checkpoint did
+        not happen.
 
         With ``checkpoint_dir`` set, the blob is also persisted to
         ``shard-<index>.snap`` (the :func:`repro.hdc.serialize`
         snapshot envelope, loadable by ``load_snapshot``).
         """
         self._ensure_open()
+        blob = self._request(index, ("checkpoint",), journal=False)
         shard = self._shards[index]
-        self._flush(shard)
-        shard = self._shards[index]  # _flush may have respawned it
-        shard.last_state = None
-        self._post(shard, ("checkpoint",), journal=False)
-        self._flush(shard)
-        shard = self._shards[index]
-        if shard.last_state is None:
-            # The worker died mid-checkpoint and was respawned; the
-            # journal is intact, so nothing was lost — the checkpoint
-            # just didn't happen.
-            raise ShardError(index, "checkpoint did not complete")
-        shard.checkpoint = shard.last_state
-        shard.last_state = None
+        shard.checkpoint = blob
         shard.journal.clear()
-        shard.inflight_journal.clear()
         self.checkpoints += 1
         if self._checkpoint_dir is not None:
             self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -1040,20 +1018,7 @@ class ShardedStreamingService:
             )
         if to_shard == src_index:
             return
-        src = self._shards[src_index]
-        self._flush(src)
-        src = self._shards[src_index]
-        src.last_state = None
-        self._post(src, ("extract", session_id))
-        self._flush(src)
-        src = self._shards[src_index]
-        if src.last_state is None:
-            raise ShardError(
-                src_index,
-                f"extraction of session {session_id!r} did not complete",
-            )
-        blob = src.last_state
-        src.last_state = None
+        blob = self._request(src_index, ("extract", session_id))
         self._post(self._shards[to_shard], ("inject", blob))
         self._session_shard[session_id] = to_shard
         self.migrations += 1
@@ -1105,21 +1070,16 @@ class ShardedStreamingService:
         self.rescales += 1
         self._last_rescale_tick = self._clock
 
-    def _utilization(self) -> float:
-        """Mean outstanding-credit fraction across shards (0..1)."""
-        if not self._shards:
-            return 0.0
-        return sum(s.outstanding for s in self._shards) / (
-            len(self._shards) * self._max_inflight
-        )
-
     def credit_utilization(self) -> float:
         """Live mean outstanding-credit fraction across shards (0..1).
 
-        Ingress admission control reads this between ingests; it costs
-        nothing (pure coordinator bookkeeping, no worker round-trip).
+        The autoscale policy and ingress admission control read this
+        between ingests; it costs nothing (pure coordinator
+        bookkeeping, no worker round-trip).
         """
-        return self._utilization()
+        return sum(s.outstanding for s in self._shards) / (
+            len(self._shards) * _MAX_INFLIGHT
+        )
 
     @staticmethod
     def _p95(samples: deque) -> float:
@@ -1132,7 +1092,8 @@ class ShardedStreamingService:
         """Rolling p95 of worker oldest-queued-window age.
 
         Returns ``(ticks, seconds)`` over the last ~128 ingest acks.
-        Both are 0.0 until the fleet has acknowledged any ingest.
+        Both are 0.0 until the fleet has acknowledged any ingest, and
+        again after each :meth:`drain`.
         """
         return self._p95(self._queue_age_ticks), self._p95(
             self._queue_age_s
@@ -1169,12 +1130,12 @@ class ShardedStreamingService:
         try:
             if shard.process.is_alive():
                 while shard.outstanding > 0:
-                    self._wait_one_deferring(shard, deferred)
+                    self._wait_one(shard, deferred)
                 shard.conn.send(("stop", shard.next_seq))
                 shard.process.join(timeout=2.0)
             else:
                 while self._readable(shard):
-                    self._wait_one_deferring(shard, deferred)
+                    self._wait_one(shard, deferred)
         except (ShardCrashError, EOFError, OSError, BrokenPipeError):
             pass  # died mid-flush: the journal replay recovers the rest
         self._unregister(shard)
@@ -1223,7 +1184,7 @@ class ShardedStreamingService:
             except ShardError as exc:
                 deferred.append(exc)
         while fresh.outstanding > 0:
-            self._wait_one_deferring(fresh, deferred)
+            self._wait_one(fresh, deferred)
         if deferred:
             raise deferred[0]
 
@@ -1263,9 +1224,9 @@ class ShardedStreamingService:
         "err" reply of an *earlier* command as ShardError) must leave
         no trace: a journaled-but-never-sent command would make a later
         respawn replay serve a stream the live worker never saw.
-        ``journal_pos`` instead links the seq to an *existing* slot
-        (respawn replay).  Either way the seq→slot map lets an "err"
-        reply tombstone the entry.  Returns the seq.
+        ``journal_pos`` instead names an *existing* slot (respawn
+        replay).  Either way the in-flight record keeps the slot, so an
+        "err" reply can tombstone the entry.  Returns the seq.
         """
         self._pump(shard)
         # The credit wait below only receives replies, so next_seq is
@@ -1278,13 +1239,13 @@ class ShardedStreamingService:
             )
         else:
             wire = (entry[0], seq) + entry[1:]
-        data = ForkingPickler.dumps(wire)
+        data = pickle.dumps(wire)
         # Two credit windows: command count (decision-latency knob) and
         # command bytes (deadlock-freedom invariant, see module top).
         # An oversized single command waits for an idle worker instead.
-        while shard.outstanding >= self._max_inflight or (
-            shard.outstanding > 0
-            and shard.outstanding_bytes + len(data) > _MAX_INFLIGHT_BYTES
+        while len(shard.inflight) >= _MAX_INFLIGHT or (
+            shard.inflight
+            and shard.inflight_bytes + len(data) > _MAX_INFLIGHT_BYTES
         ):
             self._wait_one(shard)
         shard.next_seq += 1
@@ -1292,13 +1253,11 @@ class ShardedStreamingService:
             shard.conn.send_bytes(data)
         except (BrokenPipeError, OSError) as exc:
             raise ShardCrashError(shard.index, str(exc)) from None
-        shard.outstanding += 1
-        shard.inflight_bytes[seq] = len(data)
         if journal:
             shard.journal.append(entry)
             journal_pos = len(shard.journal) - 1
-        if journal_pos is not None:
-            shard.inflight_journal[seq] = journal_pos
+        shard.inflight[seq] = (entry[0], len(data), journal_pos)
+        shard.inflight_bytes += len(data)
         return seq
 
     def _post(
@@ -1328,8 +1287,6 @@ class ShardedStreamingService:
             try:
                 self._send(shard, entry, journal=journal)
             except ShardCrashError:
-                if not self._auto_respawn:
-                    raise
                 if journal:
                     # Never processed by the dead worker; the replacement
                     # picks it up from the journal during replay.
@@ -1343,9 +1300,10 @@ class ShardedStreamingService:
                 return
             sent = True
             # Auto-checkpoint when the journal hits the interval —
-            # except on an "extract" post: checkpointing there would
-            # clobber the extraction blob the in-progress migration is
-            # about to read (the next journaled post triggers instead).
+            # except on an "extract" post: a worker crash inside that
+            # checkpoint would fail the migration after the worker had
+            # already given the session up (the next journaled post
+            # triggers instead).
             if (
                 journal
                 and entry[0] != "extract"
@@ -1365,25 +1323,19 @@ class ShardedStreamingService:
                 shard.index, f"worker died ({exc!r})"
             ) from None
 
-    def _wait_one(self, shard: _Shard) -> None:
-        self._handle_reply(shard, self._recv(shard))
-
-    def _handle_reply_deferring(
-        self, shard: _Shard, message, deferred: List[ShardError]
+    def _wait_one(
+        self, shard: _Shard, deferred: Optional[List[ShardError]] = None
     ) -> None:
-        """Reply handling inside repair: command errors are collected
-        (and tombstoned by ``_handle_reply``) instead of aborting."""
+        """Read and handle one reply.  With ``deferred`` (repair), a
+        command error is collected there (and tombstoned by
+        ``_handle_reply``) instead of raised."""
+        message = self._recv(shard)
         try:
             self._handle_reply(shard, message)
-        except ShardCrashError:
-            raise
         except ShardError as exc:
+            if deferred is None:
+                raise
             deferred.append(exc)
-
-    def _wait_one_deferring(
-        self, shard: _Shard, deferred: List[ShardError]
-    ) -> None:
-        self._handle_reply_deferring(shard, self._recv(shard), deferred)
 
     def _readable(self, shard: _Shard) -> bool:
         """Whether the shard's pipe has a reply (or EOF) to read now."""
@@ -1391,7 +1343,7 @@ class ShardedStreamingService:
 
     def _pump(self, shard: _Shard) -> None:
         """Handle every complete reply of one shard without blocking."""
-        while shard.outstanding > 0 and self._readable(shard):
+        while shard.inflight and self._readable(shard):
             self._wait_one(shard)
 
     def _pump_all(self) -> None:
@@ -1405,37 +1357,57 @@ class ShardedStreamingService:
         """
         while True:
             polled = [self._pipes[fd] for fd, _ in self._poller.poll(0)]
-            ready = [shard for shard in polled if shard.outstanding > 0]
+            ready = [shard for shard in polled if shard.inflight]
             if not ready:
                 return
             for shard in ready:
                 try:
                     self._wait_one(shard)
                 except ShardCrashError:
-                    if not self._auto_respawn:
-                        raise
                     self.respawn_shard(shard.index)
 
-    def _flush(self, shard: _Shard, respawn_on_crash: bool = True) -> None:
+    def _flush(self, shard: _Shard) -> None:
         """Block until the shard has acknowledged everything sent."""
-        while shard.outstanding > 0:
+        while shard.inflight:
             try:
                 self._wait_one(shard)
             except ShardCrashError:
-                if not (respawn_on_crash and self._auto_respawn):
-                    raise
                 self.respawn_shard(shard.index)
                 return  # respawn already flushed the replacement
 
+    def _request(
+        self, index: int, entry: tuple, journal: bool = True
+    ) -> object:
+        """Send one command to a quiesced shard; return its reply.
+
+        A journaled request is the last journal entry when it is
+        posted, so a respawn replays it last and files its reply last.
+        A non-journaled one (``checkpoint``, ``stats``) is never
+        replayed: if the worker dies on it, no reply is filed and
+        :class:`ShardCrashError` says so.
+        """
+        self._flush(self._shards[index])
+        self._post(self._shards[index], entry, journal=journal)
+        # A crash inside _post or _flush respawns the shard, replacing
+        # the _Shard object, so it is re-read after each.
+        self._flush(self._shards[index])
+        try:
+            return self._shards[index].replies.pop(entry[0])
+        except KeyError:
+            raise ShardCrashError(
+                index, f"{entry[0]} did not complete"
+            ) from None
+
     def _handle_reply(self, shard: _Shard, message) -> None:
+        """Settle the command a reply answers (matched by seq): deliver
+        its decision columns, or file any other payload under its op."""
         kind, seq, payload = message[0], message[1], message[2]
-        if len(message) > 3 and message[3] is not None:
+        if len(message) > 3:
             age_ticks, age_s = message[3]
             self._queue_age_ticks.append(float(age_ticks))
             self._queue_age_s.append(float(age_s))
-        shard.outstanding -= 1
-        shard.inflight_bytes.pop(seq, None)
-        journal_pos = shard.inflight_journal.pop(seq, None)
+        op, size, journal_pos = shard.inflight.pop(seq)
+        shard.inflight_bytes -= size
         if kind == "err":
             if journal_pos is not None:
                 # The worker rejected the command without mutating its
@@ -1443,14 +1415,10 @@ class ShardedStreamingService:
                 # journal replay with the same error.
                 shard.journal[journal_pos] = None
             raise ShardError(shard.index, payload)
-        if type(payload) is tuple:
+        if op in ("ingest", "drain", "inject"):
             self._deliver(payload)
-        elif type(payload) is bool:
-            shard.last_flag = payload
-        elif isinstance(payload, bytes):
-            shard.last_state = payload
-        elif isinstance(payload, StreamStats):
-            shard.last_stats = payload
+        elif payload is not None:
+            shard.replies[op] = payload
 
     def _deliver(self, columns: tuple) -> None:
         """Exactly-once filter over one reply's decision columns.

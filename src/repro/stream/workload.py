@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .ingress import ClientDecision, IngressClient
+from .replay import plateau_stream
 
 __all__ = [
     "WorkloadConfig",
@@ -114,26 +115,6 @@ class WorkloadResult:
     latencies: List[float] = field(default_factory=list)
 
 
-def _plateau_stream(
-    rng: np.random.Generator,
-    n_samples: int,
-    n_channels: int,
-    lo: float,
-    hi: float,
-) -> np.ndarray:
-    """Same signal model as :func:`repro.stream.replay.synthetic_trace`."""
-    span = hi - lo
-    parts: List[np.ndarray] = []
-    remaining = n_samples
-    while remaining > 0:
-        length = min(int(rng.integers(5, 41)), remaining)
-        level = lo + span * rng.random(n_channels)
-        noise = 0.02 * span * rng.standard_normal((length, n_channels))
-        parts.append(np.clip(level + noise, lo, hi))
-        remaining -= length
-    return np.concatenate(parts)
-
-
 def generate_workload(
     config: WorkloadConfig, seed: int = 0
 ) -> List[SessionScript]:
@@ -148,7 +129,7 @@ def generate_workload(
     n_burst = int(round(config.n_sessions * config.burst_fraction))
     scripts: List[SessionScript] = []
     for i in range(config.n_sessions):
-        stream = _plateau_stream(
+        stream = plateau_stream(
             rng,
             config.samples_per_session,
             config.n_channels,

@@ -24,6 +24,7 @@ from repro.stream import (
     AutoscalePolicy,
     ReplayTrace,
     ShardedStreamingService,
+    ShardError,
     StreamConfig,
     StreamingService,
     TraceEvent,
@@ -32,6 +33,7 @@ from repro.stream import (
     shard_for,
     synthetic_trace,
 )
+from repro.stream import sharded
 from repro.stream.sharded import _MAX_INFLIGHT_BYTES
 
 DIM = 256
@@ -220,6 +222,52 @@ class TestCheckpointRecovery:
             # Auto-checkpointing keeps every journal short.
             for index in range(service.n_shards):
                 assert service.journal_length(index) <= 2 * 40
+
+    def test_crash_mid_checkpoint_keeps_the_journal(
+        self, store, monkeypatch
+    ):
+        # A worker dies while taking its checkpoint with a migration's
+        # extract in its journal.  The respawn replays that extract, and
+        # its session blob must not pass for the worker snapshot: the
+        # checkpoint fails cleanly, the journal stays whole, and a later
+        # respawn still restores the shard byte-exactly.
+        path, reference = store
+        config = _config(max_batch=8, max_wait=3)
+        trace = synthetic_trace(6, 300, n_channels=4, seed=5)
+        want = _reference_digest(reference, config, trace)
+        real_dumps = sharded.dumps_snapshot
+
+        def dumps_or_die(kind, state):
+            if kind == "worker":
+                os._exit(1)
+            return real_dumps(kind, state)
+
+        def migrate_then_checkpoint(service):
+            victim = next(
+                sid for sid in trace.session_ids
+                if service.shard_of(sid) == 0
+            )
+            moved = service.migrate_session(victim, 1)
+            with pytest.raises(ShardError, match="did not complete"):
+                service.checkpoint_shard(0)
+            assert service.checkpoint_bytes(0) == 0
+            assert service.journal_length(0) > 0
+            return moved
+
+        # Patched before the fleet forks, so the workers inherit it.
+        monkeypatch.setattr(sharded, "dumps_snapshot", dumps_or_die)
+        with ShardedStreamingService(
+            path, config, n_shards=2
+        ) as service:
+            got = replay(
+                service,
+                trace,
+                actions={
+                    trace.n_events // 2 - 1: migrate_then_checkpoint,
+                    trace.n_events - 1: lambda s: s.respawn_shard(0),
+                },
+            )
+        assert parity_digest(got) == want
 
     def test_checkpoint_dir_persists_loadable_snapshots(
         self, store, tmp_path
@@ -555,7 +603,7 @@ class TestAutoscale:
             # decide -> live rescale) is what's under test, and parity
             # must hold through the autoscaled rescales.
             monkeypatch.setattr(
-                type(service), "_utilization", lambda self: 1.0
+                type(service), "credit_utilization", lambda self: 1.0
             )
             got = replay(service, trace)
             assert parity_digest(got) == want
@@ -574,7 +622,7 @@ class TestAutoscale:
             path, config, n_shards=3, autoscale=policy
         ) as service:
             monkeypatch.setattr(
-                type(service), "_utilization", lambda self: 0.0
+                type(service), "credit_utilization", lambda self: 0.0
             )
             got = replay(service, trace)
             assert parity_digest(got) == want
@@ -671,10 +719,10 @@ class TestAutoscale:
             path, config, n_shards=1, autoscale=policy
         ) as service:
             # Credit utilization stays floored; only the queue-age SLO
-            # signal (faked, like _utilization in the tests above) can
+            # signal (faked, like credit_utilization in the tests above) can
             # drive growth — and parity must hold through it.
             monkeypatch.setattr(
-                type(service), "_utilization", lambda self: 0.5
+                type(service), "credit_utilization", lambda self: 0.5
             )
             monkeypatch.setattr(
                 type(service),

@@ -742,6 +742,33 @@ class TestAdmission:
         assert client.decisions.get("veteran")
         assert any(e.code == ERR_SHED for e in client.errors)
 
+    def test_fleet_admits_again_after_a_drain(self, store):
+        """The fleet's queue-age signal comes from ingest acks.  Once
+        the last session closes, no ingest refreshes it, so the drain
+        that closing takes must reset it, or the door stays shut."""
+        config = _config(max_batch=256, max_wait=16)
+        ingress = IngressConfig(shed_queue_age_ticks=4)
+
+        async def scenario(service):
+            async with _Server(service, config, ingress) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                ok, _ = await client.open("first")
+                assert ok
+                stream = np.random.default_rng(0).random((400, N_CHANNELS))
+                for start in range(0, 400, 5):
+                    await client.send("first", stream[start:start + 5])
+                await client.close("first")
+                await asyncio.sleep(0.3)
+                ok, _ = await client.open("second")
+                await client.bye()
+                return ok
+
+        with ShardedStreamingService(
+            store, config, n_shards=2
+        ) as service:
+            assert asyncio.run(scenario(service))
+
     def test_duplicate_open_rejected(self, model):
         config = _config(max_batch=8, max_wait=2)
 

@@ -213,9 +213,10 @@ class TestDifferentialParity:
                 expected[sid]
             )
 
-    def test_parity_with_tight_backpressure(self, store):
+    def test_parity_with_tight_backpressure(self, store, monkeypatch):
         """A 2-command credit window forces constant blocking waits;
         the decision streams must not care."""
+        monkeypatch.setattr(sharded, "_MAX_INFLIGHT", 2)
         path, reference_model = store
         config = _config(max_batch=4, max_wait=2, smooth=3)
         trace = synthetic_trace(
@@ -226,7 +227,7 @@ class TestDifferentialParity:
         )
         expected, _ = _single_reference(reference_model, config, trace)
         with ShardedStreamingService(
-            path, config, n_shards=2, max_inflight=2
+            path, config, n_shards=2
         ) as service:
             got = replay(service, trace)
         assert parity_digest(got) == parity_digest(expected)
@@ -798,10 +799,6 @@ class TestCoordinatorAPI:
         path, _ = store
         with pytest.raises(ValueError):
             ShardedStreamingService(path, _config(), n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedStreamingService(
-                path, _config(), n_shards=1, max_inflight=0
-            )
         with pytest.raises(FileNotFoundError):
             ShardedStreamingService(
                 tmp_path / "absent.npz", _config(), n_shards=1
@@ -812,7 +809,7 @@ class TestCoordinatorAPI:
     ):
         path, _ = store
         with ShardedStreamingService(
-            path, _config(), n_shards=1, auto_respawn=False
+            path, _config(), n_shards=1
         ) as service:
             service.open_session(0)
             with pytest.raises(ShardError, match="shard 0"):
