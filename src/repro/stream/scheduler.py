@@ -20,6 +20,13 @@ per ingest call):
   light.  ``0`` dispatches on every ingest (lowest latency, smallest
   batches); larger values trade staleness for throughput.
 
+The data path works a chunk or a batch at a time, not a window at a
+time: a session's windower returns each chunk's completed windows as
+one array, which is queued as it is; a dispatch builds every cache key
+of a batch in one pass and maps winners to labels once per
+classification group; and each queue item's decisions are built in one
+call on its session.
+
 The service keeps only the state decisions depend on, plus lifetime
 counters (windows, batches, engine seconds, cache hits) and two
 queue-age histograms.  It records no per-decision or per-batch log:
@@ -30,13 +37,16 @@ window count times one per-window constant of a
 Each served model keeps one decision cache, bit-exactly: it memoizes
 winners by quantised window pattern *across* batches — the whole chain
 is a pure function of those integer levels and the model's prototypes,
-so a repeat is a dict hit instead of a re-encode.  The misses of a
-batch go through the encoder's tiled chain in one call
-(:mod:`repro.hdc.encoder`).  The cache evicts least-recently-used
-entries one at a time when full (hot plateau patterns survive bursts of
-cold ones).  Since it only ever short-circuits a pure function, any
-eviction policy is bit-exact by construction, and checkpoints leave it
-out: a restored service starts cold and decides identically.
+so a repeat is a dict hit instead of a re-encode.  A key is the
+window's levels as ``bytes``, one byte a level for models of up to 256
+levels.  The misses of a batch go through the encoder's tiled chain in
+one call (:mod:`repro.hdc.encoder`).  The cache is an LRU: a batch's
+hits move to the most-recently-used end, its misses join there, and
+the least-recently-used entries beyond the limit are evicted (hot
+plateau patterns survive bursts of cold ones).  Since it only ever
+short-circuits a pure function, any eviction policy is bit-exact by
+construction, and checkpoints leave it out: a restored service starts
+cold and decides identically.
 """
 
 from __future__ import annotations
@@ -72,14 +82,17 @@ class StreamConfig:
     max_batch: int = 256
     max_wait: int = 0
     smooth: int = 1
-    #: Entries each served model's decision cache holds (a key plus one
-    #: small int each).  The encode + AM-search chain is a pure function
-    #: of the quantised window pattern, so a repeated pattern's winner
-    #: is served from a dict hit instead of a re-encode — bit-exactly.
-    #: Plateau-heavy biosignal streams repeat patterns constantly.  When
-    #: full, the least-recently-used entry is evicted, so a hot pattern
-    #: never goes cold just because the service saw many one-off
-    #: patterns since it was last refreshed.
+    #: Entries each served model's decision cache holds: a key of one
+    #: byte per level (up to 256 levels) plus one small int each, ~185 B
+    #: of RSS for a 5-sample, 4-channel window on 64-bit CPython 3.11,
+    #: so the default bounds a model's cache at ~185 MiB.  The
+    #: encode + AM-search chain is a pure function of the quantised
+    #: window pattern, so a repeated pattern's winner is served from a
+    #: dict hit instead of a re-encode — bit-exactly.  Plateau-heavy
+    #: biosignal streams repeat patterns constantly.  When full, the
+    #: least-recently-used entries are evicted, so a hot pattern never
+    #: goes cold just because the service saw many one-off patterns
+    #: since it was last refreshed.
     decision_cache_limit: int = 1 << 20
     #: Per-session adaptation policy, applied to sessions opened with
     #: ``adaptive=True`` (see :class:`~repro.hdc.online.AdaptConfig`).
@@ -115,13 +128,16 @@ class _ModelEntry:
     winning prototype, oldest-used entry first.  It memoizes this
     model's shared prototypes only, so two models can never collide on
     a window pattern, and :meth:`StreamingService.swap_model` gives the
-    entry a fresh cache.
+    entry a fresh cache.  ``key_dtype`` is the smallest integer type
+    that holds every level of the model (uint8 for up to 256 levels),
+    so a key costs one byte per level there.
     """
 
     model_id: Optional[str]
     model: BatchHDClassifier
     proto_words: np.ndarray
     labels: tuple
+    key_dtype: np.dtype
     cache: "OrderedDict[bytes, int]" = field(default_factory=OrderedDict)
 
 
@@ -208,6 +224,7 @@ class StreamingService:
             model=model,
             proto_words=proto_words,
             labels=model.labels,
+            key_dtype=np.min_scalar_type(model.config.n_levels - 1),
         )
         self._entries[model_id] = entry
         return entry
@@ -305,6 +322,7 @@ class StreamingService:
         entry.model = new_model
         entry.proto_words = proto_words
         entry.labels = new_model.labels
+        entry.key_dtype = np.min_scalar_type(new_model.config.n_levels - 1)
         entry.cache = OrderedDict()
 
     # -- introspection -----------------------------------------------------
@@ -716,12 +734,11 @@ class StreamingService:
         # anything, so the clock moves only once the chunk is accepted.
         windows = session.push(samples)
         self._clock = tick
-        if windows:
+        if windows.shape[0]:
             self._queue.append(
-                (session, np.stack(windows), self._clock,
-                 time.monotonic())
+                (session, windows, self._clock, time.monotonic())
             )
-            self._pending += len(windows)
+            self._pending += windows.shape[0]
         return self.pump()
 
     def pump(self) -> List[Decision]:
@@ -766,17 +783,22 @@ class StreamingService:
         stacked: np.ndarray,
         entry: _ModelEntry,
         session: Optional[Session] = None,
-    ) -> np.ndarray:
+    ) -> List[int]:
         """Winner indices of a window stack, through the decision cache.
 
-        Cache keys are the quantised level patterns; the encode + AM
-        search chain is a pure, deterministic function of those and the
-        entry's prototypes, so a hit returns exactly the winner the
-        chain would compute.  Misses run as one batched engine pass and
-        populate the cache.  ``session`` is the owning session when (and
-        only when) the stack classifies against that session's adapted
-        prototypes; those move with every feedback, so its windows are
-        never memoized.
+        Cache keys are the quantised level patterns, one ``bytes`` row
+        of ``entry.key_dtype`` levels per window, built in one pass; the
+        encode + AM search chain is a pure, deterministic function of
+        those and the entry's prototypes, so a hit returns exactly the
+        winner the chain would compute.  Every key is looked up before
+        any miss is inserted, so a pattern repeated inside one stack
+        counts one miss per window and adds one entry.  Hits move to the
+        MRU end; the misses run as one batched engine pass, join the
+        cache at the MRU end, and the LRU end is trimmed back to the
+        limit.  ``session`` is the owning session when (and only when)
+        the stack classifies against that session's adapted prototypes;
+        those move with every feedback, so its windows are never
+        memoized.
         """
         encoder = entry.model.encoder
         levels = encoder.spatial.quantize_batch(stacked)
@@ -785,39 +807,31 @@ class StreamingService:
             indices, _ = engine.am_search(
                 queries.words, session.delta.prototype_words()
             )
-            return indices
+            return indices.tolist()
         n = levels.shape[0]
-        flat = levels.reshape(n, -1)
+        rows = levels.reshape(n, -1).astype(entry.key_dtype)
+        row_bytes = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+        keys = rows.view(row_bytes).ravel().tolist()
         cache = entry.cache
-        winners = np.empty(n, dtype=np.int64)
-        keys: List[bytes] = []
-        missing: List[int] = []
-        for i in range(n):
-            key = flat[i].tobytes()
-            keys.append(key)
-            winner = cache.get(key)
-            if winner is None:
-                missing.append(i)
-            else:
-                cache.move_to_end(key)  # refresh LRU recency
-                winners[i] = winner
+        winners = list(map(cache.get, keys))
+        missing = [i for i, winner in enumerate(winners) if winner is None]
         self.cache_hits += n - len(missing)
         self.cache_misses += len(missing)
+        for key, winner in zip(keys, winners):
+            if winner is not None:
+                cache.move_to_end(key)  # refresh LRU recency
         if missing:
             queries = encoder.encode_levels_batch(levels[missing])
             found, _ = engine.am_search(queries.words, entry.proto_words)
-            limit = self._config.decision_cache_limit
-            for j, i in enumerate(missing):
-                winner = int(found[j])
-                key = keys[i]
-                if key not in cache:
-                    while len(cache) >= limit:
-                        cache.popitem(last=False)  # evict coldest
-                        self.cache_evictions += 1
-                # Insertion lands at the MRU end; a duplicate row in the
-                # same batch re-assigns the identical winner in place.
-                cache[key] = winner
+            found = found.tolist()
+            for i, winner in zip(missing, found):
                 winners[i] = winner
+            cache.update(zip([keys[i] for i in missing], found))
+            excess = len(cache) - self._config.decision_cache_limit
+            if excess > 0:
+                self.cache_evictions += excess
+                for _ in range(excess):
+                    cache.popitem(last=False)  # evict coldest
         return winners
 
     def _dispatch(self, n: int) -> List[Decision]:
@@ -863,13 +877,11 @@ class StreamingService:
                 if group_session is not None
                 else entry.labels
             )
+            group_labels = [labels[i] for i in indices]
             offset = 0
             for pos in positions:
                 k = items[pos][1].shape[0]
-                item_labels[pos] = [
-                    labels[int(i)]
-                    for i in indices[offset : offset + k]
-                ]
+                item_labels[pos] = group_labels[offset : offset + k]
                 offset += k
         self._host_seconds += time.perf_counter() - start
         batch_id = self._next_batch_id
@@ -888,17 +900,10 @@ class StreamingService:
                 [max(0.0, now - wall) for _, _, _, wall in items], counts
             )
         )
-        for pos, (session, block, tick, _) in enumerate(items):
-            for j in range(block.shape[0]):
-                decisions.append(
-                    session.record(
-                        raw_label=item_labels[pos][j],
-                        batch_id=batch_id,
-                        enqueued_at=tick,
-                        decided_at=clock,
-                        window=block[j],
-                    )
-                )
+        for (session, block, tick, _), raw_labels in zip(items, item_labels):
+            decisions.extend(
+                session.record(raw_labels, batch_id, tick, clock, block)
+            )
         self._n_batches += 1
         self._n_windows += n
         return decisions

@@ -158,34 +158,49 @@ class Session:
         """Windows emitted by the incremental windower so far."""
         return self.windower.windows_out
 
-    def push(self, samples: np.ndarray) -> List[np.ndarray]:
-        """Ingest samples; return the windows that became ready."""
+    def push(self, samples: np.ndarray) -> np.ndarray:
+        """Ingest samples; return the windows that became ready as one
+        ``(n, slice_samples, n_channels)`` array (``n`` may be 0)."""
         return self.windower.push(samples)
 
     def record(
         self,
-        raw_label: Hashable,
+        raw_labels: List[Hashable],
         batch_id: int,
         enqueued_at: int,
         decided_at: int,
-        window: np.ndarray,
-    ) -> Decision:
-        """Smooth one raw batch result into this session's decision."""
-        decision = Decision(
-            session_id=self.id,
-            index=self._n_decisions,
-            label=self.smoother.update(raw_label),
-            raw_label=raw_label,
-            batch_id=batch_id,
-            enqueued_at=enqueued_at,
-            decided_at=decided_at,
-        )
-        self._n_decisions += 1
-        if self.recent is not None:
-            self.recent.append(
-                (decision.index, np.array(window, copy=True), raw_label)
+        windows: np.ndarray,
+    ) -> List[Decision]:
+        """Smooth the raw results of one queue item into decisions.
+
+        ``raw_labels`` are the AM decisions of ``windows``, this
+        session's windows from one ingest, oldest first.  Every
+        decision shares the item's batch and clock stamps; with
+        ``smooth=1`` the label is the raw label and the smoother is
+        skipped.
+        """
+        start = self._n_decisions
+        self._n_decisions = start + len(raw_labels)
+        if self.smoother.k == 1:
+            labels = raw_labels
+        else:
+            labels = list(map(self.smoother.update, raw_labels))
+        sid = self.id
+        decisions = [
+            Decision(sid, index, label, raw, batch_id, enqueued_at,
+                     decided_at)
+            for index, label, raw in zip(
+                range(start, self._n_decisions), labels, raw_labels
             )
-        return decision
+        ]
+        if self.recent is not None:
+            self.recent.extend(
+                (index, window.copy(), raw)
+                for index, window, raw in zip(
+                    range(start, self._n_decisions), windows, raw_labels
+                )
+            )
+        return decisions
 
     def recent_window(self, index: Optional[int] = None) -> tuple:
         """A retained ``(decision index, window, raw label)`` entry.

@@ -989,7 +989,7 @@ class ShardedStreamingService:
     ) -> List[Decision]:
         """Move one live session to another worker, byte-exactly.
 
-        Quiesce → extract → inject → re-route: the source shard is
+        Quiesce → extract → re-route → inject: the source shard is
         flushed (its in-flight decisions deliver first), the session's
         state — windower buffer, vote history, decision counter, and
         its still-queued windows — travels as a versioned
@@ -1019,9 +1019,13 @@ class ShardedStreamingService:
         if to_shard == src_index:
             return
         blob = self._request(src_index, ("extract", session_id))
-        self._post(self._shards[to_shard], ("inject", blob))
+        # The source has given the session up, so route it to the
+        # destination before the inject's post: the journaled inject
+        # reaches the destination even when the auto-checkpoint that
+        # can follow the post fails.
         self._session_shard[session_id] = to_shard
         self.migrations += 1
+        self._post(self._shards[to_shard], ("inject", blob))
 
     def rescale(self, n_shards: int) -> List[Decision]:
         """Grow or shrink the fleet to ``n_shards`` workers, live.

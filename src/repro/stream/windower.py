@@ -23,8 +23,6 @@ same function call on the same bytes.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..emg.windows import WindowConfig
@@ -99,25 +97,38 @@ class StreamWindower:
         """Buffered samples not yet part of an emitted window."""
         return self._filled
 
-    def push(self, samples: np.ndarray) -> List[np.ndarray]:
+    def push(self, samples: np.ndarray) -> np.ndarray:
         """Ingest a chunk of samples; return every window it completes.
 
         ``samples`` is ``(k, n_channels)`` (or a single ``(n_channels,)``
-        sample); returned windows are fresh ``(slice_samples, n_channels)``
-        float64 copies, oldest first.
+        sample).  The completed windows come back oldest first as one
+        ``(n, slice_samples, n_channels)`` float64 array that owns its
+        memory: a strided view of the buffer (windows may overlap, or
+        leave gaps between them) copied once.  ``n`` may be 0.
         """
         samples = as_chunk(samples, self._n_channels)
         k = samples.shape[0]
         self.samples_in += k
         if k:
             self._append(samples)
-        out: List[np.ndarray] = []
+        length, stride = self._length, self._stride
         end = self._base + self._filled
-        while self._next_start + self._length <= end:
-            rel = self._next_start - self._base
-            out.append(self._buf[rel : rel + self._length].copy())
-            self._next_start += self._stride
-        self.windows_out += len(out)
+        n = max((end - length - self._next_start) // stride + 1, 0)
+        shape = (n, length, self._n_channels)
+        if n:
+            buf = self._buf
+            row = buf.strides[0]
+            out = np.ndarray(
+                shape,
+                np.float64,
+                buf,
+                (self._next_start - self._base) * row,
+                (stride * row, row, buf.strides[1]),
+            ).copy()
+            self._next_start += n * stride
+            self.windows_out += n
+        else:
+            out = np.empty(shape)
         self._trim()
         return out
 

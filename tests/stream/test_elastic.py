@@ -269,6 +269,54 @@ class TestCheckpointRecovery:
             )
         assert parity_digest(got) == want
 
+    def test_crash_in_checkpoint_after_inject_keeps_the_route(
+        self, store, monkeypatch, tmp_path
+    ):
+        # The destination dies in the auto-checkpoint that follows the
+        # journaled inject of a migration.  The migration reports the
+        # failed checkpoint, but the session must already be routed to
+        # the destination: the source gave it up, and the respawn
+        # replays the inject into the replacement worker.
+        path, reference = store
+        config = _config(max_batch=8, max_wait=3)
+        trace = synthetic_trace(6, 300, n_channels=4, seed=5)
+        want = _reference_digest(reference, config, trace)
+        marker = tmp_path / "die"
+        real_dumps = sharded.dumps_snapshot
+
+        def dumps_or_die(kind, state):
+            # Only the first worker snapshot after the marker appears
+            # dies: the dying worker consumes the marker, so the
+            # respawned one checkpoints normally.
+            if kind == "worker" and marker.exists():
+                marker.unlink()
+                os._exit(1)
+            return real_dumps(kind, state)
+
+        def migrate_into_crash(service):
+            victim = next(
+                sid for sid in trace.session_ids
+                if service.shard_of(sid) == 0
+            )
+            marker.touch()
+            with pytest.raises(ShardError, match="did not complete"):
+                service.migrate_session(victim, 1)
+            assert service.shard_of(victim) == 1
+            assert service.migrations == 1
+
+        # Patched before the fleet forks, so the workers inherit it.
+        monkeypatch.setattr(sharded, "dumps_snapshot", dumps_or_die)
+        with ShardedStreamingService(
+            path, config, n_shards=2, checkpoint_interval=1
+        ) as service:
+            got = replay(
+                service,
+                trace,
+                actions={trace.n_events // 2: migrate_into_crash},
+            )
+            assert service.shard_respawns(1) == 1
+        assert parity_digest(got) == want
+
     def test_checkpoint_dir_persists_loadable_snapshots(
         self, store, tmp_path
     ):

@@ -339,6 +339,59 @@ class TestDecisionCacheLRU:
         assert [d.raw_label for d in decisions] == offline
 
 
+class TestDecisionCacheKeys:
+    """One dispatch builds every key before it inserts any miss; a key
+    is the window's levels in the narrowest dtype that holds them."""
+
+    def test_wide_level_keys_do_not_collide(self, rng):
+        # 300 levels need two bytes a level: levels l and l + 256 share
+        # their low byte but are different patterns.
+        wide = BatchHDClassifier(
+            HDClassifierConfig(
+                dim=DIM, n_channels=4, n_levels=300, signal_hi=1.0
+            )
+        ).fit(rng.random((40, 5, 4)), [i % 4 for i in range(40)])
+
+        def window(level):
+            return np.full((5, 4), level / 299)
+
+        # A pair the model decides differently, so a collision would
+        # also serve a wrong label.
+        low = next(
+            level for level in range(300 - 256)
+            if len(set(wide.predict(
+                np.stack([window(level), window(level + 256)])
+            ))) == 2
+        )
+        service = _service(wide, max_wait=0)
+        service.open_session(0)
+        got = service.ingest(0, window(low))
+        got += service.ingest(0, window(low + 256))
+        assert (service.cache_hits, service.cache_misses) == (0, 2)
+        assert service.cache_size == 2
+        assert [d.raw_label for d in got] == wide.predict(
+            np.stack([window(low), window(low + 256)])
+        )
+
+    def test_in_batch_duplicates_miss_each_and_share_one_entry(
+        self, model
+    ):
+        service = _service(model, max_wait=0)
+        service.open_session(0)
+        pattern = np.full((5, 4), 0.4)
+        first = service.ingest(0, np.concatenate([pattern, pattern]))
+        assert len(first) == 2
+        assert first[0].batch_id == first[1].batch_id
+        assert (service.cache_hits, service.cache_misses) == (0, 2)
+        assert service.cache_size == 1
+        again = service.ingest(0, pattern)
+        assert (service.cache_hits, service.cache_misses) == (1, 2)
+        assert service.cache_size == 1
+        assert [d.raw_label for d in first + again] == model.predict(
+            np.stack([pattern] * 3)
+        )
+
+
 class TestClockInjection:
     def test_injected_ticks_drive_the_clock(self, model, rng):
         service = _service(model, max_wait=100, max_batch=64)

@@ -71,7 +71,9 @@ class TestParityBasics:
     def test_ragged_tail_never_emits(self):
         config = WindowConfig(window_samples=8, skip_onset_s=0.0)
         windower = StreamWindower(config, 2, sample_rate_hz=100)
-        assert windower.push(_stream(7, 2, 2)) == []
+        assert windower.push(_stream(7, 2, 2)).shape == (
+            0, config.slice_samples, 2
+        )
         assert windower.pending_samples == 7
 
     def test_onset_skip_drops_leading_samples(self):
@@ -119,8 +121,39 @@ class TestParityBasics:
     def test_empty_push_is_noop(self):
         config = WindowConfig(skip_onset_s=0.0)
         windower = StreamWindower(config, 4)
-        assert windower.push(np.zeros((0, 4))) == []
+        assert windower.push(np.zeros((0, 4))).shape == (
+            0, config.slice_samples, 4
+        )
         assert windower.samples_in == 0
+
+
+class TestOneCopyBlocks:
+    """``push`` returns one array per chunk, copied out of the buffer
+    once: the block owns its memory, so later pushes that refill and
+    trim the buffer cannot change it."""
+
+    @pytest.mark.parametrize(
+        "window, stride", [(5, 2), (3, 7)], ids=["overlapping", "gaps"]
+    )
+    def test_block_owns_its_memory(self, window, stride):
+        config = WindowConfig(
+            window_samples=window, stride_samples=stride, skip_onset_s=0.0
+        )
+        stream = _stream(200, 3, 7)
+        offline = _offline(stream, config, 500)
+        windower = StreamWindower(config, 3)
+        block = windower.push(stream[:40])
+        assert block.shape[0] > 1
+        assert block.shape[1:] == (config.slice_samples, 3)
+        assert block.dtype == np.float64
+        assert block.flags.owndata and block.flags.c_contiguous
+        kept = block.copy()
+        rest = _chunked_push(windower, stream[40:], [9] * 18)
+        assert np.array_equal(block, kept)
+        got = list(block) + rest
+        assert len(got) == len(offline)
+        for a, b in zip(got, offline):
+            assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
