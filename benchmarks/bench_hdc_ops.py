@@ -16,7 +16,6 @@ from repro.hdc import (
     HDClassifierConfig,
     HypervectorArray,
     bind,
-    bulk_distances,
     bundle,
 )
 from repro.hdc import engine
@@ -66,8 +65,9 @@ def test_bench_hamming(benchmark, vectors):
 
 
 def test_bench_bulk_distances(benchmark, vectors):
-    matrix = np.stack([v.words for v in vectors[:5]])
-    benchmark(bulk_distances, vectors[5].words, matrix)
+    """One packed query against five prototypes (a single AM search)."""
+    matrix = np.stack([v.words64 for v in vectors[:5]])
+    benchmark(engine.hamming_matrix, vectors[5].words64[None, :], matrix)
 
 
 # -- batched engine cases ---------------------------------------------------
@@ -139,4 +139,4 @@ def test_bench_batch_window_encode(benchmark):
     rng = np.random.default_rng(12)
     clf = BatchHDClassifier(HDClassifierConfig(dim=DIM))
     windows = rng.uniform(0, 21, size=(64, 5, 4))
-    benchmark(clf.encode_windows, windows)
+    benchmark(clf.encoder.encode_batch, windows)

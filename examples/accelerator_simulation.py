@@ -11,7 +11,7 @@ Run:  python examples/accelerator_simulation.py
 
 import numpy as np
 
-from repro.hdc import HDClassifier, HDClassifierConfig
+from repro.hdc import BatchHDClassifier, HDClassifierConfig
 from repro.kernels import HDChainSimulator
 from repro.perf.latency import required_frequency_mhz
 from repro.pulp import (
@@ -29,12 +29,12 @@ DIM = 4096  # keep the demo fast; Tables 2-3 use the full 10,000
 def main() -> None:
     rng = np.random.default_rng(0)
     print(f"training a {DIM}-D EMG-style classifier...")
-    clf = HDClassifier(HDClassifierConfig(dim=DIM))
-    windows = [rng.uniform(0, 21, size=(5, 4)) for _ in range(25)]
+    clf = BatchHDClassifier(HDClassifierConfig(dim=DIM))
+    windows = rng.uniform(0, 21, size=(25, 5, 4))
     labels = [i % 5 for i in range(25)]
     clf.fit(windows, labels)
     window = rng.uniform(0, 21, size=(5, 4))
-    expected = clf.predict_window(window)
+    expected = clf.predict(window[None])[0]
     print(f"library prediction for the probe window: class {expected}\n")
 
     configs = [
@@ -53,7 +53,7 @@ def main() -> None:
             clf, soc, n_cores=cores, use_builtins=builtins, window=5
         )
         result = sim.run_window(window)
-        label = list(clf.associative_memory.labels)[result.label_index]
+        label = clf.labels[result.label_index]
         if name.startswith("PULPv3  1"):
             baseline = result.total_cycles
         speedup = (

@@ -10,10 +10,9 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.hdc import (
-    AssociativeMemory,
+    BatchHDClassifier,
     BinaryHypervector,
     ContinuousItemMemory,
-    HDClassifier,
     HDClassifierConfig,
     ItemMemory,
     bind,
@@ -59,22 +58,24 @@ def main() -> None:
 
     # --- 3. an associative memory ----------------------------------------
     print("== associative memory ==")
-    am = AssociativeMemory(10_000)
     fist = BinaryHypervector.random(10_000, rng)
     open_hand = BinaryHypervector.random(10_000, rng)
-    am.store("fist", fist)
-    am.store("open", open_hand)
+    prototypes = {"fist": fist, "open": open_hand}
     # Corrupt 30% of the fist prototype: still recovered.
     bits = fist.to_bits()
     flips = rng.choice(10_000, size=3000, replace=False)
     bits[flips] ^= 1
     noisy = BinaryHypervector.from_bits(bits)
+    # AM search: the label of the prototype at minimum Hamming distance.
+    nearest = min(
+        prototypes, key=lambda label: noisy.hamming(prototypes[label])
+    )
     print(f"query with 30% bit flips classifies as: "
-          f"{am.classify(noisy)!r} (robustness!)\n")
+          f"{nearest!r} (robustness!)\n")
 
     # --- 4. an end-to-end classifier -------------------------------------
     print("== end-to-end classifier on toy 4-channel windows ==")
-    clf = HDClassifier(HDClassifierConfig(dim=2048))
+    clf = BatchHDClassifier(HDClassifierConfig(dim=2048))
     centers = {"rest": 1.0, "weak": 8.0, "strong": 17.0}
     train, labels = [], []
     for name, level in centers.items():
@@ -83,16 +84,22 @@ def main() -> None:
                 np.clip(rng.normal(level, 1.2, size=(5, 4)), 0, 21)
             )
             labels.append(name)
-    clf.fit(train, labels)
-    test = [
+    clf.fit(np.stack(train), labels)
+    test = np.stack([
         np.clip(rng.normal(level, 1.2, size=(5, 4)), 0, 21)
         for level in centers.values()
         for _ in range(20)
-    ]
+    ])
     truth = [name for name in centers for _ in range(20)]
     print(f"accuracy on held-out windows: {clf.score(test, truth):.2%}")
+    spatial = clf.encoder.spatial
+    model = (
+        spatial.continuous_memory.as_matrix(),
+        spatial.item_memory.as_matrix(),
+        clf.am_matrix(),
+    )
     print(f"model footprint (CIM+IM+AM, packed): "
-          f"{clf.model_memory_bytes() / 1024:.1f} kB")
+          f"{sum(m.nbytes for m in model) / 1024:.1f} kB")
 
 
 if __name__ == "__main__":

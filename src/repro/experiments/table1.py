@@ -23,7 +23,7 @@ from ..emg import (
     subject_windows,
 )
 from ..hdc import BatchHDClassifier, HDClassifierConfig
-from ..kernels import ChainConfig, ChainDims, HDChainSimulator
+from ..kernels import HDChainSimulator
 from ..kernels.svm_kernel import SVMKernelSimulator
 from ..pulp.soc import CORTEX_M4_SOC
 from ..svm import FixedPointConfig, FixedPointSVM, MulticlassSVM, SVMConfig
@@ -97,21 +97,10 @@ def run_table1(
             first_models = (batch, fp, test_w, test_f)
 
     batch, fp, test_w, test_f = first_models
-    # HD cycles: one representative window through the M4 chain ISS; the
-    # batch classifier's own encoder supplies the packed model matrices.
-    spatial = batch.encoder.spatial
-    am_matrix = batch.am_matrix()
-    dims = ChainDims(
-        dim=TABLE1_DIM, n_channels=4, n_levels=22, n_classes=5,
-        ngram=1, window=5,
-    )
-    chain = HDChainSimulator(
-        ChainConfig(soc=CORTEX_M4_SOC, n_cores=1, dims=dims)
-    )
-    chain.load_model(
-        spatial.item_memory.as_matrix(),
-        spatial.continuous_memory.as_matrix(),
-        am_matrix,
+    # HD cycles: one representative window through the M4 chain ISS,
+    # preloaded with the fitted classifier's packed model matrices.
+    chain = HDChainSimulator.from_classifier(
+        batch, CORTEX_M4_SOC, n_cores=1, window=5
     )
     chain_result = chain.run_window(test_w[0])
     functional_match = (

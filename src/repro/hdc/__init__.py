@@ -17,9 +17,14 @@ Public surface:
 * :class:`~repro.hdc.encoder.SpatialEncoder` /
   :class:`~repro.hdc.encoder.TemporalEncoder` /
   :class:`~repro.hdc.encoder.WindowEncoder` — the processing chain.
-* :class:`~repro.hdc.associative_memory.AssociativeMemory` — prototype
-  storage and nearest-prototype search.
-* :class:`~repro.hdc.classifier.HDClassifier` — end-to-end fit/predict.
+* :class:`~repro.hdc.batch.BatchHDClassifier` (configured by
+  :class:`~repro.hdc.classifier.HDClassifierConfig`) — the classifier:
+  end-to-end fit/predict with the AM as a packed prototype matrix
+  searched by :func:`~repro.hdc.engine.am_search`.
+* :class:`~repro.hdc.online.SessionDelta` — on-line learning:
+  copy-on-write prototype updates over a fitted AM.
+* :mod:`~repro.hdc.robustness` — fault injection into the prototype
+  matrix and graceful-degradation curves.
 * :mod:`~repro.hdc.reference` — the unpacked golden model used for
   bit-exact validation (the paper's MATLAB reference).
 * :mod:`~repro.hdc.serialize` — the versioned model store: bit-exact
@@ -27,18 +32,13 @@ Public surface:
   retrains.
 """
 
-from .associative_memory import (
-    AssociativeMemory,
-    PrototypeAccumulator,
-    bulk_distances,
-)
 from .batch import BatchHDClassifier
-from .classifier import HDClassifier, HDClassifierConfig
+from .classifier import HDClassifierConfig
 from .encoder import SpatialEncoder, TemporalEncoder, WindowEncoder
 from .engine import HypervectorArray
 from .hypervector import BinaryHypervector
 from .item_memory import ContinuousItemMemory, ItemMemory, quantize_samples
-from .online import AdaptConfig, OnlineHDClassifier, SessionDelta
+from .online import AdaptConfig, SessionDelta
 from .robustness import (
     DegradationCurve,
     DegradationPoint,
@@ -47,7 +47,7 @@ from .robustness import (
     flip_bits,
     stuck_at,
 )
-from .ops import bind, bundle, bundle_counts, hamming, permute, similarity
+from .ops import bind, bundle, hamming, permute, similarity
 from .serialize import (
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -62,14 +62,12 @@ from .serialize import (
 
 __all__ = [
     "AdaptConfig",
-    "AssociativeMemory",
     "BatchHDClassifier",
     "BinaryHypervector",
     "ContinuousItemMemory",
     "CutoverError",
     "DegradationCurve",
     "DegradationPoint",
-    "HDClassifier",
     "HDClassifierConfig",
     "HypervectorArray",
     "ItemMemory",
@@ -77,8 +75,6 @@ __all__ = [
     "MODEL_VERSION",
     "ModelFormatError",
     "ModelStore",
-    "OnlineHDClassifier",
-    "PrototypeAccumulator",
     "SessionDelta",
     "SpatialEncoder",
     "TemporalEncoder",
@@ -87,9 +83,7 @@ __all__ = [
     "degradation_curve",
     "faulty_memory",
     "flip_bits",
-    "bulk_distances",
     "bundle",
-    "bundle_counts",
     "hamming",
     "load_model",
     "load_model_mmap",

@@ -1,26 +1,29 @@
-"""Vectorised batch HD classifier for large accuracy studies.
+"""The HD classifier: fit / predict over packed hypervectors.
 
-The §4.1 accuracy experiment trains and tests per-subject classifiers at
-many hypervector dimensions over thousands of windows; encoding each
-window through the object-per-vector API would dominate the runtime.
-This class is the batched frontend over the shared packed engine: it
-owns the same :class:`~repro.hdc.encoder.WindowEncoder` (seeded
-identically to :class:`~repro.hdc.classifier.HDClassifier`, drawing the
-same generator sequence) and keeps every intermediate — spatial vectors,
-N-grams, queries, class prototypes — in packed uint64 words.  Distances
-run through the engine's packed Hamming kernel rather than a dense int64
-matmul.
+This composes the processing chain of Fig. 1 (CIM/IM mapping → spatial
+and temporal encoders → AM) into a scikit-learn-flavoured object over
+classification windows.  It owns one
+:class:`~repro.hdc.encoder.WindowEncoder` and keeps every intermediate —
+spatial vectors, N-grams, queries, class prototypes — in packed uint64
+words on the shared engine.  ``fit`` and ``predict`` take one stacked
+``(n_windows, T, n_channels)`` array; distances run through the
+engine's packed Hamming kernel rather than a dense int64 matmul.
 
-Because both frontends call the identical kernels, bit-exactness with
-the object-per-vector classifier holds by construction (same seeds →
-same predictions; locked by ``tests/hdc/test_batch.py``):
+The packing is invisible in the bits: given the same configuration the
+classifier matches the unpacked golden model
+(:class:`~repro.hdc.reference.ReferenceHDClassifier`) bit for bit,
+under the paper's deterministic rules:
 
-* IM/CIM construction draws from the same generator sequence;
+* IM/CIM construction draws from one generator seeded by the config
+  (IM rows first, then the CIM);
 * channel-majority tiebreak = XOR of the first two bound vectors;
 * window-majority tiebreak = XOR of the first two N-grams;
 * class-prototype tiebreak = XOR of the first two encoded queries of the
-  class (in insertion order);
+  class (in training order);
 * AM ties resolve to the earliest-stored class.
+
+On-line adaptation of a fitted model runs through
+:class:`~repro.hdc.online.SessionDelta` over :attr:`prototype_words`.
 """
 
 from __future__ import annotations
@@ -29,21 +32,25 @@ from typing import Hashable, List, Sequence
 
 import numpy as np
 
-from . import engine
+from . import bitpack, engine
 from .classifier import HDClassifierConfig
 from .encoder import SpatialEncoder, TemporalEncoder, WindowEncoder
-from .engine import HypervectorArray
 from .item_memory import ContinuousItemMemory, ItemMemory
 
 
 class BatchHDClassifier:
-    """Batched twin of :class:`~repro.hdc.classifier.HDClassifier`."""
+    """HD classifier over ``(n_windows, T, n_channels)`` signal windows.
+
+    Constructed with fixed seeds (IM, CIM) and trained by majority-
+    bundling the window queries of each class into one packed AM
+    prototype.
+    """
 
     def __init__(self, config: HDClassifierConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        # Draw order matches HDClassifier: IM rows first, then the CIM
-        # (low endpoint, high endpoint, flip permutation).
+        # Draw order matches the golden model: IM rows first, then the
+        # CIM (low endpoint, high endpoint, flip permutation).
         im = ItemMemory.for_channels(config.n_channels, config.dim, rng)
         cim = ContinuousItemMemory(config.n_levels, config.dim, rng)
         self._encoder = WindowEncoder(
@@ -90,8 +97,6 @@ class BatchHDClassifier:
                 f"prototype matrix {protos.shape} does not match "
                 f"{len(self._labels)} classes at dimension {config.dim}"
             )
-        from . import bitpack
-
         if not bitpack.pad_bits_are_zero(
             protos, config.dim, bitpack.WORD_BITS64
         ):
@@ -105,53 +110,19 @@ class BatchHDClassifier:
 
     @property
     def encoder(self) -> WindowEncoder:
-        """The shared window encoder (same seeds as HDClassifier)."""
+        """The window encoder (seeded by :attr:`config`)."""
         return self._encoder
-
-    @property
-    def im_bits(self) -> np.ndarray:
-        """The item memory as an unpacked (n_channels, dim) uint8 matrix."""
-        return engine.unpack_bits(
-            self._encoder.spatial.item_memory.as_matrix64(), self.config.dim
-        )
-
-    @property
-    def cim_bits(self) -> np.ndarray:
-        """The CIM as an unpacked (n_levels, dim) uint8 matrix."""
-        return engine.unpack_bits(
-            self._encoder.spatial.continuous_memory.as_matrix64(),
-            self.config.dim,
-        )
-
-    # -- encoding ---------------------------------------------------------------
-
-    def encode_samples_packed(self, samples: np.ndarray) -> HypervectorArray:
-        """Spatial-encode (T, n_channels) raw samples, packed."""
-        return self._encoder.spatial.encode_batch(samples)
-
-    def encode_samples(self, samples: np.ndarray) -> np.ndarray:
-        """Spatial-encode (T, n_channels) raw samples → (T, dim) uint8."""
-        return self.encode_samples_packed(samples).to_bits()
-
-    def encode_windows_packed(self, windows: np.ndarray) -> HypervectorArray:
-        """Encode (n_windows, T, n_channels) windows into packed queries.
-
-        All windows must share the same timestamp count T >= N; each
-        yields ``T − N + 1`` N-grams which are majority-bundled into the
-        query.
-        """
-        return self._encoder.encode_batch(windows)
-
-    def encode_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Encode (n_windows, T, n_channels) windows → (n_windows, dim)."""
-        return self.encode_windows_packed(windows).to_bits()
 
     # -- train / predict ----------------------------------------------------------
 
     def fit(
         self, windows: np.ndarray, labels: Sequence[Hashable]
     ) -> "BatchHDClassifier":
-        """Accumulate one majority prototype per class (packed throughout)."""
+        """Accumulate one majority prototype per class (packed throughout).
+
+        ``windows`` is one stacked ``(n_windows, T, n_channels)`` array
+        with T >= N; ``labels`` holds one hashable label per window.
+        """
         labels = list(labels)
         windows = np.asarray(windows, dtype=np.float64)
         if len(labels) != windows.shape[0]:
@@ -160,7 +131,7 @@ class BatchHDClassifier:
             )
         if not labels:
             raise ValueError("cannot fit on an empty training set")
-        queries = self.encode_windows_packed(windows).words
+        queries = self._encoder.encode_batch(windows).words
         order: List[Hashable] = []
         for label in labels:
             if label not in order:
@@ -177,7 +148,7 @@ class BatchHDClassifier:
 
     @property
     def labels(self) -> tuple:
-        """Class labels, first-seen order (matches AssociativeMemory)."""
+        """Class labels in first-seen training order (AM row order)."""
         return tuple(self._labels)
 
     @property
@@ -187,19 +158,12 @@ class BatchHDClassifier:
             raise RuntimeError("classifier has not been fitted")
         return self._proto_words
 
-    @property
-    def prototypes(self) -> np.ndarray:
-        """The prototypes as an unpacked (n_classes, dim) uint8 matrix."""
-        return engine.unpack_bits(self.prototype_words, self.config.dim)
-
     def am_matrix(self) -> np.ndarray:
         """The AM in the paper's (n_classes, n_words) uint32 layout.
 
         Row order matches :attr:`labels`; this is the matrix the ISS
         kernels stream from simulated L2 memory.
         """
-        from . import bitpack
-
         return bitpack.u64_to_u32(self.prototype_words, self.config.dim)
 
     def distances(self, windows: np.ndarray) -> np.ndarray:
@@ -209,13 +173,13 @@ class BatchHDClassifier:
         component-matrix matmul is ever materialized.
         """
         protos = self.prototype_words
-        queries = self.encode_windows_packed(windows).words
+        queries = self._encoder.encode_batch(windows).words
         return engine.hamming_matrix(queries, protos)
 
     def predict(self, windows: np.ndarray) -> list:
         """Labels of the minimum-distance prototypes (first wins ties)."""
         indices, _ = engine.am_search(
-            self.encode_windows_packed(windows).words, self.prototype_words
+            self._encoder.encode_batch(windows).words, self.prototype_words
         )
         return [self._labels[i] for i in indices]
 
@@ -226,5 +190,7 @@ class BatchHDClassifier:
         labels = list(labels)
         if len(labels) != np.asarray(windows).shape[0]:
             raise ValueError("window / label count mismatch")
+        if not labels:
+            raise ValueError("cannot score an empty set")
         predictions = self.predict(windows)
         return sum(p == t for p, t in zip(predictions, labels)) / len(labels)

@@ -1,21 +1,15 @@
-"""The end-to-end HD classifier: CIM/IM mapping → encoders → AM.
+"""Hyper-parameters of the end-to-end HD classifier.
 
-This composes the processing chain of Fig. 1 into a scikit-learn-flavoured
-``fit`` / ``predict`` object operating on classification windows.  The
-paper's EMG configuration is available as :meth:`HDClassifierConfig.emg`
-(4 channels, 22 CIM levels, D=10,000, N=1, W=5).
+:class:`HDClassifierConfig` fixes the processing chain of Fig. 1 (CIM/IM
+mapping → encoders → AM) that :class:`~repro.hdc.batch.BatchHDClassifier`
+trains and predicts.  The paper's EMG configuration is available as
+:meth:`HDClassifierConfig.emg` (4 channels, 22 CIM levels, D=10,000,
+N=1, W=5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
-
-import numpy as np
-
-from .associative_memory import AssociativeMemory, PrototypeAccumulator
-from .encoder import SpatialEncoder, TemporalEncoder, WindowEncoder
-from .item_memory import ContinuousItemMemory, ItemMemory
 
 
 @dataclass(frozen=True)
@@ -61,144 +55,3 @@ class HDClassifierConfig:
         amplitude range, N-gram size 1.
         """
         return cls(dim=dim, n_channels=4, n_levels=22, ngram_size=ngram_size)
-
-
-def try_stack_windows(windows) -> np.ndarray | None:
-    """Stack a window sequence into one (n, T, channels) float array.
-
-    Returns ``None`` when the windows are ragged or not arrayable (e.g. a
-    generator), in which case callers fall back to per-window encoding —
-    the batched and scalar paths run the same kernels, so the choice is
-    invisible in the bits.
-    """
-    try:
-        stacked = np.asarray(windows, dtype=np.float64)
-    except (ValueError, TypeError):
-        return None
-    return stacked if stacked.ndim == 3 else None
-
-
-class HDClassifier:
-    """HD computing classifier over multi-channel signal windows.
-
-    The classifier is constructed with fixed seeds (IM, CIM) and trained by
-    accumulating window queries per class into AM prototypes.  Windows are
-    (timestamps, channels) arrays of preprocessed signal envelopes.
-    """
-
-    def __init__(self, config: HDClassifierConfig):
-        self._config = config
-        rng = np.random.default_rng(config.seed)
-        im = ItemMemory.for_channels(config.n_channels, config.dim, rng)
-        cim = ContinuousItemMemory(config.n_levels, config.dim, rng)
-        spatial = SpatialEncoder(
-            im, cim, config.signal_lo, config.signal_hi
-        )
-        temporal = TemporalEncoder(config.ngram_size)
-        self._encoder = WindowEncoder(spatial, temporal)
-        self._am: AssociativeMemory | None = None
-
-    @property
-    def config(self) -> HDClassifierConfig:
-        """The classifier's hyper-parameters."""
-        return self._config
-
-    @property
-    def encoder(self) -> WindowEncoder:
-        """The window encoder (exposed for ISS cross-validation)."""
-        return self._encoder
-
-    @property
-    def associative_memory(self) -> AssociativeMemory:
-        """The trained AM; raises if :meth:`fit` has not been called."""
-        if self._am is None:
-            raise RuntimeError("classifier has not been fitted")
-        return self._am
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether the classifier holds trained prototypes."""
-        return self._am is not None
-
-    def _encode_all(self, windows: Sequence[np.ndarray]) -> list:
-        """Encode a window sequence, batched when the stack is uniform."""
-        stacked = try_stack_windows(windows)
-        if stacked is not None:
-            return list(self._encoder.encode_batch(stacked))
-        return [self._encoder.encode(w) for w in windows]
-
-    def fit(
-        self,
-        windows: Sequence[np.ndarray],
-        labels: Sequence[Hashable],
-    ) -> "HDClassifier":
-        """Learn one prototype per class from training windows.
-
-        Every window is encoded into a query hypervector; per class, the
-        queries are majority-bundled into the prototype (streaming
-        accumulation, so memory stays O(classes × dim)).
-        """
-        if len(windows) != len(labels):
-            raise ValueError(
-                f"got {len(windows)} windows but {len(labels)} labels"
-            )
-        if not windows:
-            raise ValueError("cannot fit on an empty training set")
-        accumulators: dict = {}
-        for query, label in zip(self._encode_all(windows), labels):
-            acc = accumulators.get(label)
-            if acc is None:
-                acc = accumulators[label] = PrototypeAccumulator(
-                    self._config.dim
-                )
-            acc.add(query)
-        am = AssociativeMemory(self._config.dim)
-        for label, acc in accumulators.items():
-            am.store(label, acc.finalize())
-        self._am = am
-        return self
-
-    def predict_window(self, window: np.ndarray) -> Hashable:
-        """Classify a single (timestamps, channels) window."""
-        return self.associative_memory.classify(self._encoder.encode(window))
-
-    def predict(self, windows: Sequence[np.ndarray]) -> list:
-        """Classify a batch of windows (packed AM search over the batch)."""
-        am = self.associative_memory
-        stacked = try_stack_windows(windows)
-        if stacked is not None:
-            queries = self._encoder.encode_batch(stacked)
-            return am.search_words(queries.words)
-        return [self.predict_window(w) for w in windows]
-
-    def score(
-        self,
-        windows: Sequence[np.ndarray],
-        labels: Sequence[Hashable],
-    ) -> float:
-        """Mean accuracy over a labelled window set."""
-        if len(windows) != len(labels):
-            raise ValueError(
-                f"got {len(windows)} windows but {len(labels)} labels"
-            )
-        if not windows:
-            raise ValueError("cannot score an empty set")
-        predictions = self.predict(windows)
-        hits = sum(p == t for p, t in zip(predictions, labels))
-        return hits / len(labels)
-
-    def model_memory_bytes(self) -> int:
-        """Total packed model footprint: CIM + IM + AM matrices.
-
-        Matches the paper's ~50 kB estimate for the EMG task at 10,000-D
-        (CIM 22×313, IM 4×313, AM 5×313 words of 4 bytes, plus buffers
-        accounted separately in :mod:`repro.kernels.layout`).
-        """
-        spatial = self._encoder.spatial
-        words = spatial.item_memory.as_matrix().shape[1]
-        cim_bytes = spatial.continuous_memory.n_levels * words * 4
-        im_bytes = len(spatial.item_memory) * words * 4
-        am_bytes = (
-            self.associative_memory.memory_bytes() if self._am else 0
-        )
-        return cim_bytes + im_bytes + am_bytes

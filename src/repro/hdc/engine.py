@@ -1,8 +1,8 @@
 """The unified packed hypervector engine.
 
 Every layer of the HDC stack — the :class:`BinaryHypervector` value type,
-the MAP operations, the encoders, the associative memory, and both
-classifier frontends — runs on the batched kernels in this module.  The
+the MAP operations, the encoders, the associative-memory search, and the
+classifier — runs on the batched kernels in this module.  The
 representation is a ``(n, n_words)`` matrix of **uint64** words, 64
 hypervector components per word, LSB-first (the 64-bit widening of the
 paper's 32-components-per-word layout; see :mod:`repro.hdc.bitpack` for

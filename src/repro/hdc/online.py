@@ -1,24 +1,27 @@
-"""On-line learning: continuous associative-memory updates.
+"""On-line learning: copy-on-write prototype updates over a fitted AM.
 
 Section 3 of the paper notes that "the AM matrix can be continuously
-updated for on-line learning".  This module implements that mode: the
-per-class one-counts stay resident alongside the binary prototypes, so
-new labelled windows (or corrections) can be folded in at any time and
-the binary AM re-thresholded in O(classes × dim) — no retraining pass.
+updated for on-line learning".  :class:`SessionDelta` implements that
+mode over a fitted model's packed prototype matrix (typically
+:attr:`~repro.hdc.batch.BatchHDClassifier.prototype_words`, or an
+mmapped slice of the model store): the per-class one-counts of every
+class that receives labelled windows stay resident beside the read-only
+base, and the touched rows are re-thresholded in O(classes × dim) — no
+retraining pass.  Labels the base does not know grow new rows, so a
+delta over an empty ``(0, n_words)`` base fed the training queries in
+order reproduces off-line ``fit`` bit for bit.
 
-Two update policies are provided:
+Two update policies are provided (:class:`AdaptConfig`):
 
 * **accumulate** — every supplied window updates its class counts
   (mirror of off-line training, applied incrementally);
-* **mistake-driven** — a window only updates the counts when the current
-  AM misclassifies it (a perceptron-flavoured rule that converges with
-  far fewer updates once the prototypes are roughly right).
+* **mistake** — a window only updates the counts when the decision
+  served for it was wrong (a perceptron-flavoured rule that converges
+  with far fewer updates once the prototypes are roughly right).
 
-The serving layer (:mod:`repro.stream`) reuses the same count-fold
-arithmetic through :class:`SessionDelta`: a copy-on-write per-class
-delta over a shared read-only base AM, so many sessions can fine-tune
-one mmapped model without ever touching (or copying) its prototypes.
-:class:`AdaptConfig` names the policy knobs.
+The serving layer (:mod:`repro.stream`) keeps one delta per adaptive
+session, so many sessions can fine-tune one shared model without ever
+touching (or copying) its prototypes.
 """
 
 from __future__ import annotations
@@ -28,197 +31,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .associative_memory import AssociativeMemory
-from .classifier import HDClassifierConfig, try_stack_windows
-from .encoder import SpatialEncoder, TemporalEncoder, WindowEncoder
-from .hypervector import BinaryHypervector
-from .item_memory import ContinuousItemMemory, ItemMemory
-from . import engine, ops
-
-
-@dataclass
-class _ClassState:
-    counts: np.ndarray  # per-component one counts (int64)
-    total: int
-    first: Optional[BinaryHypervector]
-    tiebreak: Optional[BinaryHypervector]
-
-
-class OnlineHDClassifier:
-    """An HD classifier whose associative memory learns continuously.
-
-    Construction matches :class:`~repro.hdc.classifier.HDClassifier`
-    (same seeds ⇒ same IM/CIM); instead of a one-shot ``fit`` the model
-    exposes :meth:`update` and keeps its prototypes current after every
-    call.  A model warm-started with the same training windows in the
-    same order is bit-identical to the off-line classifier.
-    """
-
-    def __init__(self, config: HDClassifierConfig):
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        im = ItemMemory.for_channels(config.n_channels, config.dim, rng)
-        cim = ContinuousItemMemory(config.n_levels, config.dim, rng)
-        self._encoder = WindowEncoder(
-            SpatialEncoder(im, cim, config.signal_lo, config.signal_hi),
-            TemporalEncoder(config.ngram_size),
-        )
-        self._state: Dict[Hashable, _ClassState] = {}
-        self._am: Optional[AssociativeMemory] = None
-        self.n_updates = 0
-
-    @property
-    def encoder(self) -> WindowEncoder:
-        """The (fixed) window encoder."""
-        return self._encoder
-
-    @property
-    def classes(self) -> tuple:
-        """Classes seen so far, in first-appearance order."""
-        return tuple(self._state)
-
-    @property
-    def associative_memory(self) -> AssociativeMemory:
-        """The current AM; raises before the first update."""
-        if self._am is None:
-            raise RuntimeError("no updates have been applied yet")
-        return self._am
-
-    # -- learning ---------------------------------------------------------
-
-    def _fold_in(self, label: Hashable, query: BinaryHypervector) -> None:
-        state = self._state.get(label)
-        if state is None:
-            state = self._state[label] = _ClassState(
-                counts=np.zeros(self.config.dim, dtype=np.int64),
-                total=0,
-                first=None,
-                tiebreak=None,
-            )
-        state.counts += engine.bit_counts(
-            query.words64[None, :], self.config.dim
-        )
-        state.total += 1
-        if state.first is None:
-            state.first = query
-        elif state.tiebreak is None:
-            state.tiebreak = state.first ^ query
-        self.n_updates += 1
-
-    def _reproject(self) -> None:
-        """Re-threshold every class's counts into the binary AM."""
-        if not self._state:
-            # Nothing has been folded in: installing an empty AM here
-            # would defeat the ``associative_memory`` "no updates yet"
-            # guard (and turn its RuntimeError into an AM ValueError).
-            return
-        am = AssociativeMemory(self.config.dim)
-        for label, state in self._state.items():
-            if state.total == 1:
-                am.store(label, state.first)
-            else:
-                am.store(
-                    label,
-                    ops.bundle_counts(
-                        state.counts, state.total, state.tiebreak
-                    ),
-                )
-        self._am = am
-
-    def update(
-        self,
-        window: np.ndarray,
-        label: Hashable,
-        mistake_driven: bool = False,
-    ) -> bool:
-        """Fold one labelled window into the model.
-
-        With ``mistake_driven`` the update is skipped when the current
-        AM already classifies the window correctly.  Returns True when
-        the model changed.
-        """
-        query = self._encoder.encode(np.asarray(window, dtype=np.float64))
-        if (
-            mistake_driven
-            and self._am is not None
-            and label in self._state
-            and self._am.classify(query) == label
-        ):
-            return False
-        self._fold_in(label, query)
-        self._reproject()
-        return True
-
-    def update_batch(
-        self,
-        windows: Sequence[np.ndarray],
-        labels: Sequence[Hashable],
-        mistake_driven: bool = False,
-    ) -> int:
-        """Fold a stream of labelled windows; returns the update count.
-
-        The AM is re-thresholded once at the end rather than per window
-        (identical result, since thresholding is a pure function of the
-        counts — except under ``mistake_driven``, where each decision
-        uses the prototypes current at that point of the stream, exactly
-        as an on-device learner would).
-        """
-        if len(windows) != len(labels):
-            raise ValueError(
-                f"{len(windows)} windows but {len(labels)} labels"
-            )
-        applied = 0
-        if mistake_driven:
-            for window, label in zip(windows, labels):
-                if self.update(window, label, mistake_driven=True):
-                    applied += 1
-            return applied
-        for window, label in zip(windows, labels):
-            query = self._encoder.encode(
-                np.asarray(window, dtype=np.float64)
-            )
-            self._fold_in(label, query)
-            applied += 1
-        if applied:
-            self._reproject()
-        return applied
-
-    # -- inference --------------------------------------------------------
-
-    def predict_window(self, window: np.ndarray) -> Hashable:
-        """Classify one window with the current prototypes."""
-        return self.associative_memory.classify(
-            self._encoder.encode(np.asarray(window, dtype=np.float64))
-        )
-
-    def predict(self, windows: Sequence[np.ndarray]) -> list:
-        """Classify a batch of windows (packed AM search when uniform)."""
-        am = self.associative_memory
-        stacked = try_stack_windows(windows)
-        if stacked is not None:
-            queries = self._encoder.encode_batch(stacked)
-            return am.search_words(queries.words)
-        return [self.predict_window(w) for w in windows]
-
-    def score(
-        self, windows: Sequence[np.ndarray], labels: Sequence[Hashable]
-    ) -> float:
-        """Mean accuracy with the current prototypes."""
-        if len(windows) != len(labels):
-            raise ValueError(
-                f"{len(windows)} windows but {len(labels)} labels"
-            )
-        predictions = self.predict(windows)
-        return sum(p == t for p, t in zip(predictions, labels)) / len(
-            labels
-        )
-
-    def am_matrix(self) -> np.ndarray:
-        """The packed AM matrix for deployment on the accelerator."""
-        return self.associative_memory.as_matrix()
-
-
-# -- per-session adaptation over a shared base ------------------------------
+from . import engine
 
 
 @dataclass(frozen=True)
@@ -303,17 +116,16 @@ class SessionDelta:
     prototype matrix is materialized on demand — untouched rows aliasing
     the base, touched rows re-thresholded from
     ``base_weight·base + counts``.  Labels the base does not know grow
-    new rows with classic one-shot online semantics.  With
+    new rows with off-line ``fit`` semantics.  With
     ``compact_every`` set, a class's pending counts are deterministically
     folded back into a packed row once they reach that bound, so a
     long-lived session's memory stays O(classes · words) instead of
     O(classes · dim).
 
-    Tiebreak rule (mirrors :class:`OnlineHDClassifier` / off-line
-    ``fit``): for a class with a base row the even-total tiebreaker is
-    ``base ^ first_feedback_query``; for a brand-new class it is
-    ``first ^ second`` query.  Compaction re-arms the rule with the
-    compacted row as the new base.
+    Tiebreak rule (mirrors off-line ``fit``): for a class with a base
+    row the even-total tiebreaker is ``base ^ first_feedback_query``;
+    for a brand-new class it is ``first ^ second`` query.  Compaction
+    re-arms the rule with the compacted row as the new base.
 
     ``generation`` increments on every applied update; the serving
     layer classifies a session with ``generation > 0`` against its own

@@ -79,35 +79,6 @@ def bundle(vectors: Sequence[BinaryHypervector]) -> BinaryHypervector:
     )
 
 
-def bundle_counts(
-    counts: np.ndarray, total: int, tie_break: BinaryHypervector
-) -> BinaryHypervector:
-    """Majority-threshold pre-accumulated per-component one-counts.
-
-    This is the streaming form of :func:`bundle` used by trainers that
-    accumulate many N-gram vectors per class without keeping them all: the
-    caller maintains ``counts`` (ones per component) over ``total`` added
-    vectors and supplies a tiebreaker used only when ``total`` is even and a
-    component is exactly split.
-    """
-    counts = np.asarray(counts)
-    if counts.ndim != 1:
-        raise ValueError("counts must be 1-D")
-    if total <= 0:
-        raise ValueError("total must be positive")
-    if np.any(counts < 0) or np.any(counts > total):
-        raise ValueError("counts must lie in [0, total]")
-    dim = counts.size
-    if tie_break.dim != dim:
-        raise ValueError("tiebreaker dimension mismatch")
-    return BinaryHypervector.from_words64(
-        engine.majority_from_counts(
-            counts, total, dim, tie_break.words64
-        ),
-        dim,
-    )
-
-
 def similarity(a: BinaryHypervector, b: BinaryHypervector) -> float:
     """Normalized similarity in [0, 1]: 1 − hamming/dim.
 

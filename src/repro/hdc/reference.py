@@ -139,7 +139,7 @@ def am_classify(
     """Label of the prototype at minimum Hamming distance.
 
     First-stored label wins ties, matching
-    :meth:`repro.hdc.associative_memory.AssociativeMemory.classify`.
+    :func:`repro.hdc.engine.am_search` (and the ISS AM kernel).
     """
     if not prototypes:
         raise ValueError("no prototypes to classify against")
@@ -154,12 +154,13 @@ def am_classify(
 
 class ReferenceHDClassifier:
     """Unpacked end-to-end classifier mirroring
-    :class:`repro.hdc.classifier.HDClassifier`.
+    :class:`repro.hdc.batch.BatchHDClassifier`.
 
     Given the same configuration (and therefore the same seed), the two
-    classifiers construct identical IM/CIM contents and must produce
-    identical predictions on identical inputs — the library's equivalent of
-    validating the C implementation against the MATLAB golden model.
+    classifiers construct identical IM/CIM contents and prototypes and
+    must produce identical predictions on identical inputs — the
+    library's equivalent of validating the C implementation against the
+    MATLAB golden model.
     """
 
     def __init__(
@@ -181,7 +182,7 @@ class ReferenceHDClassifier:
         self.signal_lo = float(signal_lo)
         self.signal_hi = float(signal_hi)
         rng = np.random.default_rng(seed)
-        # Draw order matches HDClassifier: IM channels first, then CIM.
+        # Draw order matches BatchHDClassifier: IM channels first, then CIM.
         self.item_memory = [random_hv(dim, rng) for _ in range(n_channels)]
         self.cim = make_cim(n_levels, dim, rng)
         self.prototypes: Dict[Hashable, np.ndarray] = {}

@@ -4,8 +4,9 @@ Section 4.1 of the paper: "the HD classifier exhibits a graceful
 degradation with lower dimensionality, or faulty components, allowing a
 trade-off between the application's accuracy and the available hardware
 resources" [19, 20].  This module makes that claim testable: it injects
-stuck-at / bit-flip faults into stored prototypes and queries and
-measures the accuracy of the degraded model.
+stuck-at / bit-flip faults, row by row, into the packed prototype matrix
+of a fitted :class:`~repro.hdc.batch.BatchHDClassifier` and measures the
+accuracy of the degraded model.
 
 Because hypervector information is distributed holographically, flipping
 a random fraction ``p`` of prototype components moves every query's
@@ -21,9 +22,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .associative_memory import AssociativeMemory
+from .batch import BatchHDClassifier
 from .hypervector import BinaryHypervector
-from . import bitpack
+from . import bitpack, engine
 
 
 def flip_bits(
@@ -64,18 +65,23 @@ def stuck_at(
 
 
 def faulty_memory(
-    am: AssociativeMemory,
+    prototypes: np.ndarray,
+    dim: int,
     fraction: float,
     rng: np.random.Generator,
     mode: str = "flip",
-) -> AssociativeMemory:
-    """A copy of an associative memory with faults in every prototype.
+) -> np.ndarray:
+    """A copy of a packed prototype matrix with faults in every row.
 
-    ``mode`` is ``'flip'``, ``'stuck0'``, or ``'stuck1'``.
+    ``prototypes`` is the ``(n_classes, n_words)`` uint64 AM of a fitted
+    classifier (:attr:`~repro.hdc.batch.BatchHDClassifier.prototype_words`);
+    rows are faulted in order, each by :func:`flip_bits` or
+    :func:`stuck_at`.  ``mode`` is ``'flip'``, ``'stuck0'``, or
+    ``'stuck1'``.
     """
-    faulty = AssociativeMemory(am.dim)
-    for label in am.labels:
-        proto = am[label]
+    rows = []
+    for words in prototypes:
+        proto = BinaryHypervector.from_words64(words.copy(), dim)
         if mode == "flip":
             proto = flip_bits(proto, fraction, rng)
         elif mode == "stuck0":
@@ -86,8 +92,8 @@ def faulty_memory(
             raise ValueError(
                 f"mode must be flip/stuck0/stuck1, got {mode!r}"
             )
-        faulty.store(label, proto)
-    return faulty
+        rows.append(proto.words64)
+    return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ class DegradationCurve:
 
 
 def degradation_curve(
-    classifier,
+    classifier: BatchHDClassifier,
     windows: Sequence[np.ndarray],
     labels: Sequence,
     fractions: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4),
@@ -130,22 +136,22 @@ def degradation_curve(
 ) -> DegradationCurve:
     """Sweep fault rates over a trained classifier's AM.
 
-    ``classifier`` is a fitted :class:`~repro.hdc.classifier.HDClassifier`
-    (anything exposing ``associative_memory`` and ``encoder``).  The
-    original model is left untouched.
+    The windows are encoded once and searched against a freshly faulted
+    copy of the fitted classifier's prototype matrix per fault rate.
+    The original model is left untouched.
     """
     rng = np.random.default_rng(seed)
-    queries = [
-        classifier.encoder.encode(np.asarray(w, dtype=np.float64))
-        for w in windows
-    ]
+    queries = classifier.encoder.encode_batch(windows).words
+    class_labels = classifier.labels
     points = []
     for fraction in fractions:
-        am = faulty_memory(
-            classifier.associative_memory, fraction, rng, mode
+        prototypes = faulty_memory(
+            classifier.prototype_words, classifier.config.dim,
+            fraction, rng, mode,
         )
+        indices, _ = engine.am_search(queries, prototypes)
         hits = sum(
-            am.classify(q) == label for q, label in zip(queries, labels)
+            class_labels[i] == label for i, label in zip(indices, labels)
         )
         points.append(
             DegradationPoint(

@@ -5,8 +5,9 @@ read in place on flat-memory machines), XORs each against the query and
 popcounts the mismatches.  The word range is split across the team; each
 core deposits its partial count in an L1 partial array, and core 0
 reduces, selects the minimum-distance class (first match wins ties, as in
-:class:`repro.hdc.associative_memory.AssociativeMemory`), and writes the
-label plus all distances to the L2 result block.
+:func:`repro.hdc.engine.am_search` behind
+:meth:`repro.hdc.batch.BatchHDClassifier.predict`), and writes the label
+plus all distances to the L2 result block.
 
 The per-word popcount uses ``p.cnt`` when builtins are enabled and the
 SWAR software expansion otherwise — the exact lever the paper credits

@@ -18,14 +18,13 @@ MATLAB model" claim.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from ..hdc import bitpack
-from ..hdc.classifier import HDClassifier
+from ..hdc.batch import BatchHDClassifier
 from ..hdc.item_memory import quantize_samples
 from ..pulp.assembler import Assembler, Program
 from ..pulp.cluster import Cluster, ClusterRunResult
@@ -474,20 +473,24 @@ class HDChainSimulator:
     @classmethod
     def from_classifier(
         cls,
-        classifier: HDClassifier,
+        classifier: BatchHDClassifier,
         soc: SoCConfig,
         n_cores: int,
         use_builtins: bool = False,
         window: Optional[int] = None,
         **kwargs,
     ) -> "HDChainSimulator":
-        """Build a simulator preloaded with a trained classifier's model."""
+        """Build a simulator preloaded with a fitted classifier's model.
+
+        The IM, CIM and AM matrices are the classifier's own, in the
+        paper's uint32 layout; AM row ``i`` is ``classifier.labels[i]``.
+        """
         cfg = classifier.config
         dims = ChainDims(
             dim=cfg.dim,
             n_channels=cfg.n_channels,
             n_levels=cfg.n_levels,
-            n_classes=len(classifier.associative_memory),
+            n_classes=len(classifier.labels),
             ngram=cfg.ngram_size,
             window=window if window is not None else 5,
         )
@@ -504,7 +507,7 @@ class HDChainSimulator:
         sim.load_model(
             spatial.item_memory.as_matrix(),
             spatial.continuous_memory.as_matrix(),
-            classifier.associative_memory.as_matrix(),
+            classifier.am_matrix(),
         )
         return sim
 

@@ -488,9 +488,7 @@ class StreamingService:
             )
         _, window, raw_label = session.recent_window(index)
         entry = self._entry(session.model_id)
-        query = entry.model.encode_windows_packed(
-            window[None, :, :]
-        ).words[0]
+        query = entry.model.encoder.encode_batch(window[None, :, :]).words[0]
         predicted = (
             raw_label if self._config.adapt.policy == "mistake" else None
         )

@@ -1,15 +1,24 @@
-"""Bit-exact equivalence of the vectorised batch classifier."""
+"""Bit-exact equivalence of the packed classifier with the golden model."""
 
 import numpy as np
 import pytest
 
-from repro.hdc import BatchHDClassifier, HDClassifier, HDClassifierConfig
+from repro.hdc import BatchHDClassifier, HDClassifierConfig, engine
+from repro.hdc.reference import ReferenceHDClassifier
 
 
 def windows_and_labels(rng, n, timestamps, channels, n_classes=4):
     windows = rng.uniform(0, 21, size=(n, timestamps, channels))
     labels = [i % n_classes for i in range(n)]
     return windows, labels
+
+
+def reference_for(cfg):
+    return ReferenceHDClassifier(
+        dim=cfg.dim, n_channels=cfg.n_channels, n_levels=cfg.n_levels,
+        ngram_size=cfg.ngram_size, signal_lo=cfg.signal_lo,
+        signal_hi=cfg.signal_hi, seed=cfg.seed,
+    )
 
 
 class TestEquivalence:
@@ -22,43 +31,42 @@ class TestEquivalence:
             dim=320, n_channels=channels, n_levels=7,
             ngram_size=ngram, seed=17,
         )
-        obj = HDClassifier(cfg)
+        ref = reference_for(cfg)
         bat = BatchHDClassifier(cfg)
         t = 5 + ngram - 1
         train_w, train_l = windows_and_labels(rng, 20, t, channels)
-        obj.fit(list(train_w), train_l)
+        ref.fit(train_w, train_l)
         bat.fit(train_w, train_l)
         test_w, _ = windows_and_labels(rng, 15, t, channels)
-        assert obj.predict(list(test_w)) == bat.predict(test_w)
+        assert ref.predict(test_w) == bat.predict(test_w)
 
     def test_prototypes_bit_exact(self, rng):
         cfg = HDClassifierConfig(dim=256, n_levels=9, seed=3)
-        obj = HDClassifier(cfg)
+        ref = reference_for(cfg)
         bat = BatchHDClassifier(cfg)
         train_w, train_l = windows_and_labels(rng, 18, 5, 4)
-        obj.fit(list(train_w), train_l)
+        ref.fit(train_w, train_l)
         bat.fit(train_w, train_l)
-        assert bat.labels == obj.associative_memory.labels
-        for i, label in enumerate(bat.labels):
-            np.testing.assert_array_equal(
-                bat.prototypes[i],
-                obj.associative_memory[label].to_bits(),
-            )
+        assert bat.labels == tuple(ref.prototypes)
+        np.testing.assert_array_equal(
+            engine.unpack_bits(bat.prototype_words, cfg.dim),
+            np.stack(list(ref.prototypes.values())),
+        )
 
     def test_im_cim_bit_exact(self):
         cfg = HDClassifierConfig(dim=192, n_levels=6, seed=55)
-        obj = HDClassifier(cfg)
-        bat = BatchHDClassifier(cfg)
-        spatial = obj.encoder.spatial
-        for ch in range(cfg.n_channels):
-            np.testing.assert_array_equal(
-                bat.im_bits[ch], spatial.item_memory[ch].to_bits()
-            )
-        for level in range(cfg.n_levels):
-            np.testing.assert_array_equal(
-                bat.cim_bits[level],
-                spatial.continuous_memory[level].to_bits(),
-            )
+        ref = reference_for(cfg)
+        spatial = BatchHDClassifier(cfg).encoder.spatial
+        np.testing.assert_array_equal(
+            engine.unpack_bits(spatial.item_memory.as_matrix64(), cfg.dim),
+            np.stack(ref.item_memory),
+        )
+        np.testing.assert_array_equal(
+            engine.unpack_bits(
+                spatial.continuous_memory.as_matrix64(), cfg.dim
+            ),
+            np.stack(ref.cim),
+        )
 
     def test_distances_match_hamming(self, rng):
         cfg = HDClassifierConfig(dim=256, seed=21)
@@ -67,11 +75,14 @@ class TestEquivalence:
         bat.fit(train_w, train_l)
         test_w = train_w[:3]
         dists = bat.distances(test_w)
-        queries = bat.encode_windows(test_w)
+        queries = engine.unpack_bits(
+            bat.encoder.encode_batch(test_w).words, cfg.dim
+        )
+        prototypes = engine.unpack_bits(bat.prototype_words, cfg.dim)
         for i in range(3):
             for j in range(len(bat.labels)):
                 expected = int(
-                    np.count_nonzero(queries[i] != bat.prototypes[j])
+                    np.count_nonzero(queries[i] != prototypes[j])
                 )
                 assert dists[i, j] == expected
 
@@ -87,21 +98,21 @@ class TestValidation:
     def test_window_too_short_for_ngram(self, rng):
         bat = BatchHDClassifier(HDClassifierConfig(dim=64, ngram_size=5))
         with pytest.raises(ValueError):
-            bat.encode_windows(np.zeros((1, 3, 4)))
+            bat.fit(np.zeros((1, 3, 4)), [0])
 
     def test_bad_shapes(self):
         bat = BatchHDClassifier(HDClassifierConfig(dim=64))
         with pytest.raises(ValueError):
-            bat.encode_samples(np.zeros((5, 3)))  # wrong channel count
+            bat.fit(np.zeros((2, 5, 3)), [0, 1])  # wrong channel count
         with pytest.raises(ValueError):
-            bat.encode_windows(np.zeros((5, 4)))  # missing axis
+            bat.fit(np.zeros((5, 4)), [0] * 5)  # missing axis
 
     def test_unfitted(self):
         bat = BatchHDClassifier(HDClassifierConfig(dim=64))
         with pytest.raises(RuntimeError):
             bat.predict(np.zeros((1, 5, 4)))
         with pytest.raises(RuntimeError):
-            bat.prototypes
+            bat.am_matrix()
 
     def test_score_mismatch(self, rng):
         bat = BatchHDClassifier(HDClassifierConfig(dim=64))

@@ -150,9 +150,9 @@ class TestWindowEncoder:
             dim=128, n_channels=4, n_levels=8, ngram_size=2,
             signal_lo=0.0, signal_hi=21.0, seed=42,
         )
-        from repro.hdc import HDClassifier, HDClassifierConfig
+        from repro.hdc import BatchHDClassifier, HDClassifierConfig
 
-        clf = HDClassifier(
+        clf = BatchHDClassifier(
             HDClassifierConfig(
                 dim=128, n_channels=4, n_levels=8, ngram_size=2, seed=42
             )

@@ -5,12 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.hdc import (
-    BatchHDClassifier,
-    HDClassifier,
-    HDClassifierConfig,
-    OnlineHDClassifier,
-)
+from repro.hdc import BatchHDClassifier, HDClassifierConfig
 from repro.hdc import engine
 from repro.hdc.online import AdaptConfig, SessionDelta
 
@@ -23,154 +18,138 @@ def make_windows(rng, n, centers=(4.0, 11.0, 18.0)):
             np.clip(rng.normal(centers[label], 1.0, size=(5, 4)), 0, 21)
         )
         labels.append(label)
-    return windows, labels
+    return np.stack(windows), labels
 
 
-class TestIncrementalEquivalence:
-    def test_matches_offline_training(self, rng):
-        """Streaming the training set equals one-shot fit, bit for bit."""
-        cfg = HDClassifierConfig(dim=512, seed=13)
-        offline = HDClassifier(cfg)
-        online = OnlineHDClassifier(cfg)
-        windows, labels = make_windows(rng, 18)
-        offline.fit(windows, labels)
-        online.update_batch(windows, labels)
-        for label in offline.associative_memory.labels:
-            assert (
-                online.associative_memory[label]
-                == offline.associative_memory[label]
-            )
+def decide(delta, queries):
+    """Labels of the nearest rows of the delta's effective AM."""
+    indices, _ = engine.am_search(queries, delta.prototype_words())
+    labels = delta.labels()
+    return [labels[i] for i in indices]
 
-    def test_one_by_one_matches_batch(self, rng):
-        cfg = HDClassifierConfig(dim=256, seed=7)
-        a = OnlineHDClassifier(cfg)
-        b = OnlineHDClassifier(cfg)
-        windows, labels = make_windows(rng, 12)
-        for window, label in zip(windows, labels):
-            a.update(window, label)
-        b.update_batch(windows, labels)
-        for label in a.classes:
-            assert a.associative_memory[label] == b.associative_memory[label]
+
+def accuracy(predicted, truth):
+    return np.mean([p == t for p, t in zip(predicted, truth)])
 
 
 class TestOnlineBehaviour:
+    """On-line learning over a fitted model, through a SessionDelta."""
+
+    @staticmethod
+    def fitted(windows, labels, dim=1024, **config):
+        clf = BatchHDClassifier(HDClassifierConfig(dim=dim))
+        clf.fit(windows, labels)
+        delta = SessionDelta(
+            clf.prototype_words, clf.labels, dim, AdaptConfig(**config)
+        )
+        return clf, delta
+
     def test_learns_new_class_on_the_fly(self, rng):
-        cfg = HDClassifierConfig(dim=1024)
-        online = OnlineHDClassifier(cfg)
         windows, labels = make_windows(rng, 12, centers=(4.0, 18.0))
-        online.update_batch(windows, labels)
-        assert online.classes == (0, 1)
+        clf, delta = self.fitted(windows, labels)
+        assert delta.labels() == (0, 1)
         # A third activity appears mid-stream.
-        new_windows = [
-            np.clip(rng.normal(11.0, 1.0, size=(5, 4)), 0, 21)
-            for _ in range(6)
-        ]
-        for window in new_windows:
-            online.update(window, 2)
-        assert 2 in online.classes
-        probe = np.clip(rng.normal(11.0, 1.0, size=(5, 4)), 0, 21)
-        assert online.predict_window(probe) == 2
+        new_windows = np.clip(rng.normal(11.0, 1.0, size=(6, 5, 4)), 0, 21)
+        for query in clf.encoder.encode_batch(new_windows).words:
+            delta.update(query, 2)
+        assert delta.labels() == (0, 1, 2)
+        probe = np.clip(rng.normal(11.0, 1.0, size=(1, 5, 4)), 0, 21)
+        assert decide(delta, clf.encoder.encode_batch(probe).words) == [2]
 
     def test_adaptation_improves_on_drifted_data(self, rng):
         """On-line updates recover accuracy after a signal shift."""
-        cfg = HDClassifierConfig(dim=1024)
-        online = OnlineHDClassifier(cfg)
         windows, labels = make_windows(rng, 24, centers=(3.0, 16.0))
-        online.update_batch(windows, labels)
+        clf, delta = self.fitted(windows, labels)
         # Drift: both classes shift up by 3 mV.
         drift_w, drift_l = make_windows(rng, 40, centers=(6.0, 19.0))
-        before = online.score(drift_w, drift_l)
-        online.update_batch(drift_w[:20], drift_l[:20])
-        after = online.score(drift_w[20:], drift_l[20:])
+        queries = clf.encoder.encode_batch(drift_w).words
+        before = accuracy(decide(delta, queries[20:]), drift_l[20:])
+        for query, label in zip(queries[:20], drift_l[:20]):
+            delta.update(query, label)
+        after = accuracy(decide(delta, queries[20:]), drift_l[20:])
         assert after >= before
 
     def test_mistake_driven_skips_correct(self, rng):
-        cfg = HDClassifierConfig(dim=1024)
-        online = OnlineHDClassifier(cfg)
         windows, labels = make_windows(rng, 15)
-        online.update_batch(windows, labels)
+        clf, delta = self.fitted(windows, labels, policy="mistake")
         more_w, more_l = make_windows(rng, 30)
-        applied = online.update_batch(more_w, more_l, mistake_driven=True)
+        applied = 0
+        queries = clf.encoder.encode_batch(more_w).words
+        for query, label in zip(queries, more_l):
+            served = decide(delta, query[None])[0]
+            if delta.update(query, label, predicted=served):
+                applied += 1
         # A trained separable model rejects most redundant updates.
-        assert applied < len(more_w)
+        assert applied < len(more_l)
 
     def test_mistake_driven_always_applies_new_class(self, rng):
-        online = OnlineHDClassifier(HDClassifierConfig(dim=256))
-        window = np.clip(rng.normal(5, 1, size=(5, 4)), 0, 21)
-        assert online.update(window, "fresh", mistake_driven=True)
+        windows, labels = make_windows(rng, 6)
+        clf, delta = self.fitted(windows, labels, dim=256, policy="mistake")
+        window = np.clip(rng.normal(5, 1, size=(1, 5, 4)), 0, 21)
+        query = clf.encoder.encode_batch(window).words[0]
+        served = decide(delta, query[None])[0]
+        assert delta.update(query, "fresh", predicted=served)
+        assert delta.labels()[-1] == "fresh"
 
 
 class TestWarmStartParity:
-    """The documented bit-parity with off-line training, pinned.
+    """On-line learning from nothing is off-line training, pinned.
 
-    ``OnlineHDClassifier`` fed the training windows in order must be
-    bit-identical to ``BatchHDClassifier.fit`` — including even
-    per-class totals, where the result hinges on the frozen
-    XOR-of-first-two tiebreak matching fit's append-tiebreak rule.
+    A ``SessionDelta`` over an empty ``(0, n_words)`` base, fed the
+    training queries in order, must be bit-identical to
+    ``BatchHDClassifier.fit`` — including even per-class totals, where
+    the result hinges on the XOR-of-first-two tiebreak matching fit's
+    append-tiebreak rule.
     """
 
-    @pytest.mark.parametrize("n_per_class", [1, 2, 3, 4, 6])
+    @staticmethod
+    def warm_start(clf, windows, labels, read_every_update=False):
+        dim = clf.config.dim
+        empty = np.zeros((0, engine.words_for_dim(dim)), dtype=np.uint64)
+        delta = SessionDelta(empty, [], dim)
+        queries = clf.encoder.encode_batch(windows).words
+        for query, label in zip(queries, labels):
+            delta.update(query, label)
+            if read_every_update:
+                delta.prototype_words()
+        return delta
+
+    @pytest.mark.parametrize("n_per_class", [1, 2, 3, 4, 5, 6])
     def test_bit_identical_to_batch_fit(self, rng, n_per_class):
         cfg = HDClassifierConfig(dim=96, seed=5)
         windows, labels = make_windows(rng, 3 * n_per_class)
-        offline = BatchHDClassifier(cfg).fit(
-            np.stack(windows), labels
+        offline = BatchHDClassifier(cfg).fit(windows, labels)
+        delta = self.warm_start(offline, windows, labels)
+        assert delta.labels() == offline.labels
+        assert np.array_equal(
+            delta.prototype_words(), offline.prototype_words
         )
-        online = OnlineHDClassifier(cfg)
-        online.update_batch(windows, labels)
-        assert online.classes == offline.labels
-        assert np.array_equal(online.am_matrix(), offline.am_matrix())
 
     def test_one_by_one_even_totals(self, rng):
-        """update() per window hits the same bits at an exact tie."""
+        """Reading the AM between updates never freezes a stale tie."""
         cfg = HDClassifierConfig(dim=64, seed=3)
         windows, labels = make_windows(rng, 6)
-        offline = BatchHDClassifier(cfg).fit(np.stack(windows), labels)
-        online = OnlineHDClassifier(cfg)
-        for window, label in zip(windows, labels):
-            online.update(window, label)
-        assert np.array_equal(online.am_matrix(), offline.am_matrix())
+        offline = BatchHDClassifier(cfg).fit(windows, labels)
+        delta = self.warm_start(
+            offline, windows, labels, read_every_update=True
+        )
+        assert np.array_equal(
+            delta.prototype_words(), offline.prototype_words
+        )
 
     def test_singleton_class_parity(self, rng):
         """A one-window class stores the query itself in both paths."""
         cfg = HDClassifierConfig(dim=128, seed=9)
         windows, labels = make_windows(rng, 7)
-        offline = BatchHDClassifier(cfg).fit(np.stack(windows), labels)
-        online = OnlineHDClassifier(cfg)
-        online.update_batch(windows, labels)
-        assert np.array_equal(online.am_matrix(), offline.am_matrix())
-
-
-class TestEmptyBatch:
-    """update_batch([]) must not install an empty AM (regression)."""
-
-    @pytest.mark.parametrize("mistake_driven", [False, True])
-    def test_empty_batch_keeps_unfitted_guard(self, mistake_driven):
-        online = OnlineHDClassifier(HDClassifierConfig(dim=64))
-        assert (
-            online.update_batch([], [], mistake_driven=mistake_driven)
-            == 0
+        labels[-1] = "single"
+        offline = BatchHDClassifier(cfg).fit(windows, labels)
+        query = offline.encoder.encode_batch(windows[-1:]).words[0]
+        assert np.array_equal(offline.prototype_words[-1], query)
+        delta = self.warm_start(offline, windows, labels)
+        assert delta.labels() == offline.labels
+        assert np.array_equal(
+            delta.prototype_words(), offline.prototype_words
         )
-        with pytest.raises(RuntimeError, match="no updates"):
-            online.associative_memory
-        with pytest.raises(RuntimeError, match="no updates"):
-            online.predict_window(np.zeros((5, 4)))
-
-    def test_first_mistake_driven_window_after_empty_batch(self, rng):
-        """The first-window path is consistent after an empty batch."""
-        online = OnlineHDClassifier(HDClassifierConfig(dim=256))
-        online.update_batch([], [])
-        window = np.clip(rng.normal(5, 1, size=(5, 4)), 0, 21)
-        assert online.update(window, "fresh", mistake_driven=True)
-        assert online.predict_window(window) == "fresh"
-
-    def test_empty_batch_preserves_trained_state(self, rng):
-        online = OnlineHDClassifier(HDClassifierConfig(dim=256))
-        windows, labels = make_windows(rng, 9)
-        online.update_batch(windows, labels)
-        before = online.am_matrix().copy()
-        assert online.update_batch([], []) == 0
-        assert np.array_equal(online.am_matrix(), before)
 
 
 class TestSessionDelta:
@@ -308,24 +287,3 @@ class TestSessionDelta:
             AdaptConfig(feedback_window=0)
         with pytest.raises(ValueError):
             SessionDelta(np.zeros((2, 2), dtype=np.uint64), ["a"], 96)
-
-
-class TestValidation:
-    def test_unfitted_rejected(self, rng):
-        online = OnlineHDClassifier(HDClassifierConfig(dim=64))
-        with pytest.raises(RuntimeError):
-            online.predict_window(np.zeros((5, 4)))
-
-    def test_batch_length_mismatch(self, rng):
-        online = OnlineHDClassifier(HDClassifierConfig(dim=64))
-        with pytest.raises(ValueError):
-            online.update_batch([np.zeros((5, 4))], [0, 1])
-
-    def test_am_matrix_deployable(self, rng):
-        """The online AM drops straight into the chain simulator."""
-        online = OnlineHDClassifier(HDClassifierConfig(dim=128))
-        windows, labels = make_windows(rng, 9)
-        online.update_batch(windows, labels)
-        matrix = online.am_matrix()
-        assert matrix.shape == (3, 4)
-        assert matrix.dtype == np.uint32

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hdc import BinaryHypervector, bind, bundle, bundle_counts, hamming
+from repro.hdc import BinaryHypervector, bind, bundle, hamming
 from repro.hdc import permute, similarity
 from repro.hdc import reference
 from repro.hdc.ops import tiebreaker
@@ -85,29 +85,6 @@ class TestBundle:
     def test_tiebreaker_requires_two(self, rng):
         with pytest.raises(ValueError):
             tiebreaker([BinaryHypervector.random(8, rng)])
-
-
-class TestBundleCounts:
-    def test_matches_bundle_odd(self, rng):
-        vectors = [BinaryHypervector.random(128, rng) for _ in range(5)]
-        counts = np.sum([v.to_bits() for v in vectors], axis=0)
-        tie = vectors[0] ^ vectors[1]
-        assert bundle_counts(counts, 5, tie) == bundle(vectors)
-
-    def test_matches_bundle_even(self, rng):
-        vectors = [BinaryHypervector.random(128, rng) for _ in range(4)]
-        counts = np.sum([v.to_bits() for v in vectors], axis=0)
-        tie = vectors[0] ^ vectors[1]
-        assert bundle_counts(counts, 4, tie) == bundle(vectors)
-
-    def test_count_validation(self, rng):
-        tie = BinaryHypervector.random(4, rng)
-        with pytest.raises(ValueError):
-            bundle_counts(np.array([5, 0, 0, 0]), 4, tie)
-        with pytest.raises(ValueError):
-            bundle_counts(np.array([0, 0, 0, 0]), 0, tie)
-        with pytest.raises(ValueError):
-            bundle_counts(np.array([-1, 0, 0, 0]), 2, tie)
 
 
 class TestSimilarity:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.hdc import (
+    BatchHDClassifier,
     BinaryHypervector,
-    HDClassifier,
     HDClassifierConfig,
     degradation_curve,
+    engine,
     faulty_memory,
     flip_bits,
     stuck_at,
@@ -37,22 +38,26 @@ class TestFaultPrimitives:
             stuck_at(v, 0.1, 2, rng)
 
     def test_faulty_memory_preserves_labels(self, rng):
-        from repro.hdc import AssociativeMemory
-
-        am = AssociativeMemory(256)
-        for i in range(4):
-            am.store(i, BinaryHypervector.random(256, rng))
+        """Row i stays class i's prototype: faults hit it in place."""
+        dim = 250
+        protos = engine.random_words(4, dim, rng)
+        original = protos.copy()
         for mode in ("flip", "stuck0", "stuck1"):
-            faulty = faulty_memory(am, 0.2, rng, mode)
-            assert faulty.labels == am.labels
+            faulty = faulty_memory(protos, dim, 0.2, rng, mode)
+            assert faulty.shape == protos.shape
+            assert faulty.dtype == np.uint64
+            moved = engine.hamming_matrix(faulty, protos).diagonal()
+            assert np.all(moved <= 50)
+            assert faulty[:, -1].max() <= engine.pad_mask(dim)
+        assert np.array_equal(protos, original)
         with pytest.raises(ValueError):
-            faulty_memory(am, 0.2, rng, "cosmic-rays")
+            faulty_memory(protos, dim, 0.2, rng, "cosmic-rays")
 
 
 @pytest.fixture(scope="module")
 def trained():
     rng = np.random.default_rng(77)
-    clf = HDClassifier(HDClassifierConfig(dim=4096))
+    clf = BatchHDClassifier(HDClassifierConfig(dim=4096))
     centers = (3.0, 9.0, 15.0, 20.0)
     windows, labels = [], []
     for i in range(40):
@@ -61,7 +66,7 @@ def trained():
             np.clip(rng.normal(centers[label], 1.0, size=(5, 4)), 0, 21)
         )
         labels.append(label)
-    clf.fit(windows, labels)
+    clf.fit(np.stack(windows), labels)
     test_w, test_l = [], []
     for i in range(60):
         label = i % 4
@@ -105,7 +110,7 @@ class TestGracefulDegradation:
         rng = np.random.default_rng(3)
         accs = {}
         for dim in (256, 4096):
-            clf = HDClassifier(HDClassifierConfig(dim=dim))
+            clf = BatchHDClassifier(HDClassifierConfig(dim=dim))
             windows, labels = [], []
             for i in range(40):
                 label = i % 4
@@ -116,7 +121,7 @@ class TestGracefulDegradation:
                     )
                 )
                 labels.append(label)
-            clf.fit(windows, labels)
+            clf.fit(np.stack(windows), labels)
             curve = degradation_curve(
                 clf, windows, labels, fractions=(0.35,), seed=11,
             )

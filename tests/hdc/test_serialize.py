@@ -81,8 +81,8 @@ class TestRoundTrip:
             loaded.distances(probe), fitted.distances(probe)
         )
         assert np.array_equal(
-            loaded.encode_windows_packed(probe).words,
-            fitted.encode_windows_packed(probe).words,
+            loaded.encoder.encode_batch(probe).words,
+            fitted.encoder.encode_batch(probe).words,
         )
 
     def test_save_load_save_is_stable(self, fitted, saved, tmp_path):

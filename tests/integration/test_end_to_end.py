@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from repro.emg import WindowConfig, subject_windows
-from repro.hdc import (
-    BatchHDClassifier,
-    HDClassifier,
-    HDClassifierConfig,
-)
+from repro.hdc import BatchHDClassifier, HDClassifierConfig
+from repro.hdc.reference import ReferenceHDClassifier
 from repro.kernels import ChainConfig, ChainDims, HDChainSimulator
 from repro.pulp import PULPV3_SOC, WOLF_SOC
 
@@ -21,9 +18,9 @@ def trained_setup(tiny_emg_dataset):
     wc = WindowConfig(window_samples=5, stride_samples=50)
     (train_w, train_l), (test_w, test_l) = subject_windows(dataset[0], wc)
     cfg = HDClassifierConfig(dim=1024)
-    clf = HDClassifier(cfg)
-    clf.fit(train_w, train_l)
-    return clf, test_w, test_l
+    clf = BatchHDClassifier(cfg)
+    clf.fit(np.asarray(train_w), train_l)
+    return clf, np.asarray(test_w), test_l
 
 
 class TestLibraryOnEMG:
@@ -32,14 +29,19 @@ class TestLibraryOnEMG:
         assert clf.score(test_w[:200], test_l[:200]) > 0.6
 
     def test_batch_matches_object_on_emg(self, trained_setup, tiny_emg_dataset):
+        """The packed classifier matches the unpacked golden model."""
         _, dataset = tiny_emg_dataset
-        clf, test_w, test_l = trained_setup
+        clf, test_w, _ = trained_setup
+        cfg = clf.config
         wc = WindowConfig(window_samples=5, stride_samples=50)
         (train_w, train_l), _ = subject_windows(dataset[0], wc)
-        batch = BatchHDClassifier(clf.config)
-        batch.fit(np.asarray(train_w), train_l)
-        subset = np.asarray(test_w[:40])
-        assert batch.predict(subset) == clf.predict(list(subset))
+        ref = ReferenceHDClassifier(
+            dim=cfg.dim, n_channels=cfg.n_channels, n_levels=cfg.n_levels,
+            ngram_size=cfg.ngram_size, signal_lo=cfg.signal_lo,
+            signal_hi=cfg.signal_hi, seed=cfg.seed,
+        )
+        ref.fit(train_w, train_l)
+        assert clf.predict(test_w[:40]) == ref.predict(test_w[:40])
 
 
 class TestAcceleratorOnEMG:
@@ -55,30 +57,22 @@ class TestAcceleratorOnEMG:
         sim = HDChainSimulator.from_classifier(
             clf, soc, n_cores=cores, use_builtins=builtins, window=5
         )
-        am_labels = list(clf.associative_memory.labels)
         for window in test_w[:10]:
-            result = sim.run_window(np.asarray(window))
+            result = sim.run_window(window)
             assert (
-                am_labels[result.label_index]
-                == clf.predict_window(window)
+                clf.labels[result.label_index]
+                == clf.predict(window[None])[0]
             )
 
-    def test_batch_prototypes_round_trip_through_chain(
-        self, trained_setup, tiny_emg_dataset
-    ):
-        """Train with the batch classifier, pack its prototypes, run
-        the ISS chain — the whole deployment flow of the paper."""
-        _, dataset = tiny_emg_dataset
-        clf, test_w, _ = trained_setup
-        wc = WindowConfig(window_samples=5, stride_samples=50)
-        (train_w, train_l), _ = subject_windows(dataset[0], wc)
-        batch = BatchHDClassifier(clf.config)
-        batch.fit(np.asarray(train_w), train_l)
+    def test_batch_prototypes_round_trip_through_chain(self, trained_setup):
+        """Train the classifier, pack its prototypes, load them into the
+        ISS chain by hand — the whole deployment flow of the paper."""
+        batch, test_w, _ = trained_setup
         am = batch.am_matrix()
         dims = ChainDims(
-            dim=clf.config.dim,
+            dim=batch.config.dim,
             n_channels=4,
-            n_levels=clf.config.n_levels,
+            n_levels=batch.config.n_levels,
             n_classes=am.shape[0],
             ngram=1,
             window=5,
@@ -86,22 +80,22 @@ class TestAcceleratorOnEMG:
         sim = HDChainSimulator(
             ChainConfig(soc=WOLF_SOC, n_cores=8, dims=dims)
         )
-        spatial = clf.encoder.spatial
+        spatial = batch.encoder.spatial
         sim.load_model(
             spatial.item_memory.as_matrix(),
             spatial.continuous_memory.as_matrix(),
             am,
         )
         for window in test_w[:8]:
-            result = sim.run_window(np.asarray(window))
+            result = sim.run_window(window)
             assert (
                 batch.labels[result.label_index]
-                == batch.predict(np.asarray(window)[None])[0]
+                == batch.predict(window[None])[0]
             )
 
     def test_parallel_faster_same_answer(self, trained_setup):
         clf, test_w, _ = trained_setup
-        window = np.asarray(test_w[0])
+        window = test_w[0]
         single = HDChainSimulator.from_classifier(
             clf, PULPV3_SOC, n_cores=1, window=5
         ).run_window(window)

@@ -11,7 +11,7 @@ every kernel against the library.
 import numpy as np
 import pytest
 
-from repro.hdc import HDClassifier, HDClassifierConfig
+from repro.hdc import BatchHDClassifier, HDClassifierConfig
 from repro.kernels import HDChainSimulator
 from repro.pulp import CORTEX_M4_SOC, PULPV3_SOC, WOLF_SOC
 
@@ -31,14 +31,13 @@ def test_chain_bit_exact_at_boundary_dims(rng, dim, ngram):
     cfg = HDClassifierConfig(
         dim=dim, n_channels=4, n_levels=5, ngram_size=ngram
     )
-    clf = HDClassifier(cfg)
+    clf = BatchHDClassifier(cfg)
     t = 5 + ngram - 1
-    windows = [rng.uniform(0, 21, size=(t, 4)) for _ in range(9)]
+    windows = rng.uniform(0, 21, size=(9, t, 4))
     clf.fit(windows, [i % 3 for i in range(9)])
     sim = HDChainSimulator.from_classifier(
         clf, WOLF_SOC, n_cores=3, window=5
     )
-    am_labels = list(clf.associative_memory.labels)
     for _ in range(3):
         window = rng.uniform(0, 21, size=(t, 4))
         result = sim.run_window(window)
@@ -46,7 +45,7 @@ def test_chain_bit_exact_at_boundary_dims(rng, dim, ngram):
             sim.read_query(), clf.encoder.encode(window).words,
             err_msg=f"dim={dim} ngram={ngram}",
         )
-        assert am_labels[result.label_index] == clf.predict_window(window)
+        assert clf.labels[result.label_index] == clf.predict(window[None])[0]
 
 
 @pytest.mark.parametrize("dim", [32, 64, 96])
@@ -55,8 +54,8 @@ def test_rotation_heavy_chain_at_exact_word_multiples(rng, dim):
     cfg = HDClassifierConfig(
         dim=dim, n_channels=3, n_levels=4, ngram_size=5
     )
-    clf = HDClassifier(cfg)
-    windows = [rng.uniform(0, 21, size=(9, 3)) for _ in range(6)]
+    clf = BatchHDClassifier(cfg)
+    windows = rng.uniform(0, 21, size=(6, 9, 3))
     clf.fit(windows, [i % 2 for i in range(6)])
     sim = HDChainSimulator.from_classifier(
         clf, PULPV3_SOC, n_cores=2, window=5
@@ -71,8 +70,8 @@ def test_rotation_heavy_chain_at_exact_word_multiples(rng, dim):
 def test_more_cores_than_words(rng):
     """Eight cores on a 2-word vector: six cores idle, still correct."""
     cfg = HDClassifierConfig(dim=50, n_channels=4, n_levels=4)
-    clf = HDClassifier(cfg)
-    windows = [rng.uniform(0, 21, size=(5, 4)) for _ in range(6)]
+    clf = BatchHDClassifier(cfg)
+    windows = rng.uniform(0, 21, size=(6, 5, 4))
     clf.fit(windows, [i % 2 for i in range(6)])
     sim = HDChainSimulator.from_classifier(
         clf, WOLF_SOC, n_cores=8, use_builtins=True, window=5
@@ -88,8 +87,8 @@ def test_more_cores_than_words(rng):
 def test_single_class_am(rng):
     """An AM with one prototype always answers that class."""
     cfg = HDClassifierConfig(dim=96, n_channels=4, n_levels=4)
-    clf = HDClassifier(cfg)
-    windows = [rng.uniform(0, 21, size=(5, 4)) for _ in range(4)]
+    clf = BatchHDClassifier(cfg)
+    windows = rng.uniform(0, 21, size=(4, 5, 4))
     clf.fit(windows, ["only"] * 4)
     sim = HDChainSimulator.from_classifier(
         clf, CORTEX_M4_SOC, n_cores=1, window=5

@@ -9,7 +9,7 @@ bit-identical hypervectors and identical labels to the packed library
 import numpy as np
 import pytest
 
-from repro.hdc import HDClassifier, HDClassifierConfig
+from repro.hdc import BatchHDClassifier, HDClassifierConfig
 from repro.kernels import (
     ChainConfig,
     ChainDims,
@@ -25,11 +25,11 @@ def trained_classifier(rng, dim=192, n_ch=4, levels=6, ngram=1, classes=3):
     cfg = HDClassifierConfig(
         dim=dim, n_channels=n_ch, n_levels=levels, ngram_size=ngram
     )
-    clf = HDClassifier(cfg)
+    clf = BatchHDClassifier(cfg)
     t = 5 + ngram - 1
     windows = [rng.uniform(0, 21, size=(t, n_ch)) for _ in range(4 * classes)]
     labels = [i % classes for i in range(4 * classes)]
-    clf.fit(windows, labels)
+    clf.fit(np.stack(windows), labels)
     return clf
 
 
@@ -63,7 +63,6 @@ class TestChainFunctionalEquivalence:
             clf, soc, n_cores=cores, use_builtins=builtins,
             window=5, strategy=strategy,
         )
-        am_labels = list(clf.associative_memory.labels)
         for _ in range(4):
             window = rng.uniform(0, 21, size=(5 + ngram - 1, n_ch))
             result = sim.run_window(window)
@@ -73,7 +72,8 @@ class TestChainFunctionalEquivalence:
                 err_msg=f"query mismatch in {name}",
             )
             assert (
-                am_labels[result.label_index] == clf.predict_window(window)
+                clf.labels[result.label_index]
+                == clf.predict(window[None])[0]
             ), f"label mismatch in {name}"
 
     def test_distances_match_library(self, rng):
@@ -83,12 +83,9 @@ class TestChainFunctionalEquivalence:
         )
         window = rng.uniform(0, 21, size=(5, 4))
         result = sim.run_window(window)
-        query = clf.encoder.encode(window)
-        expected = [
-            query.hamming(clf.associative_memory[label])
-            for label in clf.associative_memory.labels
-        ]
-        np.testing.assert_array_equal(result.distances, expected)
+        np.testing.assert_array_equal(
+            result.distances, clf.distances(window[None])[0]
+        )
 
     def test_cycles_deterministic(self, rng):
         clf = trained_classifier(rng)
