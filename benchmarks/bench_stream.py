@@ -51,7 +51,7 @@ except ModuleNotFoundError:  # standalone: python benchmarks/bench_stream.py
 
 from repro.emg import EMGDatasetConfig, WindowConfig, generate_subject
 from repro.hdc import save_model
-from repro.perf import device_model
+from repro.perf.calibration import device_model
 from repro.perf.streaming import format_percentiles, wall_histogram
 from repro.pulp import PULPV3_SOC
 from repro.stream import (

@@ -8,7 +8,8 @@ Run:  python examples/scalability_exploration.py
 """
 
 from repro.kernels import ChainDims
-from repro.perf import calibrate_chain, check_latency
+from repro.perf.calibration import calibrate_chain
+from repro.perf.latency import check_latency
 from repro.pulp import CORTEX_M4_SOC, WOLF_SOC
 
 

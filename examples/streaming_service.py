@@ -32,7 +32,7 @@ from repro.emg import EMGDatasetConfig, WindowConfig, generate_subject
 from repro.emg.windows import paper_split, windows_from_trials
 from repro.hdc import BatchHDClassifier, HDClassifierConfig
 from repro.hdc.serialize import load_model, model_info, save_model
-from repro.perf import device_model
+from repro.perf.calibration import device_model
 from repro.pulp import PULPV3_SOC
 from repro.stream import StreamConfig, StreamingService
 

@@ -11,6 +11,11 @@ chain, so the reproduction keeps it as a plain numpy/scipy pipeline:
 
 The output is the non-negative amplitude envelope in mV that the CIM
 quantises into its 22 linear levels.
+
+Only :func:`notch_filter` needs scipy, and it imports it when called:
+the serving stack imports :mod:`repro.emg` for
+:class:`~repro.emg.windows.WindowConfig` and never filters, so it runs
+on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ def notch_filter(raw: np.ndarray, config: PreprocessConfig) -> np.ndarray:
     ``raw`` is (samples, channels); filtering is applied per channel with
     zero-phase ``filtfilt`` so the envelope is not delayed.
     """
+    from scipy import signal as sp_signal
+
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
         raise ValueError(f"raw signal must be (samples, channels), got {raw.shape}")

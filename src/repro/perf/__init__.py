@@ -1,43 +1,19 @@
 """ISS-calibrated analytic performance model for the full-scale sweeps
-(Figs. 3–5) and the detection-latency bookkeeping."""
+(Figs. 3–5), the detection-latency bookkeeping, and serving telemetry.
 
-from .calibration import (
-    CalibrationRequest,
-    calibrate_chain,
-    calibrate_chain_batch,
-    calibration_dims,
-    clear_cache,
-)
-from .latency import (
-    DETECTION_LATENCY_MS,
-    LatencyCheck,
-    check_latency,
-    required_frequency_mhz,
-)
-from .model import ChainCycleModel, LinearCycleModel
-from .streaming import (
-    DevicePerfModel,
-    FleetStats,
-    StreamStats,
-    device_model,
-    merge_stream_stats,
-)
+This package imports none of its submodules; import from them:
 
-__all__ = [
-    "CalibrationRequest",
-    "ChainCycleModel",
-    "DETECTION_LATENCY_MS",
-    "DevicePerfModel",
-    "FleetStats",
-    "LatencyCheck",
-    "LinearCycleModel",
-    "StreamStats",
-    "calibrate_chain",
-    "calibrate_chain_batch",
-    "calibration_dims",
-    "check_latency",
-    "clear_cache",
-    "device_model",
-    "merge_stream_stats",
-    "required_frequency_mhz",
-]
+* :mod:`repro.perf.model` — the affine cycles-per-chunk model
+  (:class:`~repro.perf.model.LinearCycleModel`,
+  :class:`~repro.perf.model.ChainCycleModel`);
+* :mod:`repro.perf.calibration` — fits that model from small ISS runs,
+  and freezes a device operating point for streaming telemetry
+  (:class:`~repro.perf.calibration.DevicePerfModel`,
+  :func:`~repro.perf.calibration.device_model`);
+* :mod:`repro.perf.latency` — the 10 ms deadline, frequency targets and
+  deadline checks;
+* :mod:`repro.perf.streaming` — host-side serving telemetry (latency
+  histograms, :class:`~repro.perf.streaming.StreamStats`,
+  :class:`~repro.perf.streaming.FleetStats`).  It imports numpy only,
+  so the serving stack loads it without the ISS.
+"""

@@ -28,6 +28,15 @@ of a single laned engine run; each fit point routes through the batched
 window driver (the same unified dispatch core the sweeps execute on)
 and the batching win here is structural: O(unique shapes), not
 O(sweep cells), engine runs.
+
+:class:`DevicePerfModel` freezes one calibrated operating point for
+streaming telemetry: the serving stack batches windows on the host, but
+the system it models classifies one window at a time on the device under
+the 10 ms deadline, so a run's device totals are ``n_windows *
+cycles_per_window`` and ``n_windows * window_energy_uj``.
+:func:`device_model` calibrates one against the ISS for any (SoC,
+cores, shape); :meth:`DevicePerfModel.from_cycles` builds one from a
+known cycle count without running the ISS.
 """
 
 from __future__ import annotations
@@ -39,7 +48,15 @@ import numpy as np
 
 from ..kernels.chain import ChainConfig, HDChainSimulator
 from ..kernels.layout import ChainDims
-from ..pulp.soc import SoCConfig
+from ..pulp.power import (
+    OperatingPoint,
+    PULPPowerModel,
+    energy_per_classification_uj,
+    m4_power_mw,
+    min_cluster_voltage,
+)
+from ..pulp.soc import PULPV3_SOC, SoCConfig
+from .latency import DETECTION_LATENCY_MS, required_frequency_mhz
 from .model import ChainCycleModel, LinearCycleModel
 
 _CACHE: Dict[tuple, ChainCycleModel] = {}
@@ -293,3 +310,101 @@ def clear_cache() -> None:
     """Drop all cached calibrations and fit-point simulators (tests)."""
     _CACHE.clear()
     _SIM_CACHE.clear()
+
+
+# -- device operating point for serving telemetry ----------------------------
+
+
+@dataclass(frozen=True)
+class DevicePerfModel:
+    """One frozen device operating point for streaming telemetry."""
+
+    name: str
+    n_cores: int
+    dim: int
+    cycles_per_window: int
+    f_mhz: float
+    power_mw: float
+    meets_deadline: bool
+    deadline_ms: float = DETECTION_LATENCY_MS
+
+    @property
+    def window_latency_ms(self) -> float:
+        """Latency of one on-device classification at ``f_mhz``."""
+        return self.cycles_per_window / (self.f_mhz * 1000.0)
+
+    @property
+    def window_energy_uj(self) -> float:
+        """Energy of one on-device classification."""
+        return energy_per_classification_uj(
+            self.power_mw, self.window_latency_ms
+        )
+
+    @classmethod
+    def from_cycles(
+        cls,
+        cycles_per_window: int,
+        soc: SoCConfig = PULPV3_SOC,
+        n_cores: int = 4,
+        dim: int = 10_000,
+        v_cluster: Optional[float] = None,
+        deadline_ms: float = DETECTION_LATENCY_MS,
+    ) -> "DevicePerfModel":
+        """Freeze an operating point from a known per-window cycle count.
+
+        The clock is set exactly to finish one window within the deadline
+        (the paper's frequency-selection rule); power comes from the
+        fitted Table 2 model — the PULP cluster decomposition for DMA
+        machines, the flat mW/MHz constant for the M4.
+        """
+        if cycles_per_window <= 0:
+            raise ValueError(
+                f"cycles_per_window must be positive, got {cycles_per_window}"
+            )
+        f_mhz = required_frequency_mhz(cycles_per_window, deadline_ms)
+        if soc.uses_dma:
+            voltage = (
+                v_cluster
+                if v_cluster is not None
+                else max(min_cluster_voltage(f_mhz), soc.v_min)
+            )
+            power = PULPPowerModel().total_mw(
+                n_cores, OperatingPoint(v_cluster=voltage, f_mhz=f_mhz)
+            )
+        else:
+            power = m4_power_mw(f_mhz)
+        return cls(
+            name=f"{soc.name} {n_cores}c",
+            n_cores=n_cores,
+            dim=dim,
+            cycles_per_window=cycles_per_window,
+            f_mhz=f_mhz,
+            power_mw=power,
+            meets_deadline=f_mhz <= soc.f_max_mhz,
+            deadline_ms=deadline_ms,
+        )
+
+
+def device_model(
+    soc: SoCConfig = PULPV3_SOC,
+    n_cores: int = 4,
+    dim: int = 10_000,
+    dims: Optional[ChainDims] = None,
+    v_cluster: Optional[float] = None,
+) -> DevicePerfModel:
+    """ISS-calibrate a :class:`DevicePerfModel` for one chain shape.
+
+    Runs two small-dimension ISS executions (cached per shape by
+    :func:`calibrate_chain`), predicts the per-window cycles at
+    ``dim``, and freezes the deadline-meeting operating point.  The
+    default shape is the paper's EMG task.
+    """
+    shape = dims if dims is not None else ChainDims(dim=dim)
+    chain = calibrate_chain(soc, n_cores, shape)
+    return DevicePerfModel.from_cycles(
+        chain.predict_total(dim),
+        soc=soc,
+        n_cores=n_cores,
+        dim=dim,
+        v_cluster=v_cluster,
+    )

@@ -1,24 +1,14 @@
-"""Device operating point and serving telemetry for the streaming service.
+"""Host-side serving telemetry for the streaming service.
 
-The streaming scheduler (:mod:`repro.stream`) executes batched windows on
-the host at NumPy speed, but the system it models is the paper's: one
-classification per window on a low-power device under the 10 ms detection
-deadline.  Batching is a host-side construct, so the device cost of a
-run is the window count times one per-window constant.
+Mergeable latency histograms (:class:`LatencyHistogram` and its two
+geometries, :func:`tick_histogram` and :func:`wall_histogram`), and the
+per-scheduler :class:`StreamStats` that fold into a fleet-wide
+:class:`FleetStats`.
 
-:class:`DevicePerfModel` freezes one operating point — cycles per window
-(from :class:`~repro.perf.model.ChainCycleModel`), the clock that meets
-the deadline, and the total power there — from which ``n_windows *
-cycles_per_window`` and ``n_windows * window_energy_uj`` give a run's
-device totals.  The :func:`device_model` constructor calibrates against
-the full ISS for any (SoC, cores, shape);
-:func:`DevicePerfModel.from_cycles` builds one from a known cycle count
-without touching the ISS (used by tests and by callers that already ran
-Table 2/3).
-
-The rest of the module is host-side telemetry: mergeable latency
-histograms, and the per-scheduler :class:`StreamStats` that fold into a
-fleet-wide :class:`FleetStats`.
+This module is on the serving import path, so it imports numpy and
+nothing from the ISS.  The simulated device operating point that prices
+a run's windows, :class:`~repro.perf.calibration.DevicePerfModel`,
+lives with the ISS calibration it is fitted from.
 """
 
 from __future__ import annotations
@@ -28,113 +18,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..kernels.layout import ChainDims
-from ..pulp.power import (
-    OperatingPoint,
-    PULPPowerModel,
-    energy_per_classification_uj,
-    m4_power_mw,
-    min_cluster_voltage,
-)
-from ..pulp.soc import PULPV3_SOC, SoCConfig
-from .calibration import calibrate_chain
-from .latency import DETECTION_LATENCY_MS, required_frequency_mhz
-
-
-@dataclass(frozen=True)
-class DevicePerfModel:
-    """One frozen device operating point for streaming telemetry."""
-
-    name: str
-    n_cores: int
-    dim: int
-    cycles_per_window: int
-    f_mhz: float
-    power_mw: float
-    meets_deadline: bool
-    deadline_ms: float = DETECTION_LATENCY_MS
-
-    @property
-    def window_latency_ms(self) -> float:
-        """Latency of one on-device classification at ``f_mhz``."""
-        return self.cycles_per_window / (self.f_mhz * 1000.0)
-
-    @property
-    def window_energy_uj(self) -> float:
-        """Energy of one on-device classification."""
-        return energy_per_classification_uj(
-            self.power_mw, self.window_latency_ms
-        )
-
-    @classmethod
-    def from_cycles(
-        cls,
-        cycles_per_window: int,
-        soc: SoCConfig = PULPV3_SOC,
-        n_cores: int = 4,
-        dim: int = 10_000,
-        v_cluster: Optional[float] = None,
-        deadline_ms: float = DETECTION_LATENCY_MS,
-    ) -> "DevicePerfModel":
-        """Freeze an operating point from a known per-window cycle count.
-
-        The clock is set exactly to finish one window within the deadline
-        (the paper's frequency-selection rule); power comes from the
-        fitted Table 2 model — the PULP cluster decomposition for DMA
-        machines, the flat mW/MHz constant for the M4.
-        """
-        if cycles_per_window <= 0:
-            raise ValueError(
-                f"cycles_per_window must be positive, got {cycles_per_window}"
-            )
-        f_mhz = required_frequency_mhz(cycles_per_window, deadline_ms)
-        if soc.uses_dma:
-            voltage = (
-                v_cluster
-                if v_cluster is not None
-                else max(min_cluster_voltage(f_mhz), soc.v_min)
-            )
-            power = PULPPowerModel().total_mw(
-                n_cores, OperatingPoint(v_cluster=voltage, f_mhz=f_mhz)
-            )
-        else:
-            power = m4_power_mw(f_mhz)
-        return cls(
-            name=f"{soc.name} {n_cores}c",
-            n_cores=n_cores,
-            dim=dim,
-            cycles_per_window=cycles_per_window,
-            f_mhz=f_mhz,
-            power_mw=power,
-            meets_deadline=f_mhz <= soc.f_max_mhz,
-            deadline_ms=deadline_ms,
-        )
-
-
-def device_model(
-    soc: SoCConfig = PULPV3_SOC,
-    n_cores: int = 4,
-    dim: int = 10_000,
-    dims: Optional[ChainDims] = None,
-    v_cluster: Optional[float] = None,
-) -> DevicePerfModel:
-    """ISS-calibrate a :class:`DevicePerfModel` for one chain shape.
-
-    Runs two small-dimension ISS executions (cached per shape by
-    :func:`repro.perf.calibration.calibrate_chain`), predicts the
-    per-window cycles at ``dim``, and freezes the deadline-meeting
-    operating point.  The default shape is the paper's EMG task.
-    """
-    shape = dims if dims is not None else ChainDims(dim=dim)
-    chain = calibrate_chain(soc, n_cores, shape)
-    return DevicePerfModel.from_cycles(
-        chain.predict_total(dim),
-        soc=soc,
-        n_cores=n_cores,
-        dim=dim,
-        v_cluster=v_cluster,
-    )
 
 
 # -- latency histograms ------------------------------------------------------

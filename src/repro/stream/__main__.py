@@ -36,7 +36,7 @@ from ..emg import EMGDatasetConfig, WindowConfig, generate_subject
 from ..emg.windows import paper_split, windows_from_trials
 from ..hdc import AdaptConfig, BatchHDClassifier, HDClassifierConfig
 from ..hdc.serialize import load_model, save_model
-from ..perf.streaming import DevicePerfModel, device_model
+from ..perf.calibration import DevicePerfModel, device_model
 from ..pulp.soc import soc_by_name
 from .replay import ReplayTrace, replay, trace_from_streams
 from .scheduler import StreamConfig, StreamingService

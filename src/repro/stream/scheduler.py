@@ -32,7 +32,7 @@ counters (windows, batches, engine seconds, cache hits) and two
 queue-age histograms.  It records no per-decision or per-batch log:
 each call returns its decisions, and a simulated device total is the
 window count times one per-window constant of a
-:class:`~repro.perf.streaming.DevicePerfModel`.
+:class:`~repro.perf.calibration.DevicePerfModel`.
 
 Each served model keeps one decision cache, bit-exactly: it memoizes
 winners by quantised window pattern *across* batches — the whole chain
@@ -834,22 +834,21 @@ class StreamingService:
 
     def _dispatch(self, n: int) -> List[Decision]:
         """Classify the ``n`` oldest ready windows, one engine pass per
-        classification group (model, or adapted session)."""
+        classification group (model, or adapted session).
+
+        Failure-atomic: the batch leaves the queue only once every
+        window has its label, so an exception from classification
+        leaves the queue, the pending count and every session as they
+        were, and a retry decides every window.
+        """
         items: List[Tuple[Session, np.ndarray, int, float]] = []
         take = n
-        while take:
-            session, windows, tick, wall = self._queue.popleft()
-            k = windows.shape[0]
-            if k > take:
+        for session, windows, tick, wall in self._queue:
+            if windows.shape[0] >= take:
                 items.append((session, windows[:take], tick, wall))
-                self._queue.appendleft(
-                    (session, windows[take:], tick, wall)
-                )
-                take = 0
-            else:
-                items.append((session, windows, tick, wall))
-                take -= k
-        self._pending -= n
+                break
+            items.append((session, windows, tick, wall))
+            take -= windows.shape[0]
         # Group queue entries by classification context.  Windows of
         # different models (or of an adapted session) cannot share an
         # engine pass — their encoders/prototypes differ — but kernels
@@ -882,6 +881,12 @@ class StreamingService:
                 item_labels[pos] = group_labels[offset : offset + k]
                 offset += k
         self._host_seconds += time.perf_counter() - start
+        # Every label is known: only now does the batch leave the queue.
+        for _ in range(len(items)):
+            session, windows, tick, wall = self._queue.popleft()
+        if windows.shape[0] > take:
+            self._queue.appendleft((session, windows[take:], tick, wall))
+        self._pending -= n
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         decisions: List[Decision] = []

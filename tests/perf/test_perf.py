@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from repro.kernels import ChainConfig, ChainDims, HDChainSimulator
-from repro.perf import (
-    DETECTION_LATENCY_MS,
+from repro.perf.calibration import (
     CalibrationRequest,
-    LinearCycleModel,
     calibrate_chain,
     calibrate_chain_batch,
     calibration_dims,
-    check_latency,
     clear_cache,
+)
+from repro.perf.latency import (
+    DETECTION_LATENCY_MS,
+    check_latency,
     required_frequency_mhz,
 )
+from repro.perf.model import LinearCycleModel
 from repro.pulp import CORTEX_M4_SOC, PULPV3_SOC, WOLF_SOC
 
 
@@ -194,10 +196,10 @@ class TestLatency:
 
 
 class TestDeviceModel:
-    """ISS-calibrated streaming telemetry (repro.perf.streaming)."""
+    """ISS-calibrated streaming telemetry (repro.perf.calibration)."""
 
     def test_calibrated_device_model_emg_shape(self):
-        from repro.perf import device_model
+        from repro.perf.calibration import device_model
 
         model = device_model(PULPV3_SOC, n_cores=4, dim=2048)
         assert model.cycles_per_window > 0
@@ -211,7 +213,7 @@ class TestDeviceModel:
         assert model.window_energy_uj > 0
 
     def test_more_cores_fewer_cycles(self):
-        from repro.perf import device_model
+        from repro.perf.calibration import device_model
 
         one = device_model(PULPV3_SOC, n_cores=1, dim=2048)
         four = device_model(PULPV3_SOC, n_cores=4, dim=2048)

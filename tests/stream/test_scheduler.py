@@ -14,7 +14,7 @@ import pytest
 
 from repro.emg.windows import WindowConfig
 from repro.hdc import BatchHDClassifier, HDClassifierConfig
-from repro.perf.streaming import DevicePerfModel
+from repro.perf.calibration import DevicePerfModel
 from repro.pulp.soc import CORTEX_M4_SOC, PULPV3_SOC
 from repro.stream import (
     Decision,
@@ -496,6 +496,75 @@ class TestOfflineParity:
             got = [d.raw_label for d in mine]
             assert got == expected
             assert [d.index for d in mine] == list(range(len(expected)))
+
+    @staticmethod
+    def _fail_first_classify(service, monkeypatch):
+        real = service._classify
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_classify", flaky)
+
+    @staticmethod
+    def _state(service):
+        """The service's snapshot bytes, minus the queue's wall ages."""
+        state = service.snapshot()
+        state["queue"] = [entry[:-1] for entry in state["queue"]]
+        return pickle.dumps(state)
+
+    @staticmethod
+    def _assert_offline(model, decisions, streams):
+        for sid, stream in streams.items():
+            mine = [d for d in decisions if d.session_id == sid]
+            n = len(stream) // 5
+            assert [d.index for d in mine] == list(range(n))
+            expected = model.predict(stream[: 5 * n].reshape(n, 5, 4))
+            assert [d.raw_label for d in mine] == expected
+
+    def test_failed_classification_loses_no_window(
+        self, model, rng, monkeypatch
+    ):
+        """A dispatch whose classification raises leaves the service as
+        it was: the retry decides all 8 queued windows as offline
+        ``predict`` does, with contiguous indices per session."""
+        service = _service(model, max_wait=1000)
+        streams = {sid: rng.random((20, 4)) for sid in ("a", "b")}
+        for sid in streams:
+            service.open_session(sid)
+        for half in (slice(0, 10), slice(10, 20)):
+            for sid, stream in streams.items():
+                assert service.ingest(sid, stream[half]) == []
+        assert service.pending_windows == 8
+        before = self._state(service)
+        self._fail_first_classify(service, monkeypatch)
+        with pytest.raises(MemoryError, match="injected"):
+            service.drain()
+        assert service.pending_windows == 8
+        assert self._state(service) == before
+        decisions = service.drain()
+        assert len(decisions) == 8
+        self._assert_offline(model, decisions, streams)
+
+    def test_failed_dispatch_keeps_a_split_queue_item_whole(
+        self, model, rng, monkeypatch
+    ):
+        """A failed batch that would have split a queue item (3 of its
+        4 windows, max_batch 3) puts that item back whole."""
+        service = _service(model, max_wait=1000, max_batch=3)
+        streams = {sid: rng.random((10, 4)) for sid in ("a", "b")}
+        for sid in streams:
+            service.open_session(sid)
+        assert service.ingest("a", streams["a"]) == []
+        self._fail_first_classify(service, monkeypatch)
+        with pytest.raises(MemoryError, match="injected"):
+            service.ingest("b", streams["b"])
+        assert service.pending_windows == 4
+        self._assert_offline(model, service.drain(), streams)
 
     def test_smoothed_labels_follow_vote(self, model, rng):
         service = _service(model, smooth=3, max_wait=0)
