@@ -72,6 +72,8 @@ from .lockstep import (
     LS_DIVERGENT_TRIP_COUNT,
     LS_INSTRUCTION_CAP,
     LS_MISALIGNED,
+    LS_TEAM_CLOCK,
+    LS_TEAM_SHARED_DATA,
 )
 from .memory import L1_BASE, L2_BASE, MemoryConfig
 
@@ -1193,6 +1195,11 @@ def predict_lockstep_bails(
                 rd_val = regs.get(ins[1]) or _Val(0)
                 if a.taint() or b.taint() or rd_val.taint():
                     reasons.add(LS_DIVERGENT_DMA)
+            # Team fusion, path-insensitively: any core's DMA or store.
+            if state.n_cores > 1 and op in (_d._OP_DMA_COPY, _d._OP_DMA_WAIT):
+                reasons.update((LS_TEAM_CLOCK, LS_TEAM_SHARED_DATA))
+            elif state.n_cores > 1 and op in _d._STORE_OPS:
+                reasons.add(LS_TEAM_SHARED_DATA)
             width = _d._MEM_WIDTH.get(op)
             if width is not None:
                 addr = _add(a, _Val(ins[4]), f"ls@{pc}")

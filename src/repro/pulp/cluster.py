@@ -7,7 +7,9 @@ reaches a ``barrier`` or ``halt``; at a barrier the cluster aligns all
 core clocks to the slowest core plus the architecture's barrier cost,
 then resumes.  Between barriers cores must touch disjoint data (the
 kernels partition hypervector words statically), which is what makes the
-segment model exact for these workloads.
+segment model exact for these workloads; the laned engine, which runs a
+team's cores interleaved, checks it each segment
+(:func:`repro.pulp.lockstep._check_disjoint`).
 
 Fork and join overheads of the surrounding parallel region are charged at
 run start and end for multi-core teams, per

@@ -1,20 +1,17 @@
 """The unified ISS dispatch core shared by the scalar and laned engines.
 
-Historically :class:`repro.pulp.fastpath.FastCore` (scalar fast path)
-and :class:`repro.pulp.lockstep._LaneCore` (window-laned lockstep
-engine) each carried a private copy of the same ~170-line dispatch
-loop — block-plan gating, terminator dispatch, hardware-loop
-bookkeeping, and cycle charging — kept equivalent only by the
-differential test tripwire.  This module extracts that loop into one
-place, :meth:`DispatchCore.dispatch_segment`, parameterized over a
-small set of per-engine hooks.  The scalar engine is then simply the
-lanes=1 instantiation: the two engines agree by construction, not by
-tripwire.
+:class:`repro.pulp.fastpath.FastCore` (scalar fast path) and
+:class:`repro.pulp.lockstep._LaneCore` (window-laned lockstep engine)
+run one dispatch loop, :meth:`DispatchCore.segment_steps`,
+parameterized over a small set of per-engine hooks: the scalar engine
+is the lanes=1 instantiation, so the two agree by construction.
 
 What is shared (lives here, exactly once):
 
 * the branch-plan gate and trip solving for vectorizable backward
   loops (:func:`_solve_branch_trips` + ``_try_vector`` engagement),
+  with the one park point (:meth:`DispatchCore._engage`) at which a
+  laned team core waits for a fused run,
 * block sequencing and the instruction-cap guard,
 * the terminator dispatch table (branches, ``j``/``jal``/``jr``,
   ``lp.setup`` + hardware-loop stack, ``barrier``, ``halt``, and the
@@ -341,6 +338,9 @@ class DispatchCore:
     #: Per-engine _VectorRun class used by :meth:`_try_vector`.
     _vector_run_cls = None
 
+    #: Whether :meth:`_engage` parks instead of running a plan.
+    parks = False
+
     # -- vectorized loop engagement (shared verbatim) ----------------------
 
     def _try_vector(self, plan, trips: int) -> bool:
@@ -367,10 +367,26 @@ class DispatchCore:
         _TELEMETRY["trips"][(plan.kind, plan.head)] += trips
         return True
 
+    def _engage(self, plan, trips: int):
+        """Vector-run ``plan``; a parking core instead yields ``(plan,
+        trips)`` and is sent back whether the loop ran vectorized."""
+        if self.parks:
+            return (yield plan, trips)
+        return self._try_vector(plan, trips)
+
     # -- the dispatch loop -------------------------------------------------
 
     def dispatch_segment(self) -> str:
-        """Execute until barrier or halt; the one loop both engines run."""
+        """Execute until barrier or halt (on a core that never parks)."""
+        try:
+            next(self.segment_steps())
+        except StopIteration as stop:
+            return stop.value
+        raise AssertionError("a parking core needs segment_steps()")
+
+    def segment_steps(self):
+        """The one loop both engines run, as a generator: it yields at
+        each park (see :meth:`_engage`) and returns the stop reason."""
         comp = self.compiled
         decoded = comp.decoded
         regs = self.regs
@@ -420,7 +436,7 @@ class DispatchCore:
                         )
                 if trips is None:
                     _record_bail(plan, REASON_TRIP_UNSOLVABLE)
-                elif self._try_vector(plan, trips):
+                elif (yield from self._engage(plan, trips)):
                     last_pc = plan.branch_pc
                     next_pc = plan.exit_pc
                     if loop_stack:
@@ -483,7 +499,7 @@ class DispatchCore:
                             hw_plan is not None
                             and tpc not in disabled
                             and len(loop_stack) + hw_plan.hw_depth <= 2
-                            and self._try_vector(hw_plan, trips)
+                            and (yield from self._engage(hw_plan, trips))
                         ):
                             # The final trip's own back-edge consumed
                             # the boundary check, so no enclosing-loop

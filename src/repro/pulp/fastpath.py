@@ -548,6 +548,7 @@ class LoopPlan:
     reduction_pcs: Dict[int, Tuple[int, int, int]]  # pc -> (reg, op, src)
     reduction_regs: frozenset
     written_regs: frozenset  # every register written anywhere in the body
+    live_in: frozenset  # registers the body may read before writing them
     hw_depth: int  # nested hardware-loop levels, incl. the outer hw loop
     exec_nodes: tuple  # prepared execution tree (see _prepare_units)
 
@@ -613,7 +614,9 @@ def _classify_region(decoded, units, branch_pc: Optional[int]):
         for reg in (ra, rb):
             if reg in red:
                 raise _Bail(REASON_REDUCTION_IN_CONDITION)
-    return inductions, reduction_pcs, frozenset(write_sites)
+    return (
+        inductions, reduction_pcs, frozenset(write_sites), frozenset(exposed)
+    )
 
 
 #: Memo of compiled symbolic segments keyed by their prepared
@@ -859,7 +862,7 @@ def _rebased_region(decoded, lo: int, hi: int, branch_pc: Optional[int]):
 def _build_plan_body(region, kind, n: int, branch_rel, profile):
     """Analyze one pc-normalized region into the memoizable plan body."""
     units = _parse_region(region, 0, n)
-    inductions, reduction_pcs, written = _classify_region(
+    inductions, reduction_pcs, written, live_in = _classify_region(
         region, units, branch_rel
     )
     depth = _hw_depth(units) + (1 if kind == "hw" else 0)
@@ -871,6 +874,7 @@ def _build_plan_body(region, kind, n: int, branch_rel, profile):
         reduction_pcs,
         frozenset(r for r, _, _ in reduction_pcs.values()),
         written,
+        live_in,
         depth,
         _prepare_units(region, units, profile, reduction_pcs),
     )
@@ -898,7 +902,7 @@ def _build_plan(decoded, kind, head, lo, hi, exit_pc, branch_pc, profile):
         raise _Bail(body)
     (
         units, inductions, reduction_pcs, reduction_regs, written,
-        depth, exec_nodes,
+        live_in, depth, exec_nodes,
     ) = body
     return LoopPlan(
         kind=kind,
@@ -910,6 +914,7 @@ def _build_plan(decoded, kind, head, lo, hi, exit_pc, branch_pc, profile):
         reduction_pcs=reduction_pcs,
         reduction_regs=reduction_regs,
         written_regs=written,
+        live_in=live_in,
         hw_depth=depth,
         exec_nodes=exec_nodes,
     )

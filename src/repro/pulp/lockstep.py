@@ -34,7 +34,15 @@ module adds on top of the shared loop is purely the lane dimension:
   runs, which is what lets the whole AM search run laned;
 * :class:`LockstepSession`, which stages N lane images once and runs
   several programs back to back over them (encode then AM in the
-  chain driver), returning *per-lane* :class:`ClusterRunResult`\\ s.
+  chain driver), returning *per-lane* :class:`ClusterRunResult`\\ s;
+* **team fusion**: a team's cores park at their loop plans, and the
+  cores parked at one plan run it as *one* vector run over their trips
+  concatenated in core order, so an 8-core window costs about what a
+  1-core one does.  The interleaving is exact because cores touch
+  disjoint data between barriers (:mod:`repro.pulp.cluster`'s segment
+  model, checked per segment, else bail ``team-shared-data``) and stalls
+  keep the core-major order: later cores' L1 conflict carries are
+  charged at the barrier, so a DMA there bails ``team-clock-read``.
 
 Exactness contract: per-window architectural results (memory images,
 cycles, instruction counts, DMA bytes, barrier structure) are
@@ -68,6 +76,8 @@ from .assembler import CORE_ID_REG, N_CORES_REG, Program
 from .cluster import ClusterRunResult
 from .core import STOP_HALT
 from .dispatch import (
+    MAX_VECTOR_TRIPS,
+    REASON_INSTRUCTION_CAP,
     DispatchCore,
     _Bail,
     _LOAD_OPS,
@@ -77,6 +87,7 @@ from .dispatch import (
     _OP_OR,
     _OP_XOR,
     _STORE_OPS,
+    _TELEMETRY,
 )
 from .fastpath import (
     _VectorRun,
@@ -98,6 +109,49 @@ def _lane64(value, n_lanes: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value
     return np.full(n_lanes, value, dtype=np.uint64)
+
+
+def _lane_max(value) -> int:
+    """The worst lane of an int-or-(n,) instruction count."""
+    if isinstance(value, np.ndarray):
+        return int(value.max())
+    return value
+
+
+def _core_rows(values, n_lanes: int):
+    """A register's value on every core, or one uint64 row per core."""
+    first = values[0]
+    if all(value is first for value in values):
+        return first
+    if any(isinstance(value, np.ndarray) for value in values):
+        return np.stack([_lane64(value, n_lanes) for value in values])
+    if values.count(first) == len(values):
+        return first
+    return np.array(values, dtype=np.uint64)[:, None]
+
+
+def _trip_span(flat: np.ndarray, width: int):
+    """``(lo, hi, stride)`` of lane-uniform trip addresses, or a
+    misaligned bail; affine strides decide from the endpoints alone."""
+    stride = _affine_stride(flat)
+    if stride is not None:
+        lo, hi = int(flat[0]), int(flat[-1])
+        misaligned = width > 1 and (lo % width or stride % width)
+    else:
+        lo, hi = int(flat.min()), int(flat.max())
+        misaligned = width > 1 and (flat % width).any()
+    if misaligned:
+        raise LockstepBail(LS_MISALIGNED)
+    return lo, hi + width - 1, stride
+
+
+def _trip_cols(flat: np.ndarray, width: int, stride, lo: int, base: int):
+    """Columns of trip addresses in a region's ``width``-byte view: a
+    slice for unit strides, else an index array."""
+    if stride == width:
+        col0 = (lo - base) // width
+        return slice(col0, col0 + flat.shape[0])
+    return (flat.astype(np.int64) - base) // width
 
 
 def _pred_no_load(addr, width):  # pragma: no cover - guarded by _pred_entry
@@ -130,6 +184,10 @@ LS_STOP_DISAGREEMENT = "stop-disagreement"
 LS_PREDICATED_MEMORY = "predicated-memory"
 LS_BLOCK_ADDRESS_SHAPE = "block-address-shape"
 LS_UNSUPPORTED = "unsupported"
+# Team fusion (LockstepSession): cores shared data between barriers, or
+# a core after core 0 read its own clock (a DMA) mid-segment.
+LS_TEAM_SHARED_DATA = "team-shared-data"
+LS_TEAM_CLOCK = "team-clock-read"
 
 #: Every reason :class:`LockstepBail` can carry.
 LOCKSTEP_BAIL_REASONS = frozenset({
@@ -150,6 +208,8 @@ LOCKSTEP_BAIL_REASONS = frozenset({
     LS_PREDICATED_MEMORY,
     LS_BLOCK_ADDRESS_SHAPE,
     LS_UNSUPPORTED,
+    LS_TEAM_SHARED_DATA,
+    LS_TEAM_CLOCK,
 })
 
 #: The window-laned vector path converts a ``LockstepBail`` into a
@@ -188,27 +248,27 @@ _LOCKSTEP_TELEMETRY = {
     # divergent branches executed predicated instead of bailing
     "predicated": 0,
     "bails": Counter(),
+    # team-fused vector runs; fused runs that bailed (cores ran alone)
+    "team_runs": 0,
+    "team_bails": Counter(),
 }
 
 
 def lockstep_telemetry() -> dict:
     """Snapshot of the lockstep engine's attempt/bail counters."""
     return {
-        "attempts": _LOCKSTEP_TELEMETRY["attempts"],
-        "runs": _LOCKSTEP_TELEMETRY["runs"],
-        "lanes": _LOCKSTEP_TELEMETRY["lanes"],
-        "predicated": _LOCKSTEP_TELEMETRY["predicated"],
-        "bails": dict(_LOCKSTEP_TELEMETRY["bails"]),
+        key: dict(value) if isinstance(value, Counter) else value
+        for key, value in _LOCKSTEP_TELEMETRY.items()
     }
 
 
 def reset_lockstep_telemetry() -> None:
     """Zero the lockstep counters (start of a measured run)."""
-    _LOCKSTEP_TELEMETRY["attempts"] = 0
-    _LOCKSTEP_TELEMETRY["runs"] = 0
-    _LOCKSTEP_TELEMETRY["lanes"] = 0
-    _LOCKSTEP_TELEMETRY["predicated"] = 0
-    _LOCKSTEP_TELEMETRY["bails"].clear()
+    for key, value in _LOCKSTEP_TELEMETRY.items():
+        if isinstance(value, Counter):
+            value.clear()
+        else:
+            _LOCKSTEP_TELEMETRY[key] = 0
 
 
 def _uniform_int(value) -> Optional[int]:
@@ -472,15 +532,18 @@ class LanedMemory:
 
 
 class _LanedDMA:
-    """Busy-until DMA clock shared by all lanes (sizes are uniform)."""
+    """Busy-until DMA clock shared by all lanes (sizes are uniform); in
+    a team only core 0 has it, and ``touched`` is its footprint."""
 
-    __slots__ = ("_lmem", "_bytes_per_cycle", "busy_until", "total_bytes")
+    __slots__ = (
+        "_lmem", "_bytes_per_cycle", "busy_until", "total_bytes", "touched")
 
     def __init__(self, lmem: LanedMemory, bytes_per_cycle: int):
         self._lmem = lmem
         self._bytes_per_cycle = bytes_per_cycle
         self.busy_until = 0
         self.total_bytes = 0
+        self.touched: Optional[list] = None
 
     def enqueue(self, src, dst, size, issue_cycle) -> None:
         dst = _uniform_int(dst)
@@ -496,52 +559,57 @@ class _LanedDMA:
         if size < 0:
             raise LockstepBail(LS_DMA_ERROR)
         self._lmem.dma_copy(src, dst, size)
+        if self.touched is not None and size:
+            lanes = isinstance(src, np.ndarray)
+            lo, hi = (src.min(), src.max()) if lanes else (src, src)
+            self.touched += [(int(lo), int(hi) + size - 1, False, None, 0),
+                             (dst, dst + size - 1, True, None, 0)]
         start = max(self.busy_until, issue_cycle)
         self.busy_until = start + -(-size // self._bytes_per_cycle)
         self.total_bytes += size
 
 
 class _LanedReduction:
-    """Per-lane reduction accumulator ((n,) twin of ``_Reduction``)."""
+    """Per-core, per-lane reduction accumulator: the ``(C, n)`` twin of
+    ``_Reduction`` (one row per core block of trips; C = 1 unfused)."""
 
-    __slots__ = ("op", "base", "acc")
+    __slots__ = ("op", "base", "acc", "starts", "counts")
 
-    def __init__(self, op: int, base, n_lanes: int):
+    def __init__(self, op: int, base, n_lanes: int, starts, counts):
         self.op = op
-        self.base = base
-        if op == _OP_AND:
-            self.acc = np.full(n_lanes, _MASK32, dtype=np.uint64)
-        else:
-            self.acc = np.zeros(n_lanes, dtype=np.uint64)
+        self.base = base  # int, (n,), or one row per core
+        self.starts = starts
+        self.counts = np.array(counts, dtype=np.uint64)[:, None]
+        fill = _MASK32 if op == _OP_AND else 0
+        self.acc = np.full((len(counts), n_lanes), fill, dtype=np.uint64)
 
     def feed(self, value, lanes: int) -> None:
         op = self.op
         if isinstance(value, np.ndarray) and value.ndim == 2:
-            # Trip-varying feed: reduce over the trip axis per lane.
+            # Trip-varying feed: reduce each core's block of trips.
             if op == _OP_ADD:
-                self.acc = (
-                    self.acc + value.sum(axis=0, dtype=np.uint64)
-                ) & _M64
+                block = np.add.reduceat(value, self.starts, 0, np.uint64)
+                self.acc = (self.acc + block) & _M64
             elif op == _OP_OR:
-                self.acc |= np.bitwise_or.reduce(value, axis=0)
+                self.acc |= np.bitwise_or.reduceat(value, self.starts, 0)
             elif op == _OP_XOR:
-                self.acc ^= np.bitwise_xor.reduce(value, axis=0)
+                self.acc ^= np.bitwise_xor.reduceat(value, self.starts, 0)
             else:
-                self.acc &= np.bitwise_and.reduce(value, axis=0)
+                self.acc &= np.bitwise_and.reduceat(value, self.starts, 0)
         else:
-            # Trip-invariant feed (int or per-lane (n,)): closed form.
+            # Trip-invariant feed (int or (n,)): closed form per core.
+            value = np.uint64(0) + value
             if op == _OP_ADD:
-                self.acc = (self.acc + np.uint64(0) + value * lanes) & _M64
+                self.acc = (self.acc + value * self.counts) & _M64
             elif op == _OP_OR:
-                self.acc |= np.uint64(0) + value
+                self.acc |= value
             elif op == _OP_XOR:
-                if lanes & 1:
-                    self.acc ^= np.uint64(0) + value
+                self.acc ^= value * (self.counts & np.uint64(1))
             else:
-                self.acc &= np.uint64(0) + value
+                self.acc &= value
 
     def fold(self) -> np.ndarray:
-        base = np.uint64(0) + self.base  # int or (n,) → uint64
+        base = np.uint64(0) + self.base  # int, (n,) or rows → uint64
         if self.op == _OP_ADD:
             return (base + self.acc) & _M64
         if self.op == _OP_OR:
@@ -559,12 +627,20 @@ class _LanedVectorRun(_VectorRun):
     inherited ``run_nodes`` / ``eval_prepared`` / compiled segment
     closures are shape-agnostic, so only state setup, the memory hooks,
     and commit differ from the scalar engine.
+
+    A *team-fused* run (``team``: ``(core, trips)`` pairs, ``state``
+    its first core, ``trips`` their sum) gives each core one block of
+    the trip axis: inductions start from its registers, core-varying
+    registers repeat over its block, reductions fold per block, and
+    :meth:`commit` gives it its last trip and its share of the counts.
     """
 
-    def __init__(self, state: "_LaneCore", plan, trips: int):
+    def __init__(self, state: "_LaneCore", plan, trips: int, team=None):
         self.core = state
         self.plan = plan
         self.trips = trips
+        self.team = team or ((state, trips),)
+        self.starts, self.lasts = np.zeros(1, np.intp), slice(-1, None)
         self.decoded = state.compiled.decoded
         self.profile = state.profile
         self.memory = state.lmem
@@ -572,32 +648,51 @@ class _LanedVectorRun(_VectorRun):
         self.n_l2 = 0
         self.base_cycles = 0
         self.n_instr = 0
+        self.tail = 0  # cycles each core adds once (fused branch exit)
         self.stores: List[tuple] = []
         self.loads: List[tuple] = []
-        # instr_count becomes a lane array after a predicated branch;
-        # budget against the worst lane so no lane can cross the cap.
-        instr_count = state.instr_count
-        if isinstance(instr_count, np.ndarray):
-            instr_count = int(instr_count.max())
-        self.budget = state.max_instructions - instr_count
+        # Budget the worst lane (instr_count is a lane array after a
+        # predicated branch); counts grow as per-trip counts times
+        # ``trips``, so a fused run bails when any core's share would.
+        self.budget = min(
+            (core.max_instructions - _lane_max(core.instr_count))
+            * trips // n
+            for core, n in self.team
+        )
         self._taken = 1 + state.profile.branch_taken_penalty
         self._not_taken = 1 + state.profile.branch_not_taken_penalty
-        regs = state.regs
-        sym: List = list(regs)
+        rows: List = list(state.regs)
+        sym: List = list(rows)
+        counts = [n for _, n in self.team]
+        local = np.arange(trips, dtype=np.uint64)[:, None]  # (T, 1)
+        if team is not None:
+            self.lasts = np.cumsum(counts) - 1  # each core's last trip
+            self.starts = self.lasts - counts + 1
+            local -= np.repeat(self.starts, counts).astype(np.uint64)[:, None]
+            for reg in plan.live_in:
+                # What the body reads: one row per core where cores
+                # differ, repeated over each core's block of trips.
+                rows[reg] = sym[reg] = _core_rows(
+                    [core.regs[reg] for core, _ in team], state.n_lanes
+                )
+                if getattr(rows[reg], "ndim", 0) == 2:
+                    sym[reg] = np.repeat(rows[reg], counts, 0)
         sym[0] = 0
-        lanes = np.arange(trips, dtype=np.uint64)[:, None]  # (T, 1)
         for reg, step in plan.inductions.items():
             if reg == 0:
                 continue
-            base = regs[reg]
+            base = sym[reg]
             if isinstance(base, np.ndarray):
-                base = base[None, :]  # (1, n) → broadcast to (T, n)
+                if base.ndim == 1:
+                    base = base[None, :]  # (1, n) → broadcast to (T, n)
             else:
                 base = np.uint64(base)
-            sym[reg] = (base + lanes * np.uint64(step & _MASK32)) & _M64
+            sym[reg] = (base + local * np.uint64(step & _MASK32)) & _M64
         for _pc, (reg, op, _src) in plan.reduction_pcs.items():
             if reg:
-                sym[reg] = _LanedReduction(op, regs[reg], state.n_lanes)
+                sym[reg] = _LanedReduction(
+                    op, rows[reg], state.n_lanes, self.starts, counts
+                )
         self.sym = sym
 
     # -- memory hooks ------------------------------------------------------
@@ -607,36 +702,16 @@ class _LanedVectorRun(_VectorRun):
         try:
             if isinstance(addr, np.ndarray):
                 if addr.ndim == 2 and addr.shape[1] == 1:
-                    # Lane-uniform trip addresses.  Affine strides (the
-                    # overwhelmingly common case) pin the bounds and
-                    # alignment from the endpoints alone, and
-                    # unit-stride runs gather through a column slice
-                    # instead of a fancy index.
+                    # Lane-uniform trip addresses.
                     flat = addr[:, 0]
-                    stride = _affine_stride(flat)
-                    if stride is not None:
-                        lo = int(flat[0])
-                        hi = int(flat[-1]) + width - 1
-                        if width > 1 and (
-                            lo % width or stride % width
-                        ):
-                            raise LockstepBail(LS_MISALIGNED)
-                    else:
-                        lo = int(flat.min())
-                        hi = int(flat.max()) + width - 1
-                        if width > 1 and (flat % width).any():
-                            raise LockstepBail(LS_MISALIGNED)
+                    lo, hi, stride = _trip_span(flat, width)
                     self._check_no_store_overlap(
                         lo, hi, flat, width, stride
                     )
                     is_l1, base = lmem.locate(lo, hi)
-                    if stride == width:
-                        col0 = (lo - base) // width
-                        sel = slice(col0, col0 + flat.shape[0])
-                    else:
-                        sel = (flat.astype(np.int64) - base) // width
                     values = lmem.gather_cols(
-                        sel, width, is_l1, lo - base, hi - base
+                        _trip_cols(flat, width, stride, lo, base),
+                        width, is_l1, lo - base, hi - base,
                     )
                     self.loads.append((lo, hi, flat, width, stride))
                 elif addr.ndim == 2:
@@ -679,47 +754,31 @@ class _LanedVectorRun(_VectorRun):
         return values
 
     def _store(self, addr, value, width: int) -> None:
-        lmem: LanedMemory = self.memory
-        if isinstance(addr, np.ndarray):
-            if addr.ndim != 2 or addr.shape[1] != 1:
-                raise _Bail(LANED_BAIL_PREFIX + LS_LANED_STORE_ADDRESSES)
-            flat = addr[:, 0]
-            stride = _affine_stride(flat)
-            if stride is not None:
-                lo = int(flat[0])
-                hi = int(flat[-1]) + width - 1
-                if width > 1 and (lo % width or stride % width):
-                    raise _Bail(LANED_BAIL_PREFIX + LS_MISALIGNED)
-            else:
-                lo = int(flat.min())
-                hi = int(flat.max()) + width - 1
-                if width > 1 and (flat % width).any():
-                    raise _Bail(LANED_BAIL_PREFIX + LS_MISALIGNED)
-                if np.unique(flat).size != flat.size:
+        if isinstance(addr, np.ndarray) and (
+            addr.ndim != 2 or addr.shape[1] != 1
+        ):
+            raise _Bail(LANED_BAIL_PREFIX + LS_LANED_STORE_ADDRESSES)
+        try:
+            if isinstance(addr, np.ndarray):
+                addr = addr[:, 0]
+                lo, hi, stride = _trip_span(addr, width)
+                if stride is None and np.unique(addr).size != addr.size:
                     raise _Bail("duplicate-store-lanes")
-            try:
-                is_l1, _ = lmem.locate(lo, hi)
-            except LockstepBail as bail:
-                raise _Bail(LANED_BAIL_PREFIX + bail.reason)
-            self._check_no_store_overlap(lo, hi, flat, width, stride)
-            self._check_no_load_overlap(lo, hi, flat, width, stride)
-            self.stores.append((lo, hi, flat, value, width, stride))
-        else:
-            addr = int(addr)
-            lo, hi = addr, addr + width - 1
-            if width > 1 and addr % width:
-                raise _Bail(LANED_BAIL_PREFIX + LS_MISALIGNED)
-            try:
-                is_l1, _ = lmem.locate(lo, hi)
-            except LockstepBail as bail:
-                raise _Bail(LANED_BAIL_PREFIX + bail.reason)
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                value = value[-1]  # last trip wins on one address
-                if value.shape[0] == 1 or (value == value[0]).all():
-                    value = int(value[0])
-            self._check_no_store_overlap(lo, hi, addr, width, None)
-            self._check_no_load_overlap(lo, hi, addr, width, None)
-            self.stores.append((lo, hi, addr, value, width, None))
+            else:
+                addr = int(addr)
+                lo, hi, stride = addr, addr + width - 1, None
+                if width > 1 and addr % width:
+                    raise LockstepBail(LS_MISALIGNED)
+                if isinstance(value, np.ndarray) and value.ndim == 2:
+                    value = value[-1]  # last trip wins on one address
+                    if value.shape[0] == 1 or (value == value[0]).all():
+                        value = int(value[0])
+            is_l1, _ = self.memory.locate(lo, hi)
+        except LockstepBail as bail:
+            raise _Bail(LANED_BAIL_PREFIX + bail.reason)
+        self._check_no_store_overlap(lo, hi, addr, width, stride)
+        self._check_no_load_overlap(lo, hi, addr, width, stride)
+        self.stores.append((lo, hi, addr, value, width, stride))
         if is_l1:
             self.n_l1 += self.trips
         else:
@@ -728,52 +787,77 @@ class _LanedVectorRun(_VectorRun):
     # -- commit ------------------------------------------------------------
 
     def commit(self) -> None:
-        state: _LaneCore = self.core
         lmem: LanedMemory = self.memory
         for lo, _hi, addr, value, width, stride in self.stores:
             if isinstance(addr, np.ndarray):
                 is_l1, base = lmem.locate(lo, _hi)
-                if stride == width:
-                    col0 = (lo - base) // width
-                    sel = slice(col0, col0 + addr.shape[0])
-                else:
-                    sel = (addr.astype(np.int64) - base) // width
                 lmem.scatter_cols(
-                    sel, value, width, is_l1, lo - base, _hi - base
+                    _trip_cols(addr, width, stride, lo, base),
+                    value, width, is_l1, lo - base, _hi - base,
                 )
             else:
                 lmem.store_scalar(addr, value, width)
-        regs = state.regs
-        # Only body-written registers can have changed in sym.
-        for reg in self.plan.written_regs:
-            if not reg:
-                continue
+        # Only body-written registers can have changed in sym; each core
+        # takes its row of a folded reduction or its last trip.
+        for reg in self.plan.written_regs - {0}:
             value = self.sym[reg]
             if isinstance(value, _LanedReduction):
-                folded = value.fold()
-                uniform = _uniform_int(folded)
-                regs[reg] = folded if uniform is None else uniform
-            elif isinstance(value, np.ndarray):
-                if value.ndim == 2:
-                    last = value[-1]
-                    if last.shape[0] == 1:
-                        regs[reg] = int(last[0])
-                    else:
-                        uniform = _uniform_int(last)
-                        regs[reg] = (
-                            last.astype(np.uint64)
-                            if uniform is None
-                            else uniform
-                        )
+                value = value.fold()
+            elif not isinstance(value, np.ndarray):
+                for state, _ in self.team:
+                    state.regs[reg] = value
+                continue
+            elif value.ndim == 2:
+                value = value[self.lasts]
+            else:  # a per-lane invariant: every core's
+                value = np.broadcast_to(value, (len(self.team), value.size))
+            if value.shape[1] == 1:
+                rows = value[:, 0].tolist()
+            else:  # per-lane rows, collapsed where uniform
+                same = (value == value[:, :1]).all(axis=1).tolist()
+                rows = [int(row[0]) if uniform else row.astype(np.uint64)
+                        for row, uniform in zip(value, same)]
+            for (state, _), row in zip(self.team, rows):
+                state.regs[reg] = row
+        T = self.trips
+        totals = (self.n_instr, self.base_cycles, self.n_l1, self.n_l2)
+        for state, n in self.team:
+            # A fused run's totals are per-trip counts times T, so each
+            # core's share is exact; a lone run keeps its totals.
+            n_instr, base, n_l1, n_l2 = (
+                totals if n == T else [x // T * n for x in totals]
+            )
+            state.cycles += base + self.tail + state._stall_cycles(
+                n_l1, n_l2
+            )
+            state.instr_count += n_instr
+        if self.core.touched is not None:
+            self._record_footprints()
+
+    def _record_footprints(self) -> None:
+        """Add this run's accesses to each core's ``touched``, one entry
+        per core block, with element addresses unless they tile it."""
+        starts = self.starts.tolist()
+        ends = [start + n - 1 for start, (_, n) in zip(starts, self.team)]
+        for entries, write in ((self.loads, False), (self.stores, True)):
+            for entry in entries:
+                lo, hi, addr = entry[:3]
+                width, stride = entry[-2:]
+                if not isinstance(addr, np.ndarray):
+                    spans = [(lo, hi - width + 1)] * len(starts)
+                elif stride is not None:  # ascending affine: ends decide
+                    spans = [(lo + a * stride, lo + b * stride)
+                             for a, b in zip(starts, ends)]
                 else:
-                    uniform = _uniform_int(value)
-                    regs[reg] = value if uniform is None else uniform
-            else:
-                regs[reg] = value
-        state.cycles += self.base_cycles + lmem.bulk_stalls(
-            self.n_l1, self.n_l2
-        )
-        state.instr_count += self.n_instr
+                    spans = zip(
+                        np.minimum.reduceat(addr, self.starts).tolist(),
+                        np.maximum.reduceat(addr, self.starts).tolist(),
+                    )
+                elems = [None] * len(starts)
+                if isinstance(addr, np.ndarray) and stride != width:
+                    elems = np.split(addr, self.starts[1:])
+                for (core, _), (a, b), e in zip(self.team, spans, elems):
+                    core.touched.append((a, b + width - 1, write, e, width))
 
 
 class _LaneCore(DispatchCore):
@@ -787,6 +871,11 @@ class _LaneCore(DispatchCore):
     and predicated execution of short divergent forward branches.
     ``cycles`` and ``instr_count`` start as plain ints and are promoted
     to per-lane ``(n,)`` arrays by the first predicated branch.
+
+    A team's session sets ``parks``, ``touched`` (the segment's
+    accesses: ``(lo, hi, is_write, elems, width)``, bytes ``[lo, hi]``
+    or ``width`` bytes at each ``elems`` address) and, after core 0,
+    ``deferred_l1`` (L1 accesses whose carries the barrier charges).
     """
 
     __slots__ = (
@@ -805,6 +894,9 @@ class _LaneCore(DispatchCore):
         "_disabled_plans",
         "_block_cache",
         "_pred_cache",
+        "parks",
+        "touched",
+        "deferred_l1",
     )
 
     _vector_run_cls = _LanedVectorRun
@@ -839,6 +931,16 @@ class _LaneCore(DispatchCore):
         self._disabled_plans: set = set()
         self._block_cache = block_cache
         self._pred_cache = pred_cache
+        self.parks = False
+        self.touched: Optional[list] = None
+        self.deferred_l1: Optional[int] = None
+
+    def _stall_cycles(self, n_l1: int, n_l2: int) -> int:
+        """Stalls of some accesses, keeping deferred L1 carries back."""
+        if self.deferred_l1 is None:
+            return self.lmem.bulk_stalls(n_l1, n_l2)
+        self.deferred_l1 += n_l1
+        return self.lmem.bulk_stalls(0, n_l2)
 
     # -- straight-line blocks ---------------------------------------------
 
@@ -867,14 +969,19 @@ class _LaneCore(DispatchCore):
         closure, cost = self._block_entry(start, n_straight)
         lmem = self.lmem
         counts = [0, 0]  # [l2, l1] accesses
+        touched = self.touched
 
         def load(addr, width):
             if isinstance(addr, np.ndarray):
                 if addr.ndim != 1:
                     raise LockstepBail(LS_BLOCK_ADDRESS_SHAPE)
                 value, is_l1 = lmem.load_lanes(addr, width)
+                lo, hi, elems = int(addr.min()), int(addr.max()), addr
             else:
                 value, is_l1 = lmem.load_scalar(int(addr), width)
+                lo, hi, elems = int(addr), int(addr), None
+            if touched is not None:
+                touched.append((lo, hi + width - 1, False, elems, width))
             counts[is_l1] += 1
             return value
 
@@ -884,13 +991,15 @@ class _LaneCore(DispatchCore):
             ) else int(addr)
             if uniform is None:
                 raise LockstepBail(LS_DIVERGENT_STORE_ADDRESS)
+            if touched is not None:
+                touched.append((uniform, uniform + width - 1, True, None, 0))
             counts[lmem.store_scalar(uniform, value, width)] += 1
 
         regs = self.regs
         closure(regs, load, store, 1)
         regs[0] = 0
         self.instr_count += n_straight
-        self.cycles += cost + lmem.bulk_stalls(counts[1], counts[0])
+        self.cycles += cost + self._stall_cycles(counts[1], counts[0])
 
     # -- dispatch-loop hooks (laned instantiation) -------------------------
     #
@@ -909,10 +1018,7 @@ class _LaneCore(DispatchCore):
         return _uniform_int(self.regs[reg]) if reg else 0
 
     def _over_cap(self, needed: int) -> bool:
-        instr_count = self.instr_count
-        if isinstance(instr_count, np.ndarray):
-            instr_count = int(instr_count.max())
-        return instr_count + needed > self.max_instructions
+        return _lane_max(self.instr_count) + needed > self.max_instructions
 
     def _cap_handoff(self, pc: int):
         raise LockstepBail(LS_INSTRUCTION_CAP)
@@ -970,7 +1076,10 @@ class _LaneCore(DispatchCore):
         raise LockstepBail(LS_LOOP_NESTING)
 
     def _fault_no_dma(self, what: str):
-        raise LockstepBail(LS_DMA_ERROR)
+        # Later team cores have no DMA: their clocks lack deferred carries.
+        raise LockstepBail(
+            LS_DMA_ERROR if self.deferred_l1 is None else LS_TEAM_CLOCK
+        )
 
     def _fault_unknown_terminator(self, op: int):
         raise LockstepBail(LS_UNKNOWN_TERMINATOR)
@@ -1052,12 +1161,7 @@ class _LaneCore(DispatchCore):
             raise LockstepBail(LS_DIVERGENT_BRANCH)
         closure, n_body, body_cost, written = entry
         instr_count = self.instr_count
-        instr_hi = (
-            int(instr_count.max())
-            if isinstance(instr_count, np.ndarray)
-            else instr_count
-        )
-        if instr_hi + n_body > self.max_instructions:
+        if _lane_max(instr_count) + n_body > self.max_instructions:
             raise LockstepBail(LS_INSTRUCTION_CAP)
         regs = self.regs
         n = self.n_lanes
@@ -1083,6 +1187,52 @@ def _lane_val(value, lane: int) -> int:
     if isinstance(value, np.ndarray):
         return int(value[lane])
     return int(value)
+
+
+def _run_team(plan, members) -> bool:
+    """One vector run of ``plan`` for the parked ``(core, trips)``
+    members; False when each must run it alone instead."""
+    trips = sum(n for _, n in members)
+    if trips > MAX_VECTOR_TRIPS:
+        return False
+    try:
+        run = _LanedVectorRun(members[0][0], plan, trips, members)
+        run.run_nodes(plan.exec_nodes)
+        if plan.kind == "branch":
+            # Each core's own back edge: (trips - 1) taken, 1 not taken.
+            run.n_instr += trips
+            run.base_cycles += run._taken * trips
+            run.tail = run._not_taken - run._taken
+            if run.n_instr > run.budget:
+                raise _Bail(REASON_INSTRUCTION_CAP)
+    except _Bail as bail:
+        _LOCKSTEP_TELEMETRY["team_bails"][bail.reason] += 1
+        return False
+    run.commit()
+    _LOCKSTEP_TELEMETRY["team_runs"] += 1
+    site = (plan.kind, plan.head)
+    for _, n in members:
+        _TELEMETRY["engaged"][site] += 1
+        _TELEMETRY["trips"][site] += n
+    return True
+
+
+def _check_disjoint(rows: list, n_cores: int) -> None:
+    """Bail unless no core wrote bytes another core touched: interleaved
+    cores match the core-major oracle only under :mod:`repro.pulp.cluster`'s
+    segment model.  ``rows`` is flat ``lo, hi, core, is_write`` byte
+    ranges, segments offset apart.  Sorted by ``lo``, a range overlaps one
+    of core ``c`` iff it starts no later than the furthest end ``c`` reached.
+    """
+    spans = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    lo, hi, core, write = spans[spans[:, 0].argsort(kind="stable")].T
+    mine = core == np.arange(n_cores)[:, None]  # (cores, ranges)
+    ends = np.where(mine, hi, -1)
+    reach = np.maximum.accumulate(
+        np.stack([ends, np.where(write == 1, ends, -1)]), axis=2
+    )[:, :, :-1] >= lo[1:]  # [any, write] range of core c reaches it
+    if ((reach[1] | (reach[0] & (write[1:] == 1))) & ~mine[:, 1:]).any():
+        raise LockstepBail(LS_TEAM_SHARED_DATA)
 
 
 class LockstepSession:
@@ -1160,14 +1310,24 @@ class LockstepSession:
                 )
                 for core_id in range(cluster.n_cores)
             ]
+            for state in states if len(states) > 1 else ():  # a team
+                state.parks, state.touched = True, []
+            for state in states[1:]:
+                state.deferred_l1, state.dma = 0, None
+            dma.touched = states[0].touched
 
             n_barriers = 0
             barrier_cycles_total = 0
+            footprints: list = []
             while True:
-                reasons = [
-                    state.dispatch_segment() for state in states
-                ]
+                reasons = (
+                    self._team_segment(states, footprints, n_barriers << 33)
+                    if len(states) > 1
+                    else [states[0].dispatch_segment()]
+                )
                 if all(reason == STOP_HALT for reason in reasons):
+                    if footprints:
+                        _check_disjoint(footprints, len(states))
                     break
                 if any(reason == STOP_HALT for reason in reasons):
                     raise LockstepBail(LS_STOP_DISAGREEMENT)
@@ -1214,6 +1374,57 @@ class LockstepSession:
         _LOCKSTEP_TELEMETRY["runs"] += 1
         _LOCKSTEP_TELEMETRY["lanes"] += self.n_lanes
         return results
+
+    def _team_segment(self, states, footprints: list, offset: int) -> list:
+        """Run a team to its next barrier or halt; the stop reasons.
+
+        Cores step in core order, each to its next park point (see
+        :meth:`DispatchCore._engage`), barrier or halt.  Cores parked at
+        one loop plan run it as one fused vector run; a core parked
+        alone, or whose fused run bailed, runs it alone.  Each later
+        core's L1 conflict carries are charged here, in core order; if
+        cores ran interleaved, their footprints join ``footprints``
+        (ranges moved up by ``offset``) for :func:`_check_disjoint`.
+        """
+        steps = [state.segment_steps() for state in states]
+        replies: List = [None] * len(states)
+        stops: List = [None] * len(states)
+        ready = range(len(states))
+        interleaved = False
+        while ready:
+            parked: Dict[int, tuple] = {}
+            for k in ready:
+                try:
+                    plan, trips = steps[k].send(replies[k])
+                except StopIteration as stop:
+                    stops[k] = stop.value
+                else:
+                    parked.setdefault(id(plan), (plan, []))[1].append(
+                        (states[k], trips)
+                    )
+            ready = []
+            for plan, members in parked.values():
+                interleaved = True
+                fused = len(members) > 1 and _run_team(plan, members)
+                for state, trips in members:
+                    replies[state.core_id] = fused or state._try_vector(
+                        plan, trips
+                    )
+                    ready.append(state.core_id)
+            ready.sort()
+        for state in states[1:]:
+            state.cycles += self.lmem.bulk_stalls(state.deferred_l1, 0)
+            state.deferred_l1 = 0
+        for state in states:
+            for lo, hi, write, elems, width in (
+                state.touched if interleaved else ()
+            ):
+                size = hi - lo if elems is None else width - 1
+                for start in [lo] if elems is None else elems.tolist():
+                    footprints += (offset + start, offset + start + size,
+                                   state.core_id, write)
+            state.touched.clear()
+        return stops
 
     def read_word(self, lane: int, addr: int) -> int:
         """Read one 32-bit word from a lane's current image."""

@@ -781,8 +781,9 @@ class StreamingService:
         stacked: np.ndarray,
         entry: _ModelEntry,
         session: Optional[Session] = None,
-    ) -> List[int]:
-        """Winner indices of a window stack, through the decision cache.
+    ) -> Tuple[List[int], int]:
+        """Winner indices of a window stack, through the decision cache,
+        and how many of them were cache hits.
 
         Cache keys are the quantised level patterns, one ``bytes`` row
         of ``entry.key_dtype`` levels per window, built in one pass; the
@@ -796,7 +797,8 @@ class StreamingService:
         limit.  ``session`` is the owning session when (and only when)
         the stack classifies against that session's adapted prototypes;
         those move with every feedback, so its windows are never
-        memoized.
+        memoized.  The caller counts hits and misses once the whole
+        batch has its labels, so a failed dispatch counts nothing.
         """
         encoder = entry.model.encoder
         levels = encoder.spatial.quantize_batch(stacked)
@@ -805,7 +807,7 @@ class StreamingService:
             indices, _ = engine.am_search(
                 queries.words, session.delta.prototype_words()
             )
-            return indices.tolist()
+            return indices.tolist(), 0
         n = levels.shape[0]
         rows = levels.reshape(n, -1).astype(entry.key_dtype)
         row_bytes = np.dtype((np.void, rows.shape[1] * rows.itemsize))
@@ -813,8 +815,6 @@ class StreamingService:
         cache = entry.cache
         winners = list(map(cache.get, keys))
         missing = [i for i, winner in enumerate(winners) if winner is None]
-        self.cache_hits += n - len(missing)
-        self.cache_misses += len(missing)
         for key, winner in zip(keys, winners):
             if winner is not None:
                 cache.move_to_end(key)  # refresh LRU recency
@@ -830,7 +830,7 @@ class StreamingService:
                 self.cache_evictions += excess
                 for _ in range(excess):
                     cache.popitem(last=False)  # evict coldest
-        return winners
+        return winners, n - len(missing)
 
     def _dispatch(self, n: int) -> List[Decision]:
         """Classify the ``n`` oldest ready windows, one engine pass per
@@ -859,6 +859,7 @@ class StreamingService:
             groups.setdefault(self._group_of(session), []).append(pos)
         start = time.perf_counter()
         item_labels: List[Optional[list]] = [None] * len(items)
+        hits = misses = 0
         for (model_id, owner), positions in groups.items():
             entry = self._entries[model_id]
             blocks = [items[pos][1] for pos in positions]
@@ -868,7 +869,12 @@ class StreamingService:
             group_session = (
                 items[positions[0]][0] if owner is not None else None
             )
-            indices = self._classify(stacked, entry, group_session)
+            indices, group_hits = self._classify(
+                stacked, entry, group_session
+            )
+            if group_session is None:
+                hits += group_hits
+                misses += len(indices) - group_hits
             labels = (
                 group_session.delta.labels()
                 if group_session is not None
@@ -881,7 +887,10 @@ class StreamingService:
                 item_labels[pos] = group_labels[offset : offset + k]
                 offset += k
         self._host_seconds += time.perf_counter() - start
-        # Every label is known: only now does the batch leave the queue.
+        # Every label is known: only now does the batch leave the queue
+        # and count in the cache totals.
+        self.cache_hits += hits
+        self.cache_misses += misses
         for _ in range(len(items)):
             session, windows, tick, wall = self._queue.popleft()
         if windows.shape[0] > take:

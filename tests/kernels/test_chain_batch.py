@@ -20,6 +20,10 @@ import numpy as np
 import pytest
 
 from repro.kernels import ChainConfig, ChainDims, HDChainSimulator
+from repro.kernels.chain import (
+    chain_batch_telemetry,
+    reset_chain_batch_telemetry,
+)
 from repro.kernels.layout import make_layout
 from repro.pulp import fastpath
 from repro.pulp.lockstep import (
@@ -101,6 +105,10 @@ BATCH_CONFIGS = [
     ("m4_carry_save", CORTEX_M4_SOC, 1, False, "auto", dict(n_channels=8)),
     ("wolf_8_memory", WOLF_SOC, 8, False, "memory", dict()),
     ("wolf_2_carry_save", WOLF_SOC, 2, False, "carry-save", dict()),
+    # Team-fused runs: 2 words for 8 cores (six cores skip every loop),
+    # and 31 words over 3 cores (chunks of 11, 11 and 9).
+    ("wolf_8_bi_dim50", WOLF_SOC, 8, True, "auto", dict(dim=50)),
+    ("pulpv3_3_uneven", PULPV3_SOC, 3, False, "auto", dict()),
 ]
 
 
@@ -117,7 +125,7 @@ def test_batched_matches_sequential(
     down to cycles, per-core breakdowns, and the final memory image."""
     overrides = dict(overrides)
     dims = ChainDims(
-        dim=992,
+        dim=overrides.pop("dim", 992),
         n_channels=overrides.pop("n_channels", 4),
         n_levels=10,
         n_classes=4,
@@ -159,6 +167,33 @@ def test_batched_lockstep_engages_on_wolf():
     assert telemetry["runs"] >= 1
     assert telemetry["lanes"] >= 4
     assert not telemetry["bails"]
+
+
+@pytest.mark.parametrize(
+    "soc,n_cores,builtins",
+    [(WOLF_SOC, 8, True), (PULPV3_SOC, 4, False)],
+    ids=["wolf_8_bi", "pulpv3_4"],
+)
+def test_team_batches_run_fused(soc, n_cores, builtins):
+    """Team batches run their loops as team-fused vector runs, with no
+    lockstep bail and no window on the fallback path (a silent
+    fallback would pass the parity grid while losing the speed-up)."""
+    dims = ChainDims(
+        dim=992, n_channels=4, n_levels=10, n_classes=4, ngram=1, window=5
+    )
+    sim = _make_sim(soc, n_cores, dims, builtins, "auto", "fast")
+    rng = np.random.default_rng(6)
+    batch = rng.integers(
+        0, dims.n_levels, size=(4, dims.n_samples, dims.n_channels)
+    )
+    reset_lockstep_telemetry()
+    reset_chain_batch_telemetry()
+    sim.run_window_levels_batch(batch)
+    telemetry = lockstep_telemetry()
+    assert telemetry["team_runs"] > 0
+    assert not telemetry["bails"]
+    assert not telemetry["team_bails"]
+    assert chain_batch_telemetry()["fallback_windows"] == 0
 
 
 def test_batched_chunks_over_arena_capacity():

@@ -11,7 +11,9 @@ from ``DIV`` observes different per-lane words.
 Reasons that assembled code cannot reach (``dma-error`` needs a
 negative transfer size the masked ALU never produces;
 ``unknown-terminator`` and ``block-address-shape`` guard states the
-assembler cannot encode) are covered at the guard level instead.
+assembler cannot encode) are covered at the guard level instead.  The
+two team-fusion reasons (``team-shared-data``, ``team-clock-read``)
+are provoked, with their fallback parity, in ``test_lockstep_team.py``.
 """
 
 import numpy as np

@@ -550,6 +550,36 @@ class TestOfflineParity:
         assert len(decisions) == 8
         self._assert_offline(model, decisions, streams)
 
+    def test_failed_encode_counts_each_window_once(
+        self, model, rng, monkeypatch
+    ):
+        """A miss encode that raises after the cache lookup counts
+        nothing: after the retry the cache counters add up to the 8
+        windows decided, not 16."""
+        service = _service(model, max_wait=1000)
+        streams = {sid: rng.random((20, 4)) for sid in ("a", "b")}
+        for sid in streams:
+            service.open_session(sid)
+            service.ingest(sid, streams[sid])
+        assert service.pending_windows == 8
+        encoder = service.model.encoder
+        real = encoder.encode_levels_batch
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "encode_levels_batch", flaky)
+        with pytest.raises(MemoryError, match="injected"):
+            service.drain()
+        assert service.cache_hits + service.cache_misses == 0
+        self._assert_offline(model, service.drain(), streams)
+        assert service.total_windows == 8
+        assert service.cache_hits + service.cache_misses == 8
+
     def test_failed_dispatch_keeps_a_split_queue_item_whole(
         self, model, rng, monkeypatch
     ):
