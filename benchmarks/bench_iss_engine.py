@@ -2,8 +2,9 @@
 
 Regenerates the full Table 3 matrix (all five machine configurations at
 10,000-D) on both engines, verifies the results are cycle-identical, and
-publishes the wall-clock ratio — the acceptance number for the
-block-compiled / vectorizing engine is >= 10x on this workload.
+publishes the wall-clock ratio of the best of three cold runs each — the
+acceptance number for the block-compiled / vectorizing engine is >= 10x
+on this workload.
 
 A second section drives a Fig. 4-shaped window sweep (Wolf, 8 cores,
 built-ins, 10,000-D, N = 4-gram) through the batched window driver and
@@ -34,19 +35,32 @@ from repro.pulp.lockstep import (
 from repro.pulp.soc import WOLF_SOC
 
 
+#: Timed Table 3 runs per engine; the best one counts.
+ENGINE_REPEATS = 3
+
+
 @pytest.fixture(scope="module")
 def engine_timings():
-    timings = {}
+    """Best of ``ENGINE_REPEATS`` Table 3 runs per engine.  Every fast
+    run starts with empty plan, straight-line and segment memos, so
+    each one pays the fast path's compile cost like a first run."""
+    timings = {"interp": float("inf"), "fast": float("inf")}
     results = {}
     telemetry = None
-    for engine in ("interp", "fast"):
-        if engine == "fast":
-            fastpath.reset_fastpath_telemetry()
-        start = time.perf_counter()
-        results[engine] = table3.run_table3(engine=engine)
-        timings[engine] = time.perf_counter() - start
-        if engine == "fast":
-            telemetry = fastpath.fastpath_telemetry()
+    for _ in range(ENGINE_REPEATS):
+        for engine in ("interp", "fast"):
+            if engine == "fast":
+                fastpath._PLAN_MEMO.clear()
+                fastpath._STRAIGHT_MEMO.clear()
+                fastpath._SEG_MEMO.clear()
+                fastpath.reset_fastpath_telemetry()
+            start = time.perf_counter()
+            results[engine] = table3.run_table3(engine=engine)
+            timings[engine] = min(
+                timings[engine], time.perf_counter() - start
+            )
+            if engine == "fast":
+                telemetry = fastpath.fastpath_telemetry()
     ratio = timings["interp"] / timings["fast"]
     lines = [
         "ISS engine comparison - full Table 3 (5 configs, 10,000-D)",
@@ -81,7 +95,8 @@ def test_engines_cycle_identical(engine_timings):
 
 
 def test_fast_path_speedup_target(engine_timings):
-    """The PR's acceptance criterion: >= 10x on the full Table 3 run."""
+    """The fast path's acceptance criterion: >= 10x on the full Table 3
+    run, best cold run against best interpreter run."""
     timings, _, _ = engine_timings
     assert timings["interp"] / timings["fast"] >= 10.0, timings
 

@@ -112,10 +112,13 @@ def emit_rotate_xor_pass(
         codegen.emit_word_loop(asm, profile, w, w_end, t, body, step, "rot")
 
         # The core owning the final word masks the pad bits in place.
+        # Its id is known here; idle trailing cores, whose clamped range
+        # also ends at n_words, must not touch the word.
         if mask != 0xFFFFFFFF:
             skip_mask = codegen.asm_unique(asm, "rot_mask_skip")
-            asm.li(t, n_words)
-            asm.bne(w_end, t, skip_mask)
+            owner = (n_words - 2) // codegen.ceil_div(n_words - 1, n_cores)
+            asm.li(t, owner)
+            asm.bne(CORE_ID_REG, t, skip_mask)
             asm.li(p_dst, dst_addr + (n_words - 1) * 4)
             asm.lw(t, p_dst, 0)
             asm.li(u, mask)

@@ -11,11 +11,7 @@ Sweeps calibrate through two levels of batching:
 
 * a process-wide **model cache** keyed on the shape, so revisited
   configurations (Fig. 4's core sweep shares shapes with Fig. 3's N
-  sweep, for instance) cost a dict lookup;
-* a **simulator cache** keyed on the shape *and* fit dimension, so a
-  cache-cleared refit (or a fit at a different seed) reuses the
-  generated programs and their compiled fast-path closures instead of
-  rebuilding the simulator from scratch; and
+  sweep, for instance) cost a dict lookup; and
 * :func:`calibrate_chain_batch`, which takes a whole sweep's worth of
   requests at once, dedups them against the model cache, and fits only
   the distinct shapes — so Fig. 4 / Table 3-style sweeps issue one
@@ -60,11 +56,6 @@ from .latency import DETECTION_LATENCY_MS, required_frequency_mhz
 from .model import ChainCycleModel, LinearCycleModel
 
 _CACHE: Dict[tuple, ChainCycleModel] = {}
-
-#: Simulators keyed by (shape key, fit dimension).  A simulator owns the
-#: generated encode/AM programs and their compiled closures; reloading
-#: the model arrays and re-staging a window is cheap by comparison.
-_SIM_CACHE: Dict[tuple, HDChainSimulator] = {}
 
 
 def calibration_dims(
@@ -137,38 +128,7 @@ def _max_fitting_words(
     return best
 
 
-def _point_simulator(
-    key: tuple,
-    soc: SoCConfig,
-    n_cores: int,
-    dims: ChainDims,
-    use_builtins: bool,
-    strategy: str,
-) -> HDChainSimulator:
-    """Fetch (or build and cache) the simulator for one fit point.
-
-    The cache key includes the fit dimension, so a hit reuses the
-    generated programs and compiled closures; the caller reloads the
-    model arrays, which fully determines the subsequent run.
-    """
-    sim_key = key + (dims.dim,)
-    sim = _SIM_CACHE.get(sim_key)
-    if sim is None:
-        sim = HDChainSimulator(
-            ChainConfig(
-                soc=soc,
-                n_cores=n_cores,
-                dims=dims,
-                use_builtins=use_builtins,
-                strategy=strategy,
-            )
-        )
-        _SIM_CACHE[sim_key] = sim
-    return sim
-
-
 def _run_point(
-    key: tuple,
     soc: SoCConfig,
     n_cores: int,
     dims: ChainDims,
@@ -177,7 +137,15 @@ def _run_point(
     rng: np.random.Generator,
 ) -> Tuple[int, int]:
     """One full ISS chain execution; returns (encode, am) cycles."""
-    sim = _point_simulator(key, soc, n_cores, dims, use_builtins, strategy)
+    sim = HDChainSimulator(
+        ChainConfig(
+            soc=soc,
+            n_cores=n_cores,
+            dims=dims,
+            use_builtins=use_builtins,
+            strategy=strategy,
+        )
+    )
     n_words = dims.n_words
     sim.load_model(
         rng.integers(0, 2**32, size=(dims.n_channels, n_words), dtype=np.uint32),
@@ -223,19 +191,17 @@ class CalibrationRequest:
         )
 
 
-def _fit_shape(request: CalibrationRequest, key: tuple) -> ChainCycleModel:
+def _fit_shape(request: CalibrationRequest) -> ChainCycleModel:
     """Two fit-point ISS runs sharing one rng stream, then the fit."""
     soc, n_cores, dims = request.soc, request.n_cores, request.dims
     use_builtins, strategy = request.use_builtins, request.strategy
     rng = np.random.default_rng(request.seed)
     dim_a, dim_b = calibration_dims(n_cores, soc, dims)
     enc_a, am_a = _run_point(
-        key, soc, n_cores, replace(dims, dim=dim_a), use_builtins,
-        strategy, rng,
+        soc, n_cores, replace(dims, dim=dim_a), use_builtins, strategy, rng
     )
     enc_b, am_b = _run_point(
-        key, soc, n_cores, replace(dims, dim=dim_b), use_builtins,
-        strategy, rng,
+        soc, n_cores, replace(dims, dim=dim_b), use_builtins, strategy, rng
     )
     return ChainCycleModel(
         encode=LinearCycleModel.fit(
@@ -266,13 +232,7 @@ def calibrate_chain(
         strategy=strategy,
         seed=seed,
     )
-    key = request.key()
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    model = _fit_shape(request, key)
-    _CACHE[key] = model
-    return model
+    return calibrate_chain_batch([request])[0]
 
 
 def calibrate_chain_batch(
@@ -300,16 +260,15 @@ def calibrate_chain_batch(
         if cached is not None:
             models[key] = cached
             continue
-        model = _fit_shape(request, key)
+        model = _fit_shape(request)
         _CACHE[key] = model
         models[key] = model
     return [models[key] for key in order]
 
 
 def clear_cache() -> None:
-    """Drop all cached calibrations and fit-point simulators (tests)."""
+    """Drop all cached calibrations (tests)."""
     _CACHE.clear()
-    _SIM_CACHE.clear()
 
 
 # -- device operating point for serving telemetry ----------------------------

@@ -24,8 +24,7 @@ low-power device.  This package is that serving layer, scaled out:
   memory-mapped model store, ingest chunks crossing the worker pipes
   as raw float64 bytes, with checkpoint-bounded journal respawn, live
   session migration,
-  :meth:`~repro.stream.sharded.ShardedStreamingService.rescale`, an
-  optional :class:`~repro.stream.sharded.AutoscalePolicy`, and
+  :meth:`~repro.stream.sharded.ShardedStreamingService.rescale`, and
   fleet-wide telemetry;
 * the snapshot protocol — every stateful class in the serving path
   (windower, smoother, session, scheduler) carries ``snapshot()`` /
@@ -76,7 +75,6 @@ from .replay import (
 from .scheduler import StreamConfig, StreamingService
 from .session import Decision, MajorityVoteSmoother, Session
 from .sharded import (
-    AutoscalePolicy,
     ShardCrashError,
     ShardError,
     ShardedStreamingService,
@@ -95,7 +93,6 @@ from .wire import (
 from .workload import WorkloadConfig, generate_workload, run_workload
 
 __all__ = [
-    "AutoscalePolicy",
     "Decision",
     "Feedback",
     "FeedbackOk",

@@ -29,7 +29,7 @@ Design constraints this module resolves:
   violation and is disconnected.
 * **Admission control sheds load at the edge.**  New OPENs are
   rejected with a retry-after ERROR frame when fleet credit
-  utilization or rolling p95 queue age crosses the configured
+  utilization or the oldest queued window's age crosses the configured
   watermarks; established sessions keep their service.
 * **Slow clients cannot stall the pump.**  Outbound frames go through
   a bounded per-connection queue drained by a writer task with tight
@@ -118,10 +118,12 @@ class IngressConfig:
     #: (bytes); small so a non-reading peer back-pressures into the
     #: frame queue quickly.
     write_buffer_bytes: int = 1 << 16
-    #: Admit no new sessions while fleet credit utilization >= this.
+    #: Admit no new sessions while fleet credit utilization, the mean
+    #: fraction of the shards' unacknowledged-bytes windows in use, is
+    #: >= this.  A single-process service has no such window.
     shed_utilization: float = 0.90
-    #: Admit no new sessions while rolling p95 queue age exceeds these
-    #: (``None`` disables the respective signal).
+    #: Admit no new sessions while the oldest queued window is older
+    #: than these (``None`` disables the respective signal).
     shed_queue_age_ticks: Optional[float] = None
     shed_queue_age_s: Optional[float] = None
     #: Retry hint carried on shed ERROR frames.
@@ -324,22 +326,17 @@ class IngressServer:
     # -- admission ---------------------------------------------------------
 
     def _admission_signals(self) -> Tuple[float, float, float]:
-        """(utilization, age_p95_ticks, age_p95_s) right now."""
+        """(utilization, oldest queued age in ticks, in seconds) now."""
         service = self._service
         if hasattr(service, "credit_utilization"):
             utilization = service.credit_utilization()
         else:
             utilization = 0.0
-        if hasattr(service, "queue_age_p95"):
-            age_ticks, age_s = service.queue_age_p95()
-        else:
-            age_ticks = float(
-                getattr(service, "oldest_queued_tick_age", 0)
-            )
-            age_s = float(
-                getattr(service, "oldest_queued_wall_age", 0.0)
-            )
-        return utilization, age_ticks, age_s
+        return (
+            utilization,
+            float(service.oldest_queued_tick_age),
+            float(service.oldest_queued_wall_age),
+        )
 
     def _shed_reason(self) -> Optional[str]:
         """Why a new OPEN must be rejected, or None to admit."""
@@ -355,7 +352,7 @@ class IngressServer:
             and age_ticks > cfg.shed_queue_age_ticks
         ):
             return (
-                f"queue age p95 {age_ticks:.0f} ticks > "
+                f"queue age {age_ticks:.0f} ticks > "
                 f"{cfg.shed_queue_age_ticks:.0f}"
             )
         if (
@@ -363,7 +360,7 @@ class IngressServer:
             and age_s > cfg.shed_queue_age_s
         ):
             return (
-                f"queue age p95 {age_s * 1e3:.1f} ms > "
+                f"queue age {age_s * 1e3:.1f} ms > "
                 f"{cfg.shed_queue_age_s * 1e3:.1f}"
             )
         return None

@@ -370,9 +370,9 @@ class StreamingService:
         This is the scheduler's queue-latency pressure signal: under
         ``max_wait`` backpressure it is bounded in steady state, and a
         value persistently above ``max_wait`` means dispatches cannot
-        keep up with arrivals.  Exported by shard workers with every
-        command acknowledgement so the coordinator can drive admission
-        control and autoscaling from queue age, not just credits.
+        keep up with arrivals.  Shard workers piggyback it on every
+        ingest acknowledgement, so a fleet exposes the same signal and
+        ingress admission control reads it from either backend.
         """
         if not self._queue:
             return 0

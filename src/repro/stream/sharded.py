@@ -4,9 +4,8 @@ The single-process :class:`~repro.stream.scheduler.StreamingService`
 saturates one core; this module scales the same serving semantics across
 N worker processes, and lets the fleet **heal** (checkpoint + respawn),
 **move** (live session migration), and **resize** (consistent-hash
-resharding, optionally autoscaled) without dropping or reordering a
-single decision.  The design leans on facts the rest of the stack
-already guarantees:
+resharding) without dropping or reordering a single decision.  The
+design leans on facts the rest of the stack already guarantees:
 
 * the HDC chain is a **pure function** of a window's quantised levels,
   and smoothing is a pure function of one session's own decision
@@ -37,13 +36,13 @@ Architecture::
                  └─ pipe ─► worker N-1 ...
 
 **Transport.** The coordinator multiplexes commands over
-``multiprocessing`` pipes with two per-shard credit windows
-(``_MAX_INFLIGHT`` unacknowledged commands, and an unacknowledged-bytes
-cap that makes the classic duplex-pipe deadlock structurally
-impossible).  Every command is pickled once and charged its real
-pickled size against the byte window.  Ingest chunks travel as raw
-float64 bytes plus their shape: pickling a ``bytes`` object is a
-memcpy, where pickling the ndarray itself costs ~4x more per chunk.
+``multiprocessing`` pipes with one per-shard credit window: a cap on
+unacknowledged command bytes that makes the classic duplex-pipe
+deadlock structurally impossible.  Every command is pickled once and
+charged its real pickled size against that window.  Ingest chunks
+travel as raw float64 bytes plus their shape: pickling a ``bytes``
+object is a memcpy, where pickling the ndarray itself costs ~4x more
+per chunk.
 Readiness comes from one ``select.poll`` object that holds every live
 shard pipe: each pump round polls it once (~0.5 µs for two pipes,
 where each ``Connection.poll(0)`` builds and drops a selector for
@@ -86,9 +85,15 @@ migration compose.  ``rescale(n)`` grows or shrinks the fleet: new
 workers spawn, the consistent-hash routing ring decides which sessions
 move (growing a fleet moves sessions *only onto the new shards*;
 shrinking moves *only the retiring shards'* sessions), each mover
-migrates live, and retiring workers drain and stop.  An optional
-:class:`AutoscalePolicy` drives ``rescale`` from credit-utilization
-telemetry.
+migrates live, and retiring workers drain and stop.
+
+**Load signals.** Two cost nothing to read, because the transport
+already keeps them: :meth:`~ShardedStreamingService.credit_utilization`
+(the mean fraction of the byte window in use) and
+``oldest_queued_tick_age`` / ``oldest_queued_wall_age`` (the largest
+age any shard reported with its last ingest ack), the names the
+single-process service uses for its own queue.  The ingress's
+admission control reads them from either backend.
 
 Fleet telemetry: every worker snapshots its scheduler into a
 :class:`~repro.perf.streaming.StreamStats`; :meth:`stats` merges them
@@ -107,7 +112,6 @@ import pathlib
 import pickle
 import select
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
@@ -127,20 +131,17 @@ from .windower import as_chunk
 _READY = -1  # sentinel seq of the worker's startup handshake
 
 #: Cap on unacknowledged command *bytes* per shard, charged at each
-#: command's pickled size.  A worker that is blocked writing a large
-#: decision reply stops reading commands; as long as the coordinator
-#: keeps its unread command bytes below the pipe's kernel buffer it can
-#: never block in ``send`` itself, so it always returns to the pump
-#: loop, reads the reply, and unblocks the worker — the classic
-#: duplex-pipe deadlock is structurally impossible.  32 KiB is far
-#: below any platform's default socketpair buffer, and holds ~47
-#: 20-sample 4-channel ingests in flight.
+#: command's pickled size: the fleet's only credit window, and the
+#: denominator of :meth:`ShardedStreamingService.credit_utilization`.
+#: A worker that is blocked writing a large decision reply stops
+#: reading commands; as long as the coordinator keeps its unread
+#: command bytes below the pipe's kernel buffer it can never block in
+#: ``send`` itself, so it always returns to the pump loop, reads the
+#: reply, and unblocks the worker — the classic duplex-pipe deadlock
+#: is structurally impossible.  32 KiB is far below any platform's
+#: default socketpair buffer, and holds ~47 20-sample 4-channel ingests
+#: in flight.
 _MAX_INFLIGHT_BYTES = 32 << 10
-
-#: Cap on unacknowledged *commands* per shard: the decision-latency
-#: knob of the credit windows, and the denominator of
-#: :meth:`ShardedStreamingService.credit_utilization`.
-_MAX_INFLIGHT = 64
 
 #: Virtual nodes per shard on the consistent-hash routing ring.  More
 #: vnodes → flatter load split; 64 keeps the worst shard within a few
@@ -255,95 +256,6 @@ def shard_for(session_id: Hashable, n_shards: int) -> int:
     if idx == len(points):
         idx = 0  # wrap around the ring
     return owners[idx]
-
-
-# -- autoscaling -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Queue-pressure driven shard-count policy.
-
-    The coordinator's cheapest live load signal is its own credit
-    windows: the fraction of the ``_MAX_INFLIGHT`` command credits
-    currently outstanding, averaged over shards (1.0 = every send
-    would block).  The policy steps the fleet by one shard at a time —
-    up when mean utilization sits at/above ``high_watermark``, down
-    when at/below ``low_watermark`` — and enforces a cooldown of
-    global ingest ticks between rescales so one burst cannot thrash
-    the fleet size.
-
-    Credit utilization alone is a *throughput* signal; a fleet can sit
-    below the watermark while ``max_wait`` batching quietly ages
-    windows past any latency target.  Setting ``max_queue_age_ticks``
-    and/or ``max_queue_age_s`` adds a latency SLO: workers piggyback
-    their oldest-queued-window age on every ingest ack, the
-    coordinator keeps a rolling p95 of those samples, and the policy
-    also scales *up* when that p95 exceeds the target — and refuses to
-    scale *down* while it does.
-    """
-
-    min_shards: int = 1
-    max_shards: int = 8
-    high_watermark: float = 0.75
-    low_watermark: float = 0.10
-    cooldown: int = 512
-    max_queue_age_ticks: Optional[float] = None
-    max_queue_age_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.min_shards < 1:
-            raise ValueError(
-                f"min_shards must be >= 1, got {self.min_shards}"
-            )
-        if self.max_shards < self.min_shards:
-            raise ValueError(
-                f"max_shards {self.max_shards} < min_shards "
-                f"{self.min_shards}"
-            )
-        if not 0.0 <= self.low_watermark < self.high_watermark <= 1.0:
-            raise ValueError(
-                f"need 0 <= low_watermark < high_watermark <= 1, got "
-                f"{self.low_watermark} / {self.high_watermark}"
-            )
-        if self.cooldown < 0:
-            raise ValueError(
-                f"cooldown must be >= 0, got {self.cooldown}"
-            )
-        for name in ("max_queue_age_ticks", "max_queue_age_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-
-    def decide(
-        self,
-        n_shards: int,
-        utilization: float,
-        ticks_since_rescale: int,
-        queue_age_p95_ticks: float = 0.0,
-        queue_age_p95_s: float = 0.0,
-    ) -> Optional[int]:
-        """Target shard count, or ``None`` to leave the fleet alone."""
-        if ticks_since_rescale < self.cooldown:
-            return None
-        age_over = (
-            self.max_queue_age_ticks is not None
-            and queue_age_p95_ticks > self.max_queue_age_ticks
-        ) or (
-            self.max_queue_age_s is not None
-            and queue_age_p95_s > self.max_queue_age_s
-        )
-        if (
-            utilization >= self.high_watermark or age_over
-        ) and n_shards < self.max_shards:
-            return n_shards + 1
-        if (
-            utilization <= self.low_watermark
-            and not age_over
-            and n_shards > self.min_shards
-        ):
-            return n_shards - 1
-        return None
 
 
 # -- the worker --------------------------------------------------------------
@@ -503,11 +415,10 @@ class _Shard:
     #: pops the one it waits for.
     replies: Dict[str, object] = field(default_factory=dict)
     respawns: int = 0
-
-    @property
-    def outstanding(self) -> int:
-        """Unacknowledged commands (the backpressure credit in use)."""
-        return len(self.inflight)
+    #: Oldest-queued-window age (ticks, seconds) the worker reported
+    #: with its last ingest ack; zeroed by a fleet drain.
+    queued_tick_age: int = 0
+    queued_wall_age: float = 0.0
 
 
 class ShardedStreamingService:
@@ -515,8 +426,8 @@ class ShardedStreamingService:
 
     Same serving interface (``open_session`` / ``ingest`` / ``drain`` /
     ``close_session``), same per-session outputs, N cores — plus the
-    elastic surface: :meth:`checkpoint_shard`, :meth:`migrate_session`,
-    :meth:`rescale`, and an optional :class:`AutoscalePolicy`.
+    elastic surface: :meth:`checkpoint_shard`, :meth:`migrate_session`
+    and :meth:`rescale`.
     Decisions are returned as they are acknowledged: an ``ingest`` may
     return decisions of *other* sessions whose batches happened to
     complete, exactly like the single-process scheduler — and within
@@ -536,7 +447,6 @@ class ShardedStreamingService:
         n_shards: int = 2,
         checkpoint_interval: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, pathlib.Path]] = None,
-        autoscale: Optional[AutoscalePolicy] = None,
         models: Optional[Dict[str, Union[str, pathlib.Path]]] = None,
     ):
         if n_shards < 1:
@@ -579,14 +489,6 @@ class ShardedStreamingService:
             if checkpoint_dir is not None
             else None
         )
-        self._autoscale = autoscale
-        if autoscale is not None and not (
-            autoscale.min_shards <= n_shards <= autoscale.max_shards
-        ):
-            raise ValueError(
-                f"n_shards {n_shards} outside autoscale range "
-                f"[{autoscale.min_shards}, {autoscale.max_shards}]"
-            )
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
@@ -594,13 +496,8 @@ class ShardedStreamingService:
         self._session_shard: Dict[Hashable, int] = {}
         self._session_channels: Dict[Hashable, int] = {}
         self._delivered: Dict[Hashable, int] = {}
-        # Rolling queue-age samples piggybacked on ingest acks, for
-        # latency-SLO admission control and autoscaling.
-        self._queue_age_ticks: deque = deque(maxlen=128)
-        self._queue_age_s: deque = deque(maxlen=128)
         self._ready: List[Decision] = []
         self._clock = 0
-        self._last_rescale_tick = 0
         self._closed = False
         self.checkpoints = 0  # lifetime elastic-operation counters
         self.migrations = 0
@@ -850,9 +747,7 @@ class ShardedStreamingService:
         Stamps the chunk with the next global ingest tick (all shards
         age their ``max_wait`` windows on fleet-wide traffic), applies
         per-shard backpressure, and returns every decision — from any
-        shard — acknowledged by the time the call completes.  When an
-        autoscale policy is attached, this is also where it observes
-        load and may trigger a :meth:`rescale`.
+        shard — acknowledged by the time the call completes.
 
         A chunk with a non-finite sample, or of a shape the session's
         windower would refuse, raises ``ValueError`` here, before it is
@@ -883,17 +778,6 @@ class ShardedStreamingService:
         )
         try:
             self._pump_all()
-            if self._autoscale is not None:
-                age_ticks, age_s = self.queue_age_p95()
-                target = self._autoscale.decide(
-                    len(self._shards),
-                    self.credit_utilization(),
-                    self._clock - self._last_rescale_tick,
-                    queue_age_p95_ticks=age_ticks,
-                    queue_age_p95_s=age_s,
-                )
-                if target is not None:
-                    self._rescale(target)
         except ShardError as exc:
             exc.sent = True
             raise
@@ -908,16 +792,17 @@ class ShardedStreamingService:
     def drain(self) -> List[Decision]:
         """Flush every shard's pending windows; block for all results.
 
-        Afterwards no shard holds a queued window, so the rolling
-        queue-age samples are cleared with it.
+        Afterwards no shard holds a queued window, so every shard's
+        reported queue age is zeroed with it.
         """
         self._ensure_open()
         for shard in self._shards:
             self._post(shard, ("drain",))
         for shard in self._shards:
             self._flush(shard)
-        self._queue_age_ticks.clear()
-        self._queue_age_s.clear()
+        # Re-read the list: a flush that respawned a shard replaced it.
+        for shard in self._shards:
+            shard.queued_tick_age, shard.queued_wall_age = 0, 0.0
         return self._take_ready()
 
     def stats(self) -> FleetStats:
@@ -998,7 +883,11 @@ class ShardedStreamingService:
         pumps.  Both halves are journaled, so crash repair on either
         side replays them (duplicates are index-filtered).  The
         migrated stream's decision sequence is byte-identical to one
-        that never moved.
+        that never moved.  A stale :class:`ShardError` of an earlier
+        command that surfaces at the destination is raised only once
+        the inject is sent (``sent`` is True): the session is live
+        there, and the next call returns the decisions collected
+        meanwhile.
         """
         self._ensure_open()
         self._migrate_session(session_id, to_shard)
@@ -1025,7 +914,22 @@ class ShardedStreamingService:
         # can follow the post fails.
         self._session_shard[session_id] = to_shard
         self.migrations += 1
-        self._post(self._shards[to_shard], ("inject", blob))
+        # The blob is now the session's only copy.  A stale error of an
+        # earlier command can abort the post before the send; that
+        # command is settled once it surfaces, so post again, and raise
+        # the first such error only once the inject is on its way.
+        stale: Optional[ShardError] = None
+        while True:
+            try:
+                self._post(self._shards[to_shard], ("inject", blob))
+                break
+            except ShardError as exc:
+                if exc.sent:
+                    raise
+                stale = stale or exc
+        if stale is not None:
+            stale.sent = True
+            raise stale
 
     def rescale(self, n_shards: int) -> List[Decision]:
         """Grow or shrink the fleet to ``n_shards`` workers, live.
@@ -1072,36 +976,28 @@ class ShardedStreamingService:
             for shard in retiring:
                 self._stop_shard(shard)
         self.rescales += 1
-        self._last_rescale_tick = self._clock
 
     def credit_utilization(self) -> float:
-        """Live mean outstanding-credit fraction across shards (0..1).
+        """Mean fraction of the shards' byte credit windows in use (0..1).
 
-        The autoscale policy and ingress admission control read this
-        between ingests; it costs nothing (pure coordinator
-        bookkeeping, no worker round-trip).
+        A shard holding one oversized command counts as full.  Ingress
+        admission control reads this between ingests; it costs nothing
+        (pure coordinator bookkeeping, no worker round-trip).
         """
-        return sum(s.outstanding for s in self._shards) / (
-            len(self._shards) * _MAX_INFLIGHT
-        )
+        return sum(
+            min(s.inflight_bytes, _MAX_INFLIGHT_BYTES) for s in self._shards
+        ) / (len(self._shards) * _MAX_INFLIGHT_BYTES)
 
-    @staticmethod
-    def _p95(samples: deque) -> float:
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        return ordered[min(len(ordered) - 1, (len(ordered) * 95) // 100)]
+    @property
+    def oldest_queued_tick_age(self) -> int:
+        """Largest oldest-queued-window age, in ticks, that any shard
+        reported with its last ingest ack (0 after a :meth:`drain`)."""
+        return max(s.queued_tick_age for s in self._shards)
 
-    def queue_age_p95(self) -> Tuple[float, float]:
-        """Rolling p95 of worker oldest-queued-window age.
-
-        Returns ``(ticks, seconds)`` over the last ~128 ingest acks.
-        Both are 0.0 until the fleet has acknowledged any ingest, and
-        again after each :meth:`drain`.
-        """
-        return self._p95(self._queue_age_ticks), self._p95(
-            self._queue_age_s
-        )
+    @property
+    def oldest_queued_wall_age(self) -> float:
+        """The same in seconds, as measured by the worker at its ack."""
+        return max(s.queued_wall_age for s in self._shards)
 
     # -- shard repair ------------------------------------------------------
 
@@ -1133,7 +1029,7 @@ class ShardedStreamingService:
         # or dead (crash path: the kernel buffer may still hold acks).
         try:
             if shard.process.is_alive():
-                while shard.outstanding > 0:
+                while shard.inflight:
                     self._wait_one(shard, deferred)
                 shard.conn.send(("stop", shard.next_seq))
                 shard.process.join(timeout=2.0)
@@ -1166,7 +1062,7 @@ class ShardedStreamingService:
         # against the wrong base would fabricate state — so it raises.
         if checkpoint is not None:
             self._send(fresh, ("restore", checkpoint), journal=False)
-            while fresh.outstanding > 0:
+            while fresh.inflight:
                 self._wait_one(fresh)
         # Replay: same commands, same ticks -> same scheduler decisions.
         # Duplicates are dropped in _deliver by per-session index.  A
@@ -1187,7 +1083,7 @@ class ShardedStreamingService:
                 raise
             except ShardError as exc:
                 deferred.append(exc)
-        while fresh.outstanding > 0:
+        while fresh.inflight:
             self._wait_one(fresh, deferred)
         if deferred:
             raise deferred[0]
@@ -1244,10 +1140,9 @@ class ShardedStreamingService:
         else:
             wire = (entry[0], seq) + entry[1:]
         data = pickle.dumps(wire)
-        # Two credit windows: command count (decision-latency knob) and
-        # command bytes (deadlock-freedom invariant, see module top).
-        # An oversized single command waits for an idle worker instead.
-        while len(shard.inflight) >= _MAX_INFLIGHT or (
+        # The byte credit window (deadlock-freedom invariant, see module
+        # top).  An oversized single command waits for an idle worker.
+        while (
             shard.inflight
             and shard.inflight_bytes + len(data) > _MAX_INFLIGHT_BYTES
         ):
@@ -1407,9 +1302,7 @@ class ShardedStreamingService:
         its decision columns, or file any other payload under its op."""
         kind, seq, payload = message[0], message[1], message[2]
         if len(message) > 3:
-            age_ticks, age_s = message[3]
-            self._queue_age_ticks.append(float(age_ticks))
-            self._queue_age_s.append(float(age_s))
+            shard.queued_tick_age, shard.queued_wall_age = message[3]
         op, size, journal_pos = shard.inflight.pop(seq)
         shard.inflight_bytes -= size
         if kind == "err":

@@ -109,7 +109,27 @@ BATCH_CONFIGS = [
     # and 31 words over 3 cores (chunks of 11, 11 and 9).
     ("wolf_8_bi_dim50", WOLF_SOC, 8, True, "auto", dict(dim=50)),
     ("pulpv3_3_uneven", PULPV3_SOC, 3, False, "auto", dict()),
+    # The rotate pass's words 1..10 in chunks of 2: cores 5-7 idle, and
+    # only core 4, the final word's owner, masks its pad bits.
+    (
+        "wolf_8_bi_dim333_ngram3", WOLF_SOC, 8, True, "auto",
+        dict(dim=333, ngram=3, window=4),
+    ),
 ]
+
+
+def _batch_dims(overrides):
+    overrides = dict(overrides)
+    dims = ChainDims(
+        dim=overrides.pop("dim", 992),
+        n_channels=overrides.pop("n_channels", 4),
+        n_levels=10,
+        n_classes=4,
+        ngram=overrides.pop("ngram", 1),
+        window=overrides.pop("window", 5),
+    )
+    assert not overrides
+    return dims
 
 
 @pytest.mark.parametrize("engine", ["fast", "interp"])
@@ -123,16 +143,7 @@ def test_batched_matches_sequential(
 ):
     """run_window_levels_batch == N sequential run_window_levels calls,
     down to cycles, per-core breakdowns, and the final memory image."""
-    overrides = dict(overrides)
-    dims = ChainDims(
-        dim=overrides.pop("dim", 992),
-        n_channels=overrides.pop("n_channels", 4),
-        n_levels=10,
-        n_classes=4,
-        ngram=overrides.pop("ngram", 1),
-        window=overrides.pop("window", 5),
-    )
-    assert not overrides
+    dims = _batch_dims(overrides)
     rng = np.random.default_rng(31)
     batch = rng.integers(
         0, dims.n_levels, size=(5, dims.n_samples, dims.n_channels)
@@ -170,18 +181,19 @@ def test_batched_lockstep_engages_on_wolf():
 
 
 @pytest.mark.parametrize(
-    "soc,n_cores,builtins",
-    [(WOLF_SOC, 8, True), (PULPV3_SOC, 4, False)],
-    ids=["wolf_8_bi", "pulpv3_4"],
+    "key", ["wolf_8_bi", "pulpv3_4", "wolf_8_bi_dim333_ngram3"]
 )
-def test_team_batches_run_fused(soc, n_cores, builtins):
+def test_team_batches_run_fused(key):
     """Team batches run their loops as team-fused vector runs, with no
     lockstep bail and no window on the fallback path (a silent
-    fallback would pass the parity grid while losing the speed-up)."""
-    dims = ChainDims(
-        dim=992, n_channels=4, n_levels=10, n_classes=4, ngram=1, window=5
+    fallback would pass the parity grid while losing the speed-up).
+    At D = 333 the rotate pass leaves cores 5-7 idle: only the final
+    word's owner may mask it, or the chunk bails ``team-shared-data``."""
+    _, soc, n_cores, builtins, strategy, overrides = next(
+        cfg for cfg in BATCH_CONFIGS if cfg[0] == key
     )
-    sim = _make_sim(soc, n_cores, dims, builtins, "auto", "fast")
+    dims = _batch_dims(overrides)
+    sim = _make_sim(soc, n_cores, dims, builtins, strategy, "fast")
     rng = np.random.default_rng(6)
     batch = rng.integers(
         0, dims.n_levels, size=(4, dims.n_samples, dims.n_channels)
@@ -190,8 +202,8 @@ def test_team_batches_run_fused(soc, n_cores, builtins):
     reset_chain_batch_telemetry()
     sim.run_window_levels_batch(batch)
     telemetry = lockstep_telemetry()
-    assert telemetry["team_runs"] > 0
     assert not telemetry["bails"]
+    assert telemetry["team_runs"] > 0
     assert not telemetry["team_bails"]
     assert chain_batch_telemetry()["fallback_windows"] == 0
 

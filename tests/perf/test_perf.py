@@ -147,7 +147,7 @@ class TestBatchedCalibration:
         monkeypatch.setattr(
             calibration,
             "_fit_shape",
-            lambda request, key: fits.append(key) or real(request, key),
+            lambda request: fits.append(request.key()) or real(request),
         )
         request = CalibrationRequest(WOLF_SOC, 2, self._dims(1))
         models = calibrate_chain_batch([request, request, request])
@@ -157,20 +157,6 @@ class TestBatchedCalibration:
         fits.clear()
         assert calibrate_chain_batch([request]) == [models[0]]
         assert fits == []
-
-    def test_refit_reuses_cached_simulators(self):
-        """A model-cache miss with warm simulators skips the rebuild."""
-        from repro.perf import calibration
-
-        clear_cache()
-        request = CalibrationRequest(WOLF_SOC, 2, self._dims(1))
-        (first,) = calibrate_chain_batch([request])
-        assert calibration._SIM_CACHE  # fit points were cached
-        sims = dict(calibration._SIM_CACHE)
-        calibration._CACHE.clear()  # force a refit, keep simulators
-        (second,) = calibrate_chain_batch([request])
-        assert second == first  # reused sims reproduce the fit exactly
-        assert dict(calibration._SIM_CACHE) == sims  # no rebuilds
 
 
 class TestLatency:

@@ -21,7 +21,6 @@ from repro.emg.windows import WindowConfig
 from repro.hdc import BatchHDClassifier, HDClassifierConfig, save_model
 from repro.hdc.serialize import load_model, load_snapshot
 from repro.stream import (
-    AutoscalePolicy,
     ReplayTrace,
     ShardedStreamingService,
     ShardError,
@@ -420,6 +419,53 @@ class TestMigration:
             # The journaled inject replays into the respawned worker.
             assert parity_digest(got) == want
 
+    def test_stale_error_in_the_inject_post_keeps_the_session(
+        self, store, worker_checks_width
+    ):
+        """An unread error of an earlier bad chunk at the destination
+        aborts the inject's first post before the send.  The blob is
+        the session's only copy, so the migration posts again: the
+        session lives on at the destination with a byte-identical
+        stream, and the stale error is raised afterwards as sent."""
+        path, reference = store
+        config = _config(max_wait=50, max_batch=64)
+        mover = next(s for s in range(100) if shard_for(s, 2) == 0)
+        other = next(s for s in range(100) if shard_for(s, 2) == 1)
+        rng = np.random.default_rng(59)
+        stream = rng.random((150, N_CHANNELS))
+        with ShardedStreamingService(
+            path, config, n_shards=2
+        ) as service:
+            service.open_session(mover)
+            service.open_session(other)
+            got = list(service.ingest(mover, stream[:50]))
+            victim = service.shard_process(1)
+            # Frozen, shard 1 cannot answer the bad chunk before the
+            # migration: its err can only surface in the inject's post.
+            os.kill(victim.pid, signal.SIGSTOP)
+            time.sleep(0.05)
+            try:
+                service.ingest(other, rng.random((10, N_CHANNELS + 2)))
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            time.sleep(0.3)  # let shard 1's err reply land in its pipe
+            with pytest.raises(ShardError) as info:
+                service.migrate_session(mover, 1)
+            assert info.value.shard == 1
+            assert info.value.sent is True
+            assert service.shard_of(mover) == 1
+            got.extend(service.ingest(mover, stream[50:]))
+            got.extend(service.drain())
+        single = StreamingService(reference, config)
+        single.open_session(mover)
+        expected = single.ingest(mover, stream[:50])
+        expected += single.ingest(mover, stream[50:])
+        expected += single.drain()
+        got = [d for d in got if d.session_id == mover]
+        assert parity_digest({mover: got}) == parity_digest(
+            {mover: expected}
+        )
+
     def test_migrate_to_same_shard_is_a_noop(self, store):
         path, _ = store
         with ShardedStreamingService(
@@ -593,133 +639,40 @@ class TestRescale:
                 service.rescale(0)
 
 
-class TestAutoscale:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="min_shards"):
-            AutoscalePolicy(min_shards=0)
-        with pytest.raises(ValueError, match="max_shards"):
-            AutoscalePolicy(min_shards=4, max_shards=2)
-        with pytest.raises(ValueError, match="watermark"):
-            AutoscalePolicy(low_watermark=0.8, high_watermark=0.5)
-        with pytest.raises(ValueError, match="cooldown"):
-            AutoscalePolicy(cooldown=-1)
+class TestLoadSignals:
+    """The two load signals ingress admission reads from a fleet: the
+    byte credit window in use, and the oldest queued window's age."""
 
-    def test_decide_steps_by_one_within_bounds(self):
-        policy = AutoscalePolicy(
-            min_shards=1,
-            max_shards=4,
-            high_watermark=0.75,
-            low_watermark=0.10,
-            cooldown=100,
-        )
-        # Cooldown gates everything.
-        assert policy.decide(2, 1.0, 99) is None
-        # Scale up by exactly one, clamped at max.
-        assert policy.decide(2, 0.75, 100) == 3
-        assert policy.decide(4, 1.0, 100) is None
-        # Scale down by exactly one, clamped at min.
-        assert policy.decide(2, 0.10, 100) == 1
-        assert policy.decide(1, 0.0, 100) is None
-        # The hysteresis band holds steady.
-        assert policy.decide(2, 0.5, 100) is None
-
-    def test_service_rejects_n_shards_outside_policy_range(self, store):
+    def test_full_byte_window_reads_as_full(self, store):
+        # A frozen worker acknowledges nothing, so 47 20x4 ingests
+        # (~690 pickled bytes each) fill its 32 KiB window.
         path, _ = store
-        with pytest.raises(ValueError, match="autoscale range"):
-            ShardedStreamingService(
-                path,
-                _config(),
-                n_shards=5,
-                autoscale=AutoscalePolicy(max_shards=4),
-            )
-
-    def test_autoscale_grows_under_synthetic_pressure(
-        self, store, monkeypatch
-    ):
-        path, reference = store
-        config = _config(max_batch=8, max_wait=3)
-        trace = synthetic_trace(4, 200, n_channels=4, seed=51)
-        want = _reference_digest(reference, config, trace)
-        policy = AutoscalePolicy(
-            min_shards=1, max_shards=3, cooldown=10
-        )
         with ShardedStreamingService(
-            path, config, n_shards=1, autoscale=policy
+            path, _config(), n_shards=1
         ) as service:
-            # On one core the real credit window rarely saturates, so
-            # fake the load signal; the *decision plumbing* (ingest ->
-            # decide -> live rescale) is what's under test, and parity
-            # must hold through the autoscaled rescales.
-            monkeypatch.setattr(
-                type(service), "credit_utilization", lambda self: 1.0
+            service.open_session("s")
+            service.drain()  # every command so far acknowledged
+            assert service.credit_utilization() == 0.0
+            victim = service.shard_process(0)
+            os.kill(victim.pid, signal.SIGSTOP)
+            # Should a send block on the frozen worker, thaw it, so the
+            # test fails on the reading below instead of hanging.
+            thaw = threading.Timer(
+                20.0, os.kill, (victim.pid, signal.SIGCONT)
             )
-            got = replay(service, trace)
-            assert parity_digest(got) == want
-            assert service.n_shards == 3  # grew 1 -> 2 -> 3, then capped
-            assert service.rescales == 2
-
-    def test_autoscale_shrinks_when_idle(self, store, monkeypatch):
-        path, reference = store
-        config = _config(max_batch=8, max_wait=3)
-        trace = synthetic_trace(3, 150, n_channels=4, seed=52)
-        want = _reference_digest(reference, config, trace)
-        policy = AutoscalePolicy(
-            min_shards=1, max_shards=4, cooldown=10
-        )
-        with ShardedStreamingService(
-            path, config, n_shards=3, autoscale=policy
-        ) as service:
-            monkeypatch.setattr(
-                type(service), "credit_utilization", lambda self: 0.0
-            )
-            got = replay(service, trace)
-            assert parity_digest(got) == want
-            assert service.n_shards == 1
-            assert service.rescales == 2
-
-    def test_queue_age_slo_validation(self):
-        with pytest.raises(ValueError, match="max_queue_age_ticks"):
-            AutoscalePolicy(max_queue_age_ticks=0)
-        with pytest.raises(ValueError, match="max_queue_age_s"):
-            AutoscalePolicy(max_queue_age_s=-1.0)
-
-    def test_decide_scales_up_on_queue_age_slo(self):
-        policy = AutoscalePolicy(
-            min_shards=1,
-            max_shards=4,
-            cooldown=100,
-            max_queue_age_ticks=16,
-            max_queue_age_s=0.050,
-        )
-        # Low utilization alone would scale down; an over-SLO queue age
-        # forces up instead.
-        assert (
-            policy.decide(2, 0.0, 100, queue_age_p95_ticks=17.0) == 3
-        )
-        assert policy.decide(2, 0.0, 100, queue_age_p95_s=0.051) == 3
-        # At/below the target neither signal fires; idle fleet shrinks.
-        assert (
-            policy.decide(
-                2, 0.0, 100, queue_age_p95_ticks=16.0,
-                queue_age_p95_s=0.050,
-            )
-            == 1
-        )
-        # An over-SLO age also vetoes the scale-down.
-        policy_hold = AutoscalePolicy(
-            min_shards=1, max_shards=2, cooldown=100,
-            max_queue_age_ticks=16,
-        )
-        assert (
-            policy_hold.decide(2, 0.0, 100, queue_age_p95_ticks=17.0)
-            is None
-        )
-        # Unset targets never fire, whatever the observed age.
-        default = AutoscalePolicy(cooldown=100)
-        assert (
-            default.decide(2, 0.5, 100, queue_age_p95_ticks=1e9)
-            is None
-        )
+            thaw.start()
+            try:
+                time.sleep(0.05)
+                rng = np.random.default_rng(55)
+                for _ in range(47):
+                    service.ingest("s", rng.random((20, N_CHANNELS)))
+                utilization = service.credit_utilization()
+            finally:
+                thaw.cancel()
+                os.kill(victim.pid, signal.SIGCONT)
+            assert 0.9 <= utilization <= 1.0
+            service.drain()
+            assert service.credit_utilization() == 0.0
 
     def test_coordinator_collects_queue_age_samples(self, store):
         path, _ = store
@@ -728,59 +681,27 @@ class TestAutoscale:
         with ShardedStreamingService(
             path, config, n_shards=2
         ) as service:
-            assert service.queue_age_p95() == (0.0, 0.0)
+            assert service.oldest_queued_tick_age == 0
+            assert service.oldest_queued_wall_age == 0.0
             replay(service, trace, drain=False)
             # The ages ride on ingest acks, which the coordinator only
-            # reaps opportunistically while sending; with a small trace
-            # the credit window never fills, so poll until every
+            # reaps opportunistically while sending; poll until every
             # in-flight ack has landed rather than racing the workers.
             deadline = time.monotonic() + 10.0
             while (
-                any(s.outstanding for s in service._shards)
+                service.credit_utilization() > 0.0
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
                 service.pump()
-            age_ticks, age_s = service.queue_age_p95()
             # max_wait=50 with max_batch=256 leaves windows queueing
             # across many ticks, so workers must have reported real
             # nonzero ages.
-            assert age_ticks > 0
-            assert age_s >= 0.0
-            assert 0.0 <= service.credit_utilization() <= 1.0
+            assert service.oldest_queued_tick_age > 0
+            assert service.oldest_queued_wall_age > 0.0
             service.drain()
-
-    def test_autoscale_grows_on_queue_age_pressure(
-        self, store, monkeypatch
-    ):
-        path, reference = store
-        config = _config(max_batch=8, max_wait=3)
-        trace = synthetic_trace(4, 200, n_channels=4, seed=54)
-        want = _reference_digest(reference, config, trace)
-        policy = AutoscalePolicy(
-            min_shards=1,
-            max_shards=3,
-            cooldown=10,
-            max_queue_age_ticks=5,
-        )
-        with ShardedStreamingService(
-            path, config, n_shards=1, autoscale=policy
-        ) as service:
-            # Credit utilization stays floored; only the queue-age SLO
-            # signal (faked, like credit_utilization in the tests above) can
-            # drive growth — and parity must hold through it.
-            monkeypatch.setattr(
-                type(service), "credit_utilization", lambda self: 0.5
-            )
-            monkeypatch.setattr(
-                type(service),
-                "queue_age_p95",
-                lambda self: (100.0, 0.0),
-            )
-            got = replay(service, trace)
-            assert parity_digest(got) == want
-            assert service.n_shards == 3
-            assert service.rescales == 2
+            assert service.oldest_queued_tick_age == 0
+            assert service.oldest_queued_wall_age == 0.0
 
 
 class TestElasticTelemetry:

@@ -69,14 +69,6 @@ def _config(**kwargs):
     return StreamConfig(**defaults)
 
 
-@pytest.fixture
-def worker_checks_width(monkeypatch):
-    """Let chunks of the wrong width past the coordinator, so that only
-    the worker's windower rejects them: the tests that take it use such
-    a chunk to make a command fail inside a worker."""
-    monkeypatch.setattr(sharded, "as_chunk", lambda samples, _: samples)
-
-
 def _single_reference(reference_model, config, trace):
     service = StreamingService(reference_model, config)
     per_session = replay(service, trace)
@@ -214,9 +206,9 @@ class TestDifferentialParity:
             )
 
     def test_parity_with_tight_backpressure(self, store, monkeypatch):
-        """A 2-command credit window forces constant blocking waits;
-        the decision streams must not care."""
-        monkeypatch.setattr(sharded, "_MAX_INFLIGHT", 2)
+        """A credit window of about one command's bytes forces constant
+        blocking waits; the decision streams must not care."""
+        monkeypatch.setattr(sharded, "_MAX_INFLIGHT_BYTES", 1 << 10)
         path, reference_model = store
         config = _config(max_batch=4, max_wait=2, smooth=3)
         trace = synthetic_trace(
