@@ -33,6 +33,14 @@ The elastic section times worker recovery: a checkpointed respawn
 (restore one snapshot blob) must be >= 5x faster than replaying the
 full ingest journal.  It uses one shard, so it runs on any core count.
 ``python benchmarks/bench_stream.py --elastic`` runs it standalone.
+
+``python benchmarks/bench_stream.py --small-batch`` publishes the hot
+fixed cost of each serving stage (quantise, cache keys, encode, AM
+search, queue-age record, ``Session.record``, windower push, and the
+whole ``ingest``) at 1, 5, 8, 32 and 512 windows per dispatch: the
+paper's deployment makes one small dispatch per 5-sample window, so
+these per-call costs, not encode throughput, set its latency.  It has
+no gate.
 """
 
 import argparse
@@ -755,6 +763,130 @@ def test_adaptation_recovers_drift(stream_workload):
     )
 
 
+# -- small-batch fixed costs ------------------------------------------------
+
+SMALL_BATCH_SIZES = (1, 5, 8, 32, 512)
+#: Windows per queue item in the per-item stages: one 25-sample SAMPLES
+#: frame of the paper's 500 Hz streams, as the emg_tcp open loop sends.
+SMALL_BATCH_ITEM = 5
+
+
+def _median_us(fn, reps):
+    """Median microseconds of ``fn()`` over ``reps`` hot calls, after
+    ``reps // 4`` untimed warm-up calls."""
+    for _ in range(reps // 4):
+        fn()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    times.sort()
+    return 1e6 * times[len(times) // 2]
+
+
+def _run_small_batch(model, envelope):
+    """Hot fixed cost of each serving stage, by dispatch size.
+
+    A dispatch of ``n`` windows is the one a ``max_wait=0`` service makes
+    for one chunk of ``5n`` samples: one queue item of ``n`` windows.
+    The queue-age record and ``Session.record`` rows run over 5-window
+    items instead (``ceil(n / 5)`` of them), the shape of a batch that
+    gathers many SAMPLES frames.  The two ``ingest`` rows time the whole
+    call: on fresh uniform samples (every window misses the decision
+    cache) and on one chunk served again (every window hits).
+    """
+    from repro.hdc import engine
+    from repro.perf.streaming import tick_histogram
+    from repro.stream import Session
+    from repro.stream.scheduler import cache_keys
+
+    encoder = model.encoder
+    spatial = encoder.spatial
+    key_dtype = np.min_scalar_type(model.config.n_levels - 1)
+    protos = model.prototype_words
+    config = StreamConfig(
+        window=WINDOW, max_batch=max(SMALL_BATCH_SIZES), max_wait=0
+    )
+    n_channels = model.config.n_channels
+    lo, hi = model.config.signal_lo, model.config.signal_hi
+    rng = np.random.default_rng(29)
+    rows: dict = {}
+    for n in SMALL_BATCH_SIZES:
+        reps = 400 if n <= 32 else 40
+        chunk = envelope[: n * WINDOW.stride]
+        windows = chunk.reshape(n, WINDOW.window_samples, n_channels)
+        levels = spatial.quantize_batch(windows)
+        queries = encoder.encode_levels_batch(levels).words
+        labels = [model.labels[i] for i in engine.am_search(
+            queries, protos)[0]]
+        items = [
+            (start, min(start + SMALL_BATCH_ITEM, n))
+            for start in range(0, n, SMALL_BATCH_ITEM)
+        ]
+        sizes = [stop - start for start, stop in items]
+        ticks, walls = tick_histogram(), wall_histogram()
+        session = Session("bench", WINDOW, n_channels)
+
+        def record_ages():
+            ticks.record_many([0] * len(items), sizes)
+            walls.record_many([2e-4] * len(items), sizes)
+
+        def record_decisions():
+            for start, stop in items:
+                session.record(
+                    labels[start:stop], 0, 0, 0, windows[start:stop]
+                )
+
+        service = StreamingService(model, config)
+        service.open_session("hot")
+        fresh = iter(
+            lo + (hi - lo) * rng.random((reps + reps // 4, *chunk.shape))
+        )
+        rows[n] = {
+            "quantise": _median_us(
+                lambda: spatial.quantize_batch(windows), reps),
+            "cache keys": _median_us(
+                lambda: cache_keys(levels, key_dtype), reps),
+            "encode": _median_us(
+                lambda: encoder.encode_levels_batch(levels), reps),
+            "AM search": _median_us(
+                lambda: engine.am_search(queries, protos), reps),
+            "queue-age record": _median_us(record_ages, reps),
+            "Session.record": _median_us(record_decisions, reps),
+            "windower push": _median_us(lambda: session.push(chunk), reps),
+            "ingest, all misses": _median_us(
+                lambda: service.ingest("hot", next(fresh)), reps),
+            "ingest, all hits": _median_us(
+                lambda: service.ingest("hot", chunk), reps),
+        }
+    return rows
+
+
+def _render_small_batch(model, rows) -> str:
+    sizes = list(rows)
+    lines = [
+        "Small-batch fixed costs - hot median us per call, by stage and "
+        "dispatch size n (windows)",
+        f"  (D={model.config.dim} EMG model, W=5/stride 5, max_wait=0, "
+        f"{_usable_cores()} usable cores; per-item stages over "
+        f"{SMALL_BATCH_ITEM}-window items)",
+        f"  {'stage':<20s}" + "".join(f"{f'n={n}':>10s}" for n in sizes),
+    ]
+    for stage in rows[sizes[0]]:
+        lines.append(
+            f"  {stage:<20s}"
+            + "".join(f"{rows[n][stage]:>10.1f}" for n in sizes)
+        )
+    lines.append(
+        f"  {'us/window, misses':<20s}"
+        + "".join(
+            f"{rows[n]['ingest, all misses'] / n:>10.1f}" for n in sizes
+        )
+    )
+    return "\n".join(lines)
+
+
 def _main(argv=None) -> int:
     """Standalone smoke entry point: the CI ``--shards 4`` job."""
     parser = argparse.ArgumentParser(
@@ -783,12 +915,21 @@ def _main(argv=None) -> int:
         "time under electrode drift, tenant-isolation and hot-swap "
         "gates) instead of the scaling smoke",
     )
+    parser.add_argument(
+        "--small-batch",
+        action="store_true",
+        help="time each serving stage's hot fixed cost at 1 to 512 "
+        "windows per dispatch (no gate) instead of the scaling smoke",
+    )
     args = parser.parse_args(argv)
     cores = _usable_cores()
     from repro.emg import subject_windows
     from repro.hdc import BatchHDClassifier, HDClassifierConfig
 
-    if not (args.elastic or args.ingress or args.adapt) and cores < args.shards:
+    if (
+        not (args.elastic or args.ingress or args.adapt or args.small_batch)
+        and cores < args.shards
+    ):
         print(
             f"SKIP: sharded scaling needs >= {args.shards} usable "
             f"cores, found {cores}"
@@ -800,6 +941,13 @@ def _main(argv=None) -> int:
     )
     model = BatchHDClassifier(HDClassifierConfig(dim=args.dim))
     model.fit(np.asarray(train_w), train_l)
+    if args.small_batch:
+        envelope = np.concatenate(
+            [trial.envelope for trial in subject.trials]
+        )
+        rows = _run_small_batch(model, envelope)
+        publish("stream_small_batch", _render_small_batch(model, rows))
+        return 0
     if args.adapt:
         res = _run_adaptation(model, subject.trials)
         publish("stream_adapt", _render_adapt(model, res))

@@ -68,6 +68,37 @@ encoded fastest at 160 rows per tile (3.8-3.9 ms, 80 and 320 within
 """
 
 
+def _tiled(fn, rows: np.ndarray, tile: int, n_words: int) -> np.ndarray:
+    """``fn`` over ``rows``, ``tile`` rows at a time, into one
+    ``(len(rows), n_words)`` output; a single tile's result is returned
+    as it is, with no output buffer to fill."""
+    if len(rows) <= tile:
+        return fn(rows)
+    out = np.empty((len(rows), n_words), dtype=np.uint64)
+    for start in range(0, len(rows), tile):
+        out[start : start + tile] = fn(rows[start : start + tile])
+    return out
+
+
+def _checked_levels(levels: np.ndarray, n_levels: int) -> np.ndarray:
+    """``levels`` as int64; ``IndexError`` unless all are in
+    ``0 .. n_levels - 1``.
+
+    int64 levels (what :func:`quantize_samples` returns) are checked in
+    one reduction and not copied: viewed as uint64, a negative level
+    reads huge, so the maximum alone bounds both ends.  Other dtypes
+    are first checked for negatives in their own type, so a fractional
+    negative level is still refused, and then converted.
+    """
+    if levels.dtype != np.int64:
+        if levels.size and levels.min() < 0:
+            raise IndexError(f"levels out of range 0..{n_levels - 1}")
+        levels = levels.astype(np.int64)
+    if levels.size and levels.view(np.uint64).max() >= n_levels:
+        raise IndexError(f"levels out of range 0..{n_levels - 1}")
+    return levels
+
+
 class SpatialEncoder:
     """Encodes multi-channel samples into spatial hypervectors."""
 
@@ -100,7 +131,7 @@ class SpatialEncoder:
             item_memory.as_matrix64()[:, None, :]
             ^ continuous_memory.as_matrix64()[None, :, :]
         )
-        self._channels = np.arange(len(item_memory))
+        self._channels = np.arange(len(item_memory))[:, None]
 
     @property
     def dim(self) -> int:
@@ -143,18 +174,28 @@ class SpatialEncoder:
     def _levels_to_words(self, levels: np.ndarray) -> np.ndarray:
         """Spatial-encode pre-quantised levels ``(..., n_channels)`` into
         packed ``(..., n_words)`` rows: a gather from the prebound table,
-        then the channel majority, ``_TILE_ROWS`` rows at a time into one
-        output.
+        then the channel majority, ``_TILE_ROWS`` rows at a time.
+
+        The gather is channel-major, ``(n_channels, rows, n_words)``, so
+        each channel's rows are contiguous and the majority's word ops
+        run on contiguous operands.  At D=10,000 on the 2-core VM, 25
+        rows took 18 µs and a 160-row tile 100 µs, against 25 and
+        152 µs with the strided channel views of a row-major gather.
         """
         levels = np.asarray(levels)
         flat = levels.reshape(-1, levels.shape[-1])
-        out = np.empty((flat.shape[0], self._bound.shape[-1]), np.uint64)
-        for start in range(0, flat.shape[0], _TILE_ROWS):
-            stop = start + _TILE_ROWS
-            out[start:stop] = engine.majority_default_tie(
-                self._bound[self._channels, flat[start:stop]], self.dim
-            )
+        out = _tiled(
+            self._bind_bundle, flat, _TILE_ROWS, self._bound.shape[-1]
+        )
         return out.reshape(levels.shape[:-1] + (out.shape[-1],))
+
+    def _bind_bundle(self, flat: np.ndarray) -> np.ndarray:
+        """Spatial rows of ``(rows, n_channels)`` levels: one gather,
+        one channel majority."""
+        bound = self._bound[self._channels, flat.T]
+        return engine.majority_default_tie(
+            bound.transpose(1, 0, 2), self.dim
+        )
 
     def quantize_batch(self, samples: np.ndarray) -> np.ndarray:
         """Quantise raw samples ``(..., n_channels)`` to integer levels."""
@@ -165,8 +206,8 @@ class SpatialEncoder:
                 f"got shape {samples.shape}"
             )
         return quantize_samples(
-            samples.reshape(-1), self._lo, self._hi, self._cim.n_levels
-        ).reshape(samples.shape)
+            samples, self._lo, self._hi, self._cim.n_levels
+        )
 
     def _samples_to_words(self, samples: np.ndarray) -> np.ndarray:
         """Quantise and spatial-encode raw samples ``(..., n_channels)``."""
@@ -193,15 +234,8 @@ class SpatialEncoder:
                 f"levels must be (timestamps, {self.n_channels}), "
                 f"got {levels.shape}"
             )
-        if levels.size and (
-            np.any(levels < 0) or np.any(levels >= self._cim.n_levels)
-        ):
-            raise IndexError(
-                f"levels out of range 0..{self._cim.n_levels - 1}"
-            )
-        return HypervectorArray._wrap(
-            self._levels_to_words(levels.astype(np.int64)), self.dim
-        )
+        levels = _checked_levels(levels, self._cim.n_levels)
+        return HypervectorArray._wrap(self._levels_to_words(levels), self.dim)
 
     # -- scalar views of the same kernels ----------------------------------
 
@@ -228,13 +262,9 @@ class SpatialEncoder:
             raise ValueError(
                 f"expected {self.n_channels} levels, got shape {levels.shape}"
             )
-        if np.any(levels < 0) or np.any(levels >= self._cim.n_levels):
-            raise IndexError(
-                f"levels out of range 0..{self._cim.n_levels - 1}"
-            )
+        levels = _checked_levels(levels, self._cim.n_levels)
         return BinaryHypervector.from_words64(
-            self._levels_to_words(levels[None, :].astype(np.int64))[0],
-            self.dim,
+            self._levels_to_words(levels[None, :])[0], self.dim
         )
 
 
@@ -256,13 +286,17 @@ class TemporalEncoder:
 
         ``spatial_words`` is ``(..., T, n_words)`` with ``T >= N``; the
         result is ``(..., T - N + 1, n_words)``, combining rotated rows
-        ``G_t = S_t ⊕ ρ¹S_{t+1} ⊕ ... ⊕ ρ^{N-1}S_{t+N-1}``.
+        ``G_t = S_t ⊕ ρ¹S_{t+1} ⊕ ... ⊕ ρ^{N-1}S_{t+N-1}``.  For N=1
+        the N-grams are the spatial rows, and ``spatial_words`` itself
+        is returned.
         """
         t_len = spatial_words.shape[-2]
         if t_len < self._n:
             raise ValueError(
                 f"need at least {self._n} spatial vectors, got {t_len}"
             )
+        if self._n == 1:
+            return spatial_words
         n_grams = t_len - self._n + 1
         out = spatial_words[..., :n_grams, :].copy()
         for k in range(1, self._n):
@@ -370,18 +404,29 @@ class WindowEncoder:
         """Quantised ``(n, T, channels)`` levels → packed query rows.
 
         The chain runs tile by tile, about ``_TILE_ROWS`` spatial rows
-        (at least one window) per tile, into one preallocated output.
+        (at least one window) per tile; several tiles fill one
+        preallocated output.
         """
-        n_win, t_len, _ = levels.shape
-        dim = self.dim
-        out = np.empty((n_win, engine.words_for_dim(dim)), dtype=np.uint64)
-        per_tile = max(1, _TILE_ROWS // t_len)
-        for start in range(0, n_win, per_tile):
-            stop = start + per_tile
-            spatial = self._spatial._levels_to_words(levels[start:stop])
-            grams = self._temporal.ngram_words(spatial, dim)
-            out[start:stop] = engine.majority_default_tie(grams, dim)
-        return out
+        per_tile = max(1, _TILE_ROWS // levels.shape[1])
+        return _tiled(
+            self._tile_query_words, levels, per_tile,
+            engine.words_for_dim(self.dim),
+        )
+
+    def _tile_query_words(self, levels: np.ndarray) -> np.ndarray:
+        """One tile of the chain: gather, channel majority, N-grams,
+        window majority.
+
+        The spatial rows are encoded time-major, ``(T, windows,
+        n_words)``, and read through a ``(windows, T, n_words)`` view,
+        so each timestamp's rows are contiguous for the window
+        majority's word ops.
+        """
+        spatial = self._spatial._levels_to_words(levels.transpose(1, 0, 2))
+        grams = self._temporal.ngram_words(
+            spatial.transpose(1, 0, 2), self.dim
+        )
+        return engine.majority_default_tie(grams, self.dim)
 
     def encode_levels_batch(self, levels: np.ndarray) -> HypervectorArray:
         """Query hypervectors from pre-quantised integer level windows.
@@ -402,13 +447,11 @@ class WindowEncoder:
                 f"windows of {levels.shape[1]} timestamps cannot form "
                 f"{self._temporal.ngram_size}-grams"
             )
-        n_levels = self._spatial.continuous_memory.n_levels
-        if levels.size and (
-            np.any(levels < 0) or np.any(levels >= n_levels)
-        ):
-            raise IndexError(f"levels out of range 0..{n_levels - 1}")
+        levels = _checked_levels(
+            levels, self._spatial.continuous_memory.n_levels
+        )
         return HypervectorArray._wrap(
-            self._levels_to_query_words(levels.astype(np.int64)), self.dim
+            self._levels_to_query_words(levels), self.dim
         )
 
     def encode_batch(self, windows: np.ndarray) -> HypervectorArray:

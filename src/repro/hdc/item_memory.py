@@ -258,6 +258,15 @@ def quantize_samples(
         raise ValueError(f"need at least 2 levels, got {n_levels}")
     if hi <= lo:
         raise ValueError(f"invalid signal range [{lo}, {hi}]")
-    arr = np.asarray(samples, dtype=np.float64)
-    scaled = (arr - lo) / (hi - lo) * (n_levels - 1)
-    return np.clip(np.round(scaled), 0, n_levels - 1).astype(np.int64)
+    # (x - lo) / (hi - lo) * (n - 1), rounded half to even, clipped:
+    # the same operations in the same order as a fresh expression, but
+    # in one buffer, so no temporary is allocated per step.
+    scaled = np.array(samples, dtype=np.float64)
+    scaled -= lo
+    scaled /= hi - lo
+    scaled *= n_levels - 1
+    np.rint(scaled, out=scaled)
+    # The clip, as two ufuncs: np.clip adds a Python-level wrapper.
+    np.maximum(scaled, 0, out=scaled)
+    np.minimum(scaled, n_levels - 1, out=scaled)
+    return scaled.astype(np.int64)

@@ -498,12 +498,18 @@ class LanedMemory:
             hi = int(src.max()) + size - 1
             src_l1, src_base = self.locate(lo, hi)
             src_buf = self._l1 if src_l1 else self._l2
-            offsets = src.astype(np.int64) - src_base
-            for lane in range(self.n_lanes):
-                start = int(offsets[lane])
-                dst_buf[lane, doff : doff + size] = src_buf[
-                    lane, start : start + size
-                ]
+            # One gather of each lane's source row from a (lanes,
+            # start, size) view of the buffer: whole rows, not bytes.
+            # It is a copy, so a source that overlaps the destination
+            # is read as it was before the store.
+            starts = src.astype(np.int64) - src_base
+            lanes, length = src_buf.shape
+            step = src_buf.strides[1]
+            rows = np.ndarray(
+                (lanes, length - size + 1, size), src_buf.dtype, src_buf,
+                0, (src_buf.strides[0], step, step),
+            )
+            dst_buf[:, doff : doff + size] = rows[np.arange(lanes), starts]
             self.mark_divergent(dst_l1, doff, doff + size - 1)
         else:
             src = int(src)

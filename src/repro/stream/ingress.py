@@ -35,7 +35,9 @@ Design constraints this module resolves:
   a bounded per-connection queue drained by a writer task with tight
   transport write-buffer limits; a full queue disconnects the client
   (``ERR_SLOW``) instead of buffering without bound.  Idle connections
-  time out.
+  time out.  The writer hands the transport every frame already
+  queued in one write, so the DECISIONs and CREDIT of one service
+  call leave in one ``send``.
 * **Latency is measured end to end without trusting clocks.**  Clients
   stamp each SAMPLES frame with their own ``perf_counter``; the server
   mirrors the windower's emission arithmetic (:class:`_StampTracker`)
@@ -110,7 +112,8 @@ class IngressConfig:
     credit_bytes: int = 1 << 18
     #: Hard frame-size cap enforced by the decoder.
     max_frame_bytes: int = 8 << 20
-    #: Disconnect a connection with no inbound frames for this long.
+    #: Disconnect a connection with no inbound frames for this long
+    #: (checked by the sweeper, so up to ``sweep_interval_s`` later).
     idle_timeout_s: float = 30.0
     #: Outbound frames buffered per connection before it counts as slow.
     write_queue_frames: int = 256
@@ -129,7 +132,7 @@ class IngressConfig:
     #: Retry hint carried on shed ERROR frames.
     retry_after_s: float = 0.5
     #: Period of the idle sweeper that drains max_wait-aged windows
-    #: when ingest traffic pauses.
+    #: when ingest traffic pauses and times out idle connections.
     sweep_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
@@ -239,6 +242,9 @@ class _Connection:
         "credit_debt",
         "closing",
         "slow",
+        "last_read",
+        "read_waiter",
+        "timed_out",
     )
 
     def __init__(self, reader, writer, max_frame_bytes, queue_frames):
@@ -253,6 +259,12 @@ class _Connection:
         self.credit_debt = 0  # SAMPLES bytes of the current read
         self.closing = False
         self.slow = False
+        # Idle timeout state: when the last read returned, the read
+        # loop's task while it waits on a read (else None), and whether
+        # the sweep cancelled that read for idleness.
+        self.last_read = time.monotonic()
+        self.read_waiter: Optional[asyncio.Task] = None
+        self.timed_out = False
 
 
 class IngressServer:
@@ -400,19 +412,28 @@ class IngressServer:
     async def _read_loop(self, conn: _Connection) -> None:
         cfg = self._config
         hello_seen = False
+        task = asyncio.current_task()
         while not conn.closing:
+            # No timeout around the read: before CPython 3.12,
+            # asyncio.wait_for runs every read as a task of its own.
+            # The sweep cancels a read that has waited idle_timeout_s.
+            conn.read_waiter = task
             try:
-                data = await asyncio.wait_for(
-                    conn.reader.read(1 << 16),
-                    timeout=cfg.idle_timeout_s,
-                )
-            except asyncio.TimeoutError:
+                data = await conn.reader.read(1 << 16)
+            except asyncio.CancelledError:
+                if not conn.timed_out:
+                    raise
+                if hasattr(task, "uncancel"):  # CPython 3.11+
+                    task.uncancel()
                 self.stats.idle_disconnects += 1
                 self._send(
                     conn,
                     Error(ERR_PROTOCOL, "idle timeout", 0.0),
                 )
                 return
+            finally:
+                conn.read_waiter = None
+            conn.last_read = time.monotonic()
             if not data:
                 return  # peer closed
             try:
@@ -632,13 +653,30 @@ class IngressServer:
                 conn.writer_task.cancel()
 
     async def _write_loop(self, conn: _Connection) -> None:
+        """Hand the transport every frame already queued, in one write.
+
+        A service call queues its DECISION frames and then its CREDIT
+        before the loop can run, so they leave in one ``send``, in
+        queue order.  Frames count against ``write_queue_frames`` until
+        this loop takes them, and it takes none while the transport is
+        above its high watermark, so a peer that stops reading still
+        fills the queue and is evicted.  ``None`` closes the connection
+        once the frames queued before it are written.
+        """
+        outbound = conn.outbound
         try:
             while True:
-                data = await conn.outbound.get()
-                if data is None:
+                frames = [await outbound.get()]
+                while frames[-1] is not None and not outbound.empty():
+                    frames.append(outbound.get_nowait())
+                closing = frames[-1] is None
+                if closing:
+                    frames.pop()
+                if frames:
+                    conn.writer.write(b"".join(frames))
+                    await conn.writer.drain()
+                if closing:
                     break
-                conn.writer.write(data)
-                await conn.writer.drain()
         except (asyncio.CancelledError, ConnectionError):
             pass
         finally:
@@ -762,7 +800,8 @@ class IngressServer:
             pass
 
     async def _sweep_loop(self) -> None:
-        """Drain the service when ingest traffic pauses.
+        """Drain the service when ingest traffic pauses; time out idle
+        connections.
 
         ``max_wait`` batching ages on the ingest clock; when clients go
         quiet the clock stops and queued partial batches would wait
@@ -773,6 +812,18 @@ class IngressServer:
         while True:
             await asyncio.sleep(interval)
             self._drain_if_dirty()
+            self._time_out_idle()
+
+    def _time_out_idle(self) -> None:
+        """Cancel the waiting read of every connection that has read
+        nothing for ``idle_timeout_s``; its read loop then answers an
+        idle-timeout ERROR and ends.  A connection times out within one
+        sweep interval of its deadline."""
+        deadline = time.monotonic() - self._config.idle_timeout_s
+        for conn in self._connections:
+            if conn.read_waiter is not None and conn.last_read <= deadline:
+                conn.timed_out = True
+                conn.read_waiter.cancel()
 
 
 # -- client ------------------------------------------------------------------

@@ -153,6 +153,15 @@ def check_finite(samples: np.ndarray) -> None:
         raise ValueError("samples must be finite (got NaN or inf)")
 
 
+def cache_keys(levels: np.ndarray, key_dtype: np.dtype) -> List[bytes]:
+    """Decision-cache keys of ``(n, T, channels)`` quantised windows:
+    each window's levels as one ``bytes`` row of ``key_dtype``, built in
+    one pass."""
+    rows = levels.reshape(levels.shape[0], -1).astype(key_dtype)
+    row_bytes = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    return rows.view(row_bytes).ravel().tolist()
+
+
 class StreamingService:
     """The serving front end: sessions in, smoothed decisions out.
 
@@ -809,9 +818,7 @@ class StreamingService:
             )
             return indices.tolist(), 0
         n = levels.shape[0]
-        rows = levels.reshape(n, -1).astype(entry.key_dtype)
-        row_bytes = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-        keys = rows.view(row_bytes).ravel().tolist()
+        keys = cache_keys(levels, entry.key_dtype)
         cache = entry.cache
         winners = list(map(cache.get, keys))
         missing = [i for i, winner in enumerate(winners) if winner is None]
@@ -819,7 +826,9 @@ class StreamingService:
             if winner is not None:
                 cache.move_to_end(key)  # refresh LRU recency
         if missing:
-            queries = encoder.encode_levels_batch(levels[missing])
+            queries = encoder.encode_levels_batch(
+                levels if len(missing) == n else levels[missing]
+            )
             found, _ = engine.am_search(queries.words, entry.proto_words)
             found = found.tolist()
             for i, winner in zip(missing, found):
@@ -901,16 +910,14 @@ class StreamingService:
         decisions: List[Decision] = []
         clock = self._clock
         now = time.monotonic()
-        # One record per histogram per batch: every window of a queue
-        # item shares that item's age.
+        # One record per queue item, weighted by its window count: every
+        # window of an item waited as long.
         counts = [block.shape[0] for _, block, _, _ in items]
         self.queue_age_ticks_hist.record_many(
-            np.repeat([clock - tick for _, _, tick, _ in items], counts)
+            [clock - tick for _, _, tick, _ in items], counts
         )
         self.queue_age_s_hist.record_many(
-            np.repeat(
-                [max(0.0, now - wall) for _, _, _, wall in items], counts
-            )
+            [max(0.0, now - wall) for _, _, _, wall in items], counts
         )
         for (session, block, tick, _), raw_labels in zip(items, item_labels):
             decisions.extend(

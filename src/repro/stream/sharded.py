@@ -960,8 +960,22 @@ class ShardedStreamingService:
             for sid, current in list(self._session_shard.items())
             if shard_for(sid, n_shards) != current
         ]
-        for sid, destination in moves:
-            self._migrate_session(sid, destination)
+        # A stale error of an earlier command can surface in any move.
+        # As in respawn replay it does not stop the resize: a move it
+        # aborted before the send is retried, never skipped, and the
+        # first error is raised once the resize is done and counted.
+        deferred: List[ShardError] = []
+        pos = 0
+        while pos < len(moves):
+            try:
+                self._migrate_session(*moves[pos])
+                pos += 1
+            except ShardCrashError:
+                raise
+            except ShardError as exc:
+                deferred.append(exc)
+                if exc.sent:
+                    pos += 1
         if n_shards < old_n:
             # Drain the retiring workers *while they are still in the
             # routing table* (a crash mid-drain then heals through the
@@ -976,6 +990,8 @@ class ShardedStreamingService:
             for shard in retiring:
                 self._stop_shard(shard)
         self.rescales += 1
+        if deferred:
+            raise deferred[0]
 
     def credit_utilization(self) -> float:
         """Mean fraction of the shards' byte credit windows in use (0..1).
@@ -1288,8 +1304,13 @@ class ShardedStreamingService:
         self._flush(self._shards[index])
         self._post(self._shards[index], entry, journal=journal)
         # A crash inside _post or _flush respawns the shard, replacing
-        # the _Shard object, so it is re-read after each.
-        self._flush(self._shards[index])
+        # the _Shard object, so it is re-read after each.  Only this
+        # command is in flight now, so an error here is its own.
+        try:
+            self._flush(self._shards[index])
+        except ShardError as exc:
+            exc.sent = True
+            raise
         try:
             return self._shards[index].replies.pop(entry[0])
         except KeyError:

@@ -145,6 +145,30 @@ class TestWindowEncoder:
         window = rng.uniform(0, 21, size=(7, 4))
         assert len(enc.ngrams(window)) == 5
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_encode_levels_batch_range_check(
+        self, spatial, rng, dtype, bad
+    ):
+        """A level below 0 or at n_levels (8 here) is refused whatever
+        the dtype; -1 as uint8 wraps to 255."""
+        window = WindowEncoder(spatial, TemporalEncoder(1))
+        levels = rng.integers(0, 8, size=(3, 5, 4))
+        assert len(window.encode_levels_batch(levels.astype(dtype))) == 3
+        levels[1, 2, 3] = bad
+        with pytest.raises(IndexError):
+            window.encode_levels_batch(levels.astype(dtype))
+
+    def test_encode_levels_batch_keeps_int64_input(self, spatial, rng):
+        window = WindowEncoder(spatial, TemporalEncoder(1))
+        levels = rng.integers(0, 8, size=(6, 5, 4))
+        want = window.encode_levels_batch(levels.astype(np.uint8)).words
+        before = levels.copy()
+        np.testing.assert_array_equal(
+            window.encode_levels_batch(levels).words, want
+        )
+        np.testing.assert_array_equal(levels, before)
+
     def test_matches_reference_classifier_encoding(self, rng):
         ref = reference.ReferenceHDClassifier(
             dim=128, n_channels=4, n_levels=8, ngram_size=2,

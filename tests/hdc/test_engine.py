@@ -196,6 +196,31 @@ class TestMajority:
         )
 
 
+class TestMajorityClosedForms:
+    @pytest.mark.parametrize("dim", AWKWARD_DIMS)
+    def test_five_rows_on_batched_axes(self, dim, rng):
+        """The 5-row closed form of majority_default_tie (the window
+        bundle) equals the bit-sliced counter of majority() on leading
+        batch axes."""
+        bits = rng.integers(0, 2, size=(3, 4, 5, dim), dtype=np.uint8)
+        stack = engine.pack_bits(bits)
+        out = engine.majority_default_tie(stack, dim)
+        assert pads_zero(out, dim)
+        np.testing.assert_array_equal(out, engine.majority(stack, dim))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_strided_rows_bundle_as_contiguous_ones(self, n, rng):
+        """A row-strided view (the spatial encoder's channel-major
+        gather) bundles as its contiguous copy does."""
+        stack = engine.random_words(n * 7, 200, rng).reshape(n, 7, -1)
+        view = stack.transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(
+            engine.majority_default_tie(view, 200),
+            engine.majority_default_tie(np.ascontiguousarray(view), 200),
+        )
+
+
 class TestBitCounts:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_matches_unpacked_sum(self, n, rng):
@@ -235,6 +260,35 @@ class TestHammingSearch:
         indices, dists = engine.am_search(query, proto)
         assert indices[0] == 0  # row 2 ties at distance 0; first wins
         assert dists[0].tolist() == [0, 4, 0]
+
+    @pytest.mark.parametrize(
+        "n_q, n_p, broadcast",
+        [
+            (1, 5, True), (5, 5, True), (16, 16, True),
+            (512, 5, False), (5, 512, False),
+        ],
+    )
+    def test_both_sides_of_the_broadcast_cut(
+        self, n_q, n_p, broadcast, rng
+    ):
+        """Small searches take one broadcast pass, large ones the loop:
+        both equal the unpacked reference, and the first minimum wins."""
+        assert (n_q * n_p <= engine._BROADCAST_MAX_PAIRS) == broadcast
+        dim = 130
+        q = rng.integers(0, 2, size=(n_q, dim), dtype=np.uint8)
+        p = rng.integers(0, 2, size=(n_p, dim), dtype=np.uint8)
+        p[-1] = p[1]  # a later duplicate of prototype 1 ...
+        q[0] = p[1]  # ... that query 0 matches exactly
+        indices, dists = engine.am_search(
+            engine.pack_bits(q), engine.pack_bits(p)
+        )
+        want = [[reference.hamming(a, b) for b in p] for a in q]
+        np.testing.assert_array_equal(dists, want)
+        assert indices[0] == 1
+        protos = {j: p[j] for j in range(n_p)}
+        assert indices.tolist() == [
+            reference.am_classify(a, protos) for a in q
+        ]
 
     def test_empty_prototypes_rejected(self, rng):
         with pytest.raises(ValueError):

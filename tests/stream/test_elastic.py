@@ -628,6 +628,69 @@ class TestRescale:
             )
             assert parity_digest(got) == parity_digest(want)
 
+    def test_stale_error_in_a_grow_finishes_the_resize(
+        self, store, worker_checks_width
+    ):
+        """An unread error of an earlier bad chunk on shard 0 surfaces
+        in a mover's extract.  The grow still finishes: every session
+        ends on its ring owner, the rescale counts once, the error is
+        raised afterwards, and every stream is byte-identical to an
+        undisturbed run."""
+        path, reference = store
+        config = _config(max_wait=50, max_batch=64)
+        ids = list(range(12))
+        rng = np.random.default_rng(61)
+        streams = {sid: rng.random((120, N_CHANNELS)) for sid in ids}
+        bad = next(s for s in ids if shard_for(s, 2) == 0)
+        assert any(
+            shard_for(s, 2) == 0 and shard_for(s, 3) == 2 for s in ids
+        )
+        got = []
+        with ShardedStreamingService(
+            path, config, n_shards=2
+        ) as service:
+            for sid in ids:
+                service.open_session(sid)
+                got.extend(service.ingest(sid, streams[sid][:60]))
+            victim = service.shard_process(0)
+            # Frozen, shard 0 cannot answer the bad chunk before the
+            # rescale: its err can only surface in a migration.
+            os.kill(victim.pid, signal.SIGSTOP)
+            time.sleep(0.05)
+            try:
+                got.extend(
+                    service.ingest(bad, rng.random((10, N_CHANNELS + 2)))
+                )
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            time.sleep(0.3)  # let shard 0's err reply land in its pipe
+            with pytest.raises(ShardError) as info:
+                service.rescale(3)
+            assert info.value.shard == 0
+            assert service.n_shards == 3
+            assert service.rescales == 1
+            for sid in ids:
+                assert service.shard_of(sid) == shard_for(sid, 3)
+            assert service.rescale(3) == []
+            assert service.rescales == 1
+            for sid in ids:
+                got.extend(service.ingest(sid, streams[sid][60:]))
+            got.extend(service.drain())
+        single = StreamingService(reference, config)
+        want = []
+        for sid in ids:
+            single.open_session(sid)
+            want.extend(single.ingest(sid, streams[sid][:60]))
+        for sid in ids:
+            want.extend(single.ingest(sid, streams[sid][60:]))
+        want.extend(single.drain())
+        by_session = {
+            sid: [d for d in got if d.session_id == sid] for sid in ids
+        }
+        assert parity_digest(by_session) == parity_digest(
+            {sid: [d for d in want if d.session_id == sid] for sid in ids}
+        )
+
     def test_rescale_noop_and_validation(self, store):
         path, _ = store
         with ShardedStreamingService(

@@ -39,10 +39,12 @@ from repro.stream.wire import (
     Bye,
     Close,
     Credit,
+    DecisionFrame,
     Error,
     FrameDecoder,
     Hello,
     Open,
+    OpenOk,
     Samples,
     Welcome,
     encode_frame,
@@ -641,6 +643,55 @@ class TestOneThread:
         assert {ident for _, ident in threads} == {loop_thread}
 
 
+class TestOneWrite:
+    def test_service_call_answers_leave_in_one_write(
+        self, model, monkeypatch
+    ):
+        """The writer hands the transport every frame already queued:
+        the 5 DECISIONs and the CREDIT of one SAMPLES frame go out in
+        one ``StreamWriter.write``, in queue order."""
+        config = _config(max_wait=0)
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def recording_write(self, data):
+            writes.append((self, bytes(data)))
+            return write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+        samples = np.random.default_rng(23).random((25, N_CHANNELS))
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config
+            ) as live:
+                reader, writer, decoder, _ = await _raw_handshake(
+                    live.host, live.port
+                )
+                writer.write(encode_frame(Open("s")))
+                await writer.drain()
+                assert await _read_frames(reader, decoder, 1) == [
+                    OpenOk("s")
+                ]
+                mark = len(writes)
+                writer.write(encode_frame(Samples("s", samples, 1.0)))
+                await writer.drain()
+                answers = await _read_frames(reader, decoder, 6)
+                served = [
+                    data for owner, data in writes[mark:]
+                    if owner is not writer
+                ]
+                writer.close()
+                return answers, served
+
+        answers, served = asyncio.run(scenario())
+        assert [type(f) for f in answers] == [DecisionFrame] * 5 + [Credit]
+        assert [f.index for f in answers[:5]] == list(range(5))
+        assert answers[5] == Credit(samples.size * 8)
+        assert len(served) == 1
+        assert served[0] == b"".join(encode_frame(f) for f in answers)
+
+
 class TestNonIntegerLabels:
     def test_str_labelled_session_fails_and_routing_goes_on(self, model):
         """DECISION frames carry i64 labels.  A session served by a
@@ -1146,6 +1197,39 @@ class TestResourceBounds:
         assert eof == b""
         assert frames and frames[0].code == ERR_PROTOCOL
         assert "idle" in frames[0].message
+
+    def test_active_connection_outlives_the_idle_timeout(self, model):
+        """Idleness counts from the last read: a connection that keeps
+        sending stays open for several idle timeouts, and is timed out
+        once it goes quiet."""
+        config = _config()
+        ingress = IngressConfig(idle_timeout_s=0.2, sweep_interval_s=0.02)
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config, ingress
+            ) as live:
+                reader, writer, decoder, _ = await _raw_handshake(
+                    live.host, live.port
+                )
+                writer.write(encode_frame(Open("s")))
+                rng = np.random.default_rng(8)
+                for _ in range(12):  # 0.6 s of traffic
+                    writer.write(
+                        encode_frame(Samples("s", rng.random((5, N_CHANNELS))))
+                    )
+                    await writer.drain()
+                    await asyncio.sleep(0.05)
+                active = live.server.stats.idle_disconnects
+                frames = await _read_frames(reader, decoder, 100, 5.0)
+                writer.close()
+                return active, frames, live.server.stats
+
+        active, frames, stats = asyncio.run(scenario())
+        assert active == 0
+        assert stats.idle_disconnects == 1
+        assert isinstance(frames[-1], Error)
+        assert "idle" in frames[-1].message
 
     def test_quiescent_queue_still_drains(self, model):
         """max_wait batching ages on the ingest clock; the sweeper must
