@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import List, Optional
 
 import numpy as np
 
 from ..hdc.batch import BatchHDClassifier
+from ..hdc.classifier import HDClassifierConfig
 from ..hdc.item_memory import quantize_samples
 from ..pulp.assembler import Assembler, Program
 from ..pulp.cluster import Cluster, ClusterRunResult
@@ -39,12 +41,8 @@ from ..pulp.analyze import StaticContract
 MAX_REGISTER_BUNDLE_ROWS = 7
 """Largest row count handled by the register window bundle."""
 
-MAX_DESC_ARENA_WINDOWS = 32
-"""Upper bound on descriptor-arena slots a simulator reserves in L2.
-
-The arena only grows into L2 slack left over after the model, so small
-memories (or many-channel shapes) automatically get fewer slots, down to
-the single table the sequential path needs."""
+BATCH_CHUNK_WINDOWS = 32
+"""Windows the batched driver runs as one lockstep chunk."""
 
 
 _CHAIN_TELEMETRY = {
@@ -53,12 +51,12 @@ _CHAIN_TELEMETRY = {
     # chunks / windows that completed fully laned (encode AND AM)
     "laned_chunks": 0,
     "laned_windows": 0,
-    # windows that fell back to per-window sequential engine runs
+    # windows of bailed chunks, run by per-window run_window_levels
     "fallback_windows": 0,
     # lockstep bail reason -> chunks that fell back for it
     "fallbacks": Counter(),
-    # wall-clock seconds per driver phase, accumulated across batches:
-    # staging (descriptor tables, host transfers, lane images), the two
+    # wall-clock seconds per phase of the laned path, accumulated
+    # across batches: staging (descriptor tables, lane images), the two
     # kernels, and result readback
     "phase_s": {"staging": 0.0, "encode": 0.0, "am": 0.0, "readback": 0.0},
 }
@@ -68,11 +66,12 @@ def chain_batch_telemetry() -> dict:
     """Snapshot of the batched driver's laned/fallback counters.
 
     ``fallbacks`` maps each :class:`~repro.pulp.lockstep.LockstepBail`
-    reason to the number of chunks it pushed onto the sequential path —
+    reason to the number of chunks it pushed onto per-window runs —
     the driver-level view of *why* batched throughput was lost, without
     callers having to handle ineligibility themselves.  ``phase_s``
-    splits the batched driver's wall-clock across staging / encode /
-    AM / readback so perf work can see where window time goes.
+    splits the laned path's wall-clock across staging / encode / AM /
+    readback so perf work can see where window time goes; windows run
+    one at a time are not timed.
     """
     return {
         "attempts": _CHAIN_TELEMETRY["attempts"],
@@ -391,13 +390,12 @@ class HDChainSimulator:
         mem_cfg = soc.memory_config()
         from ..pulp.memory import L1_BASE, L2_BASE
 
-        layout_args = dict(
-            dims=config.dims,
+        self.layout = make_layout(
+            config.dims,
             n_cores=config.n_cores,
-            uses_dma=config.soc.uses_dma,
+            uses_dma=soc.uses_dma,
             with_bound_buf=(strategy == "memory"),
         )
-        self.layout = make_layout(**layout_args)
         if self.layout.l1_end - L1_BASE > mem_cfg.l1_bytes:
             raise ValueError(
                 f"chain working set ({self.layout.l1_end - L1_BASE} B) "
@@ -407,17 +405,6 @@ class HDChainSimulator:
             raise ValueError(
                 f"chain model ({self.layout.l2_end - L2_BASE} B) exceeds "
                 f"{soc.name} L2 ({mem_cfg.l2_bytes} B)"
-            )
-        # Grow the descriptor arena into whatever L2 slack remains so
-        # batched sweeps can stage many windows in one host transfer.
-        slack = mem_cfg.l2_bytes - (self.layout.l2_end - L2_BASE)
-        extra = min(
-            MAX_DESC_ARENA_WINDOWS - 1,
-            slack // self.layout.desc_table_bytes,
-        )
-        if extra > 0:
-            self.layout = make_layout(
-                **layout_args, desc_capacity=1 + extra
             )
         self.cluster: Cluster = soc.make_cluster(
             config.n_cores, engine=config.engine
@@ -439,6 +426,12 @@ class HDChainSimulator:
             uses_dma=soc.uses_dma,
         )
         self._model_loaded = False
+        #: Raw-signal (lo, hi) range :meth:`run_window` quantises over;
+        #: :meth:`from_classifier` records the model's own.
+        self.signal_range = (
+            HDClassifierConfig.signal_lo,
+            HDClassifierConfig.signal_hi,
+        )
 
     # -- model / input staging -------------------------------------------------
 
@@ -484,6 +477,7 @@ class HDChainSimulator:
 
         The IM, CIM and AM matrices are the classifier's own, in the
         paper's uint32 layout; AM row ``i`` is ``classifier.labels[i]``.
+        :meth:`run_window` quantises over the classifier's signal range.
         """
         cfg = classifier.config
         dims = ChainDims(
@@ -509,14 +503,14 @@ class HDChainSimulator:
             spatial.continuous_memory.as_matrix(),
             classifier.am_matrix(),
         )
+        sim.signal_range = (cfg.signal_lo, cfg.signal_hi)
         return sim
 
     # -- execution --------------------------------------------------------------
 
-    def _validate_levels(
-        self, levels: np.ndarray, batched: bool
-    ) -> np.ndarray:
-        """Shape/dtype/range checks for one window or a window batch.
+    def _validate_levels(self, levels: np.ndarray) -> np.ndarray:
+        """Shape/dtype/range checks for a ``(n_windows, n_samples,
+        n_channels)`` window batch.
 
         Structural checks run *before* any value inspection so an empty
         or float array raises the intended :class:`ValueError` instead
@@ -525,19 +519,13 @@ class HDChainSimulator:
         dims = self.config.dims
         levels = np.asarray(levels)
         expected = (dims.n_samples, dims.n_channels)
-        if batched:
-            if levels.ndim != 3 or levels.shape[1:] != expected:
-                raise ValueError(
-                    f"levels batch shape {levels.shape} != expected "
-                    f"(n_windows, {dims.n_samples}, {dims.n_channels})"
-                )
-            if levels.shape[0] == 0:
-                raise ValueError("levels batch holds zero windows")
-        elif levels.shape != expected:
+        if levels.ndim != 3 or levels.shape[1:] != expected:
             raise ValueError(
-                f"levels shape {levels.shape} != expected "
-                f"({dims.n_samples}, {dims.n_channels})"
+                f"levels batch shape {levels.shape} != expected "
+                f"(n_windows, {dims.n_samples}, {dims.n_channels})"
             )
+        if levels.shape[0] == 0:
+            raise ValueError("levels batch holds zero windows")
         if levels.dtype.kind not in "iu":
             raise ValueError(
                 f"levels must be an integer array, got dtype "
@@ -564,14 +552,15 @@ class HDChainSimulator:
             + flat.astype(np.uint32) * np.uint32(dims.row_bytes)
         )
 
-    def _read_result(self, encode_run, am_run) -> ChainResult:
-        """Read the label/distances back and assemble a ChainResult."""
-        dims = self.config.dims
-        label = self.cluster.read_word(self.layout.result_label_addr())
+    def _read_result(self, read_word, encode_run, am_run) -> ChainResult:
+        """Read the label/distances back through ``read_word`` (the
+        cluster's, or one lockstep lane's) and assemble a ChainResult."""
+        layout = self.layout
+        label = read_word(layout.result_label_addr())
         distances = np.array(
             [
-                self.cluster.read_word(self.layout.result_distance_addr(c))
-                for c in range(dims.n_classes)
+                read_word(layout.result_distance_addr(c))
+                for c in range(self.config.dims.n_classes)
             ],
             dtype=np.int64,
         )
@@ -584,12 +573,6 @@ class HDChainSimulator:
             am_run=am_run,
         )
 
-    def _run_staged_window(self) -> ChainResult:
-        """Run encode + AM on the already-staged active descriptor table."""
-        encode_run = self.cluster.run(self.encode_program)
-        am_run = self.cluster.run(self.am_program)
-        return self._read_result(encode_run, am_run)
-
     def run_window_levels(self, levels: np.ndarray) -> ChainResult:
         """Classify one window given pre-quantised integer levels.
 
@@ -599,112 +582,75 @@ class HDChainSimulator:
         """
         if not self._model_loaded:
             raise RuntimeError("load_model must be called first")
-        levels = self._validate_levels(levels, batched=False)
+        levels = self._validate_levels(np.asarray(levels)[None])
         # Descriptor table: L2 address of each (sample, channel) CIM row.
-        desc = self._desc_tables(levels)[0]
-        self.cluster.write_words(self.layout.desc_l2, desc)
-        return self._run_staged_window()
+        self.cluster.write_words(
+            self.layout.desc_l2, self._desc_tables(levels)[0]
+        )
+        encode_run = self.cluster.run(self.encode_program)
+        am_run = self.cluster.run(self.am_program)
+        return self._read_result(self.cluster.read_word, encode_run, am_run)
 
     def run_window_levels_batch(
         self, levels_batch: np.ndarray
     ) -> List[ChainResult]:
-        """Classify N windows, amortizing per-window staging and engine
-        overhead.
+        """Classify N windows, amortizing per-window engine overhead.
 
         Semantically identical to N sequential :meth:`run_window_levels`
         calls — per-window labels, distances, cycle counts, and the
-        final simulated-memory state are bit- and cycle-exact (pinned by
+        final simulated-memory image are bit- and cycle-exact (pinned by
         the differential suite in ``tests/kernels/test_chain_batch.py``).
-        Mechanically, the batch is staged chunk-wise through the L2
-        descriptor arena (one host transfer per chunk, in-simulation
-        slot promotion per window) and, where the fast engine is active,
-        executed through the window-laned lockstep engine
-        (:mod:`repro.pulp.lockstep`), which runs *both* kernels — encode
-        and the AM search, whose divergent argmin runs predicated — once
-        with an extra lane axis over the chunk's windows instead of
-        re-staging and re-running them per window.  Callers always get
-        results: lockstep ineligibility silently falls back to the exact
-        sequential path, with the bail reason recorded in
+        The batch runs in chunks of :data:`BATCH_CHUNK_WINDOWS`.  On the
+        fast engine a chunk of two or more windows runs through the
+        window-laned lockstep engine (:mod:`repro.pulp.lockstep`), which
+        runs *both* kernels — encode and the AM search, whose divergent
+        argmin runs predicated — once with an extra lane axis over the
+        chunk's windows.  Every other chunk (the interp engine, a
+        one-window chunk, or a lockstep bail) is N calls of
+        :meth:`run_window_levels` itself; a bail's reason is recorded in
         :func:`chain_batch_telemetry`.
         """
         if not self._model_loaded:
             raise RuntimeError("load_model must be called first")
-        levels_batch = self._validate_levels(levels_batch, batched=True)
-        phases = _CHAIN_TELEMETRY["phase_s"]
-        tick = perf_counter()
-        tables = self._desc_tables(levels_batch)
-        phases["staging"] += perf_counter() - tick
-        layout = self.layout
-        capacity = layout.desc_capacity
+        levels_batch = self._validate_levels(levels_batch)
         results: List[ChainResult] = []
-        for start in range(0, len(tables), capacity):
-            chunk = tables[start : start + capacity]
-            # One host transfer stages the whole chunk into the arena.
-            tick = perf_counter()
-            self.cluster.write_words(layout.desc_l2, chunk.ravel())
-            phases["staging"] += perf_counter() - tick
-            lane_results = None
+        for start in range(0, len(levels_batch), BATCH_CHUNK_WINDOWS):
+            chunk = levels_batch[start : start + BATCH_CHUNK_WINDOWS]
+            chunk_results = None
             if len(chunk) > 1 and self.cluster.engine == "fast":
-                lane_results = self._run_chunk_lockstep(chunk)
-            if lane_results is None:
-                lane_results = self._run_chunk_sequential(len(chunk))
-            results.extend(lane_results)
-        return results
-
-    def _run_chunk_sequential(self, n_windows: int) -> List[ChainResult]:
-        """Run the ``n_windows`` staged arena slots one window at a time."""
-        layout = self.layout
-        memory = self.cluster.memory
-        table = layout.desc_table_bytes
-        phases = _CHAIN_TELEMETRY["phase_s"]
-        results = []
-        for index in range(n_windows):
-            tick = perf_counter()
-            if index:
-                # Promote slot ``index`` to the active table in
-                # simulation memory — no host re-staging.
-                memory.write_bytes(
-                    layout.desc_l2,
-                    memory.read_bytes(layout.desc_slot(index), table),
-                )
-            encode_run = self.cluster.run(self.encode_program)
-            tock = perf_counter()
-            am_run = self.cluster.run(self.am_program)
-            done = perf_counter()
-            phases["encode"] += tock - tick  # slot promotion rides along
-            phases["am"] += done - tock
-            tick = perf_counter()
-            results.append(self._read_result(encode_run, am_run))
-            phases["readback"] += perf_counter() - tick
+                chunk_results = self._run_chunk_lockstep(chunk)
+            if chunk_results is None:
+                chunk_results = [
+                    self.run_window_levels(levels) for levels in chunk
+                ]
+            results.extend(chunk_results)
         return results
 
     def _run_chunk_lockstep(self, chunk) -> Optional[List[ChainResult]]:
-        """Attempt the fully-laned (encode + AM) run for one staged chunk.
+        """Attempt the fully-laned (encode + AM) run for one chunk.
 
-        Stages one :class:`~repro.pulp.lockstep.LockstepSession` over the
-        chunk's windows and runs *both* programs through it — the AM
-        search's divergent argmin epilogue executes predicated, so no
-        per-window engine runs remain on this path.  Returns per-window
-        results, or ``None`` when the lockstep engine bailed (the caller
-        falls back to the sequential path; nothing in cluster state has
-        been mutated by a bailed attempt, and the bail reason lands in
-        :func:`chain_batch_telemetry`).
+        Stages one :class:`~repro.pulp.lockstep.LockstepSession` whose
+        lane ``i`` holds window ``i``'s descriptor table and runs *both*
+        programs through it — the AM search's divergent argmin epilogue
+        executes predicated, so no per-window engine runs remain on this
+        path.  Returns per-window results, or ``None`` when the lockstep
+        engine bailed (the caller falls back to per-window runs; nothing
+        in cluster state has been mutated by a bailed attempt, and the
+        bail reason lands in :func:`chain_batch_telemetry`).
         """
         from ..pulp.lockstep import LockstepBail, LockstepSession
 
-        layout = self.layout
-        dims = self.config.dims
-        lane_writes = [
-            [(
-                layout.desc_l2,
-                np.ascontiguousarray(table, dtype="<u4").tobytes(),
-            )]
-            for table in chunk
-        ]
         _CHAIN_TELEMETRY["attempts"] += 1
         phases = _CHAIN_TELEMETRY["phase_s"]
         try:
             tick = perf_counter()
+            lane_writes = [
+                [(
+                    self.layout.desc_l2,
+                    np.ascontiguousarray(table, dtype="<u4").tobytes(),
+                )]
+                for table in self._desc_tables(chunk)
+            ]
             session = LockstepSession(self.cluster, lane_writes)
             tock = perf_counter()
             phases["staging"] += tock - tick
@@ -718,52 +664,31 @@ class HDChainSimulator:
             _CHAIN_TELEMETRY["fallbacks"][bail.reason] += 1
             _CHAIN_TELEMETRY["fallback_windows"] += len(chunk)
             return None
-        # Final-memory parity with N sequential runs: the host staged
-        # the whole chunk arena, the sequential path promotes window
-        # N-1's table last, so the last lane's post-AM image *is* the
-        # sequential end state.
+        # Final-memory parity with N sequential runs: each lane starts
+        # from the cluster's memory with its own table written where
+        # the sequential path writes every table, and the kernels
+        # overwrite the same working set each window, so the last
+        # lane's post-AM image *is* the sequential end state.
         tick = perf_counter()
         session.lane_image(len(chunk) - 1).restore_into(
             self.cluster.memory
         )
-        results = []
-        for lane in range(len(chunk)):
-            label = session.read_word(
-                lane, layout.result_label_addr()
+        results = [
+            self._read_result(
+                partial(session.read_word, lane),
+                encode_runs[lane],
+                am_runs[lane],
             )
-            distances = np.array(
-                [
-                    session.read_word(
-                        lane, layout.result_distance_addr(c)
-                    )
-                    for c in range(dims.n_classes)
-                ],
-                dtype=np.int64,
-            )
-            encode_run = encode_runs[lane]
-            am_run = am_runs[lane]
-            results.append(
-                ChainResult(
-                    label_index=int(label),
-                    distances=distances,
-                    encode_cycles=encode_run.total_cycles,
-                    am_cycles=am_run.total_cycles,
-                    encode_run=encode_run,
-                    am_run=am_run,
-                )
-            )
+            for lane in range(len(chunk))
+        ]
         phases["readback"] += perf_counter() - tick
         _CHAIN_TELEMETRY["laned_chunks"] += 1
         _CHAIN_TELEMETRY["laned_windows"] += len(chunk)
         return results
 
-    def run_window(
-        self,
-        window: np.ndarray,
-        signal_lo: float = 0.0,
-        signal_hi: float = 21.0,
-    ) -> ChainResult:
-        """Quantise a raw (n_samples, n_channels) window and classify it."""
+    def run_window(self, window: np.ndarray) -> ChainResult:
+        """Quantise a raw (n_samples, n_channels) window over
+        :attr:`signal_range` and classify it."""
         dims = self.config.dims
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (dims.n_samples, dims.n_channels):
@@ -772,7 +697,7 @@ class HDChainSimulator:
                 f"({dims.n_samples}, {dims.n_channels})"
             )
         levels = quantize_samples(
-            window.ravel(), signal_lo, signal_hi, dims.n_levels
+            window.ravel(), *self.signal_range, dims.n_levels
         ).reshape(window.shape)
         return self.run_window_levels(levels)
 

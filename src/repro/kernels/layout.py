@@ -89,11 +89,8 @@ class ChainDims:
 class ChainLayout:
     """Resolved addresses of every chain data structure.
 
-    ``desc_l2`` is the *active* descriptor table the generated kernels
-    read (slot 0 of the descriptor arena); ``desc_capacity`` is how many
-    window tables the arena holds back to back.  Batched sweeps write N
-    tables into the arena in one host transfer and promote slot ``i`` to
-    slot 0 per window instead of re-staging from the host.
+    ``desc_l2`` is the window's CIM-row descriptor table the generated
+    kernels read; the host writes it before each window.
     """
 
     dims: ChainDims
@@ -102,7 +99,6 @@ class ChainLayout:
     cim_l2: int
     am_l2: int
     desc_l2: int
-    desc_capacity: int
     result_l2: int
     # L1 (working set)
     im_l1: int
@@ -137,24 +133,6 @@ class ChainLayout:
     def desc_entry(self, sample: int, channel: int) -> int:
         """L2 address of the CIM-row descriptor for (sample, channel)."""
         return self.desc_l2 + (sample * self.dims.n_channels + channel) * 4
-
-    @property
-    def desc_table_bytes(self) -> int:
-        """Size of one window's descriptor table."""
-        return self.dims.n_samples * self.dims.n_channels * 4
-
-    def desc_slot(self, index: int) -> int:
-        """L2 address of descriptor-arena slot ``index``.
-
-        Slot 0 is the active table (``desc_l2``) baked into the kernels;
-        slots 1 .. ``desc_capacity``−1 stage upcoming batched windows.
-        """
-        if not 0 <= index < self.desc_capacity:
-            raise ValueError(
-                f"descriptor slot {index} outside arena of "
-                f"{self.desc_capacity}"
-            )
-        return self.desc_l2 + index * self.desc_table_bytes
 
     def im_l1_row(self, channel: int) -> int:
         """L1 address of the staged IM row for ``channel``."""
@@ -213,7 +191,6 @@ def make_layout(
     n_cores: int = 8,
     uses_dma: bool = True,
     with_bound_buf: bool = True,
-    desc_capacity: int = 1,
 ) -> ChainLayout:
     """Lay the chain out in the standard address map.
 
@@ -223,15 +200,9 @@ def make_layout(
     need no CIM/AM staging buffers in L1; only the naive ``memory``
     spatial strategy stages bound vectors, so ``with_bound_buf`` can be
     dropped for the register and carry-save strategies.
-    ``desc_capacity`` reserves that many back-to-back descriptor tables
-    (the batched-window arena); the kernels always read slot 0.
     """
     if n_cores < 1:
         raise ValueError(f"n_cores must be >= 1, got {n_cores}")
-    if desc_capacity < 1:
-        raise ValueError(
-            f"desc_capacity must be >= 1, got {desc_capacity}"
-        )
     row = dims.row_bytes
 
     cursor = L2_BASE
@@ -242,7 +213,7 @@ def make_layout(
     am_l2 = cursor
     cursor += dims.n_classes * row
     desc_l2 = cursor
-    cursor += desc_capacity * dims.n_samples * dims.n_channels * 4
+    cursor += dims.n_samples * dims.n_channels * 4
     result_l2 = cursor
     cursor += 4 + dims.n_classes * 4
     l2_end = cursor
@@ -285,7 +256,6 @@ def make_layout(
         cim_l2=cim_l2,
         am_l2=am_l2,
         desc_l2=desc_l2,
-        desc_capacity=desc_capacity,
         result_l2=result_l2,
         im_l1=im_l1,
         cim_buf0=cim_buf0,

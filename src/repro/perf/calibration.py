@@ -156,8 +156,8 @@ def _run_point(
     levels = rng.integers(
         0, dims.n_levels, size=(1, dims.n_samples, dims.n_channels)
     )
-    # The batched driver is the production execution path (same arena
-    # staging and engine as the sweeps that consume this calibration).
+    # The batched driver is the production execution path: the sweeps
+    # that consume this calibration run through it on the same engine.
     result = sim.run_window_levels_batch(levels)[0]
     return result.encode_cycles, result.am_cycles
 

@@ -56,22 +56,10 @@ demo (``--shards N`` for the multi-process front end);
 server and a workload-driving client.
 """
 
-from .ingress import (
-    IngressClient,
-    IngressConfig,
-    IngressServer,
-    IngressStats,
-)
-from .replay import (
-    ReplayTrace,
-    TraceEvent,
-    decision_records,
-    parity_digest,
-    replay,
-    stream_bytes,
-    synthetic_trace,
-    trace_from_streams,
-)
+import importlib
+import sys
+import types
+
 from .scheduler import StreamConfig, StreamingService
 from .session import Decision, MajorityVoteSmoother, Session
 from .sharded import (
@@ -90,7 +78,52 @@ from .wire import (
     WireError,
     encode_frame,
 )
-from .workload import WorkloadConfig, generate_workload, run_workload
+
+#: Names imported on first use (PEP 562): the asyncio network front
+#: door and the replay/workload harnesses, which a process serving
+#: in-process never runs.
+_LAZY = {
+    "IngressClient": "ingress",
+    "IngressConfig": "ingress",
+    "IngressServer": "ingress",
+    "IngressStats": "ingress",
+    "ReplayTrace": "replay",
+    "TraceEvent": "replay",
+    "decision_records": "replay",
+    "parity_digest": "replay",
+    "replay": "replay",
+    "stream_bytes": "replay",
+    "synthetic_trace": "replay",
+    "trace_from_streams": "replay",
+    "WorkloadConfig": "workload",
+    "generate_workload": "workload",
+    "run_workload": "workload",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Importing the ``replay`` submodule binds it on the package under
+    its own name; this keeps the package's ``replay`` the function."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name == "replay" and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
 
 __all__ = [
     "Decision",

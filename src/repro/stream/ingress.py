@@ -597,15 +597,29 @@ class IngressServer:
         self.stats.sample_bytes += cost
         owner[1].push(frame.samples.shape[0], frame.stamp)
         self._dirty = True
-        try:
-            decisions = self._service.ingest(sid, frame.samples)
-        except Exception as exc:
-            # Closed in the service too, or the id would stay taken
-            # there after the ingress forgets it.
-            self._fail_session(conn, sid, exc)
-            self._close_in_service([sid])
-        else:
-            self._route_decisions(decisions)
+        failed = []
+        while True:
+            try:
+                decisions = self._service.ingest(sid, frame.samples)
+            except Exception as exc:
+                stale = self._fail_stale(exc, sid)
+                if stale is None:
+                    self._fail_session(conn, sid, exc)
+                    failed.append(sid)
+                    break
+                failed.append(stale)
+                if exc.sent:
+                    break  # this chunk will be served all the same
+                # This chunk was dropped before the send: ingest it
+                # again.  Each stale error settles one earlier command,
+                # so the retries end.
+            else:
+                self._route_decisions(decisions)
+                break
+        if failed:
+            # Closed in the service too, or the ids would stay taken
+            # there after the ingress forgets them.
+            self._close_in_service(failed)
         # Served or rejected, the chunk no longer holds window bytes.
         self._send(conn, Credit(cost))
         return True
@@ -686,10 +700,25 @@ class IngressServer:
                 pass
 
     def _drain(self) -> None:
-        """Decide every queued window; route the decisions."""
-        decisions = self._service.drain()
+        """Decide every queued window; route the decisions.
+
+        An error naming a session's rejected chunk fails that session,
+        and the drain is repeated: a drain is safe to repeat.
+        """
+        failed = []
+        while True:
+            try:
+                decisions = self._service.drain()
+                break
+            except Exception as exc:
+                stale = self._fail_stale(exc, None)
+                if stale is None:
+                    raise
+                failed.append(stale)
         self._dirty = False
         self._route_decisions(decisions)
+        if failed:
+            self._close_in_service(failed)
 
     def _drain_if_dirty(self) -> None:
         """Drain if anything was ingested since the last drain.
@@ -737,6 +766,22 @@ class IngressServer:
             self._close_in_service(failed)
 
     # -- teardown paths ----------------------------------------------------
+
+    def _fail_stale(self, exc: Exception, sid: Optional[str]) -> Optional[str]:
+        """Fail the session a fleet error names, unless that is ``sid``.
+
+        A :class:`~repro.stream.sharded.ShardError` may report an
+        earlier command of another session than the call it surfaced in
+        (its ``session_id``).  Returns the id of the session failed
+        here, or None when the error is the caller's own.
+        """
+        stale = getattr(exc, "session_id", None)
+        if stale is None or stale == sid:
+            return None
+        owner = self._sessions.get(stale)
+        if owner is not None:
+            self._fail_session(owner[0], stale, exc)
+        return stale
 
     def _session_error(self, conn: _Connection, sid: str, error) -> None:
         self._send(

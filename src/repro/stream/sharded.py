@@ -158,6 +158,11 @@ class ShardError(RuntimeError):
     for a stale error of an earlier command found before the send:
     the command was dropped, so retrying it is safe.  When True, the
     command will be served, and retrying it would serve it twice.
+
+    ``session_id`` names the session of the command the worker
+    rejected, when that was a session's ingest; a stale error may name
+    another session than the call it surfaced in.  It is None for any
+    other command and for a crash.
     """
 
     def __init__(self, shard: int, detail: str):
@@ -165,6 +170,7 @@ class ShardError(RuntimeError):
         self.shard = shard
         self.detail = detail
         self.sent = False
+        self.session_id: Optional[Hashable] = None
 
 
 class ShardCrashError(ShardError):
@@ -1327,12 +1333,15 @@ class ShardedStreamingService:
         op, size, journal_pos = shard.inflight.pop(seq)
         shard.inflight_bytes -= size
         if kind == "err":
+            error = ShardError(shard.index, payload)
             if journal_pos is not None:
+                if op == "ingest":
+                    error.session_id = shard.journal[journal_pos][1]
                 # The worker rejected the command without mutating its
                 # serving state; keeping it would poison every future
                 # journal replay with the same error.
                 shard.journal[journal_pos] = None
-            raise ShardError(shard.index, payload)
+            raise error
         if op in ("ingest", "drain", "inject"):
             self._deliver(payload)
         elif payload is not None:

@@ -3,10 +3,11 @@
 The batched driver's contract is *bit- and cycle-exactness* against N
 sequential ``run_window_levels`` calls: per-window labels, distances,
 ``ClusterRunResult`` equality (cycles, per-core breakdowns, barriers,
-DMA bytes), the query hypervector, and the final simulated-memory image.
-The grid covers engine × spatial strategy × core count × machine so
-both the window-laned lockstep path (fast engine) and the sequential
-arena path (interp engine, capacity-1 chunks) are pinned.
+DMA bytes), and the final simulated-memory image, the whole of L1 and
+of L2.  The grid covers engine × spatial strategy × core count ×
+machine so both the window-laned lockstep path (fast engine) and the
+per-window path (interp engine, where a batch is N
+``run_window_levels`` calls) are pinned.
 
 Alongside: the vectorized descriptor-table computation is pinned against
 the historical per-element Python loop, the input-validation negative
@@ -21,6 +22,7 @@ import pytest
 
 from repro.kernels import ChainConfig, ChainDims, HDChainSimulator
 from repro.kernels.chain import (
+    BATCH_CHUNK_WINDOWS,
     chain_batch_telemetry,
     reset_chain_batch_telemetry,
 )
@@ -62,24 +64,12 @@ def _make_sim(soc, n_cores, dims, builtins, strategy, engine):
 
 
 def _snapshot(sim):
-    """The architectural state the chain exposes after a run.
-
-    Covers the full L1 working set and the kernel-visible L2 (model,
-    the *active* descriptor table, results).  Arena slots beyond the
-    active table are driver-owned staging scratch — the batched driver
-    fills them, the sequential driver never touches them — so they are
-    excluded, exactly like host memory outside the simulation.
-    """
+    """The simulated memory a run leaves: all of L1, and L2 up to the
+    end of the chain's layout (model, descriptor table, results)."""
     memory = sim.cluster.memory
-    layout = sim.layout
-    active_end = layout.desc_l2 + layout.desc_table_bytes
     return (
-        sim.read_query().tobytes(),
-        memory.read_bytes(L1_BASE, layout.l1_end - L1_BASE),
-        memory.read_bytes(L2_BASE, active_end - L2_BASE),
-        memory.read_bytes(
-            layout.result_l2, layout.l2_end - layout.result_l2
-        ),
+        memory.read_bytes(L1_BASE, memory.config.l1_bytes),
+        memory.read_bytes(L2_BASE, sim.layout.l2_end - L2_BASE),
     )
 
 
@@ -208,22 +198,27 @@ def test_team_batches_run_fused(key):
     assert chain_batch_telemetry()["fallback_windows"] == 0
 
 
-def test_batched_chunks_over_arena_capacity():
-    """Batches larger than the descriptor arena chunk transparently."""
+def test_batched_full_chunk_plus_one_window():
+    """One full laned chunk, then a one-window chunk on the per-window
+    path: exact against sequential calls, memory image included."""
     dims = ChainDims(
         dim=992, n_channels=4, n_levels=10, n_classes=4, ngram=1, window=5
     )
-    sim = _make_sim(WOLF_SOC, 2, dims, False, "auto", "fast")
-    capacity = sim.layout.desc_capacity
-    assert capacity > 1  # the arena actually grew into L2 slack
     rng = np.random.default_rng(13)
-    n_windows = capacity + 3
     batch = rng.integers(
-        0, dims.n_levels, size=(n_windows, dims.n_samples, dims.n_channels)
+        0,
+        dims.n_levels,
+        size=(BATCH_CHUNK_WINDOWS + 1, dims.n_samples, dims.n_channels),
     )
     seq_sim = _make_sim(WOLF_SOC, 2, dims, False, "auto", "fast")
     sequential = [seq_sim.run_window_levels(levels) for levels in batch]
-    _assert_results_equal(sequential, sim.run_window_levels_batch(batch))
+    bat_sim = _make_sim(WOLF_SOC, 2, dims, False, "auto", "fast")
+    reset_chain_batch_telemetry()
+    _assert_results_equal(sequential, bat_sim.run_window_levels_batch(batch))
+    assert _snapshot(bat_sim) == _snapshot(seq_sim)
+    telemetry = chain_batch_telemetry()
+    assert telemetry["laned_windows"] == BATCH_CHUNK_WINDOWS
+    assert telemetry["fallback_windows"] == 0
 
 
 def test_desc_tables_match_python_loop():
@@ -294,28 +289,6 @@ class TestLevelValidation:
         levels = np.full((5, 4), -1, dtype=np.int64)
         with pytest.raises(ValueError, match="lie in"):
             sim.run_window_levels(levels)
-
-
-class TestDescriptorArena:
-    def test_slot_addresses(self):
-        dims = ChainDims(
-            dim=224, n_channels=4, n_levels=10, n_classes=3, ngram=1,
-            window=5,
-        )
-        layout = make_layout(dims, 2, desc_capacity=4)
-        table = dims.n_samples * dims.n_channels * 4
-        assert layout.desc_slot(0) == layout.desc_l2
-        assert layout.desc_slot(3) == layout.desc_l2 + 3 * table
-        assert layout.result_l2 == layout.desc_l2 + 4 * table
-        with pytest.raises(ValueError):
-            layout.desc_slot(4)
-        with pytest.raises(ValueError):
-            layout.desc_slot(-1)
-
-    def test_capacity_validation(self):
-        dims = ChainDims(dim=224)
-        with pytest.raises(ValueError):
-            make_layout(dims, 2, desc_capacity=0)
 
 
 class TestPlanMemo:

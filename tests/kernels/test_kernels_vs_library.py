@@ -76,6 +76,23 @@ class TestChainFunctionalEquivalence:
                 == clf.predict(window[None])[0]
             ), f"label mismatch in {name}"
 
+    def test_run_window_quantises_over_the_model_range(self, rng):
+        """A simulator built from a classifier quantises raw samples
+        over that model's signal range, not the 0-21 default."""
+        clf = BatchHDClassifier(
+            HDClassifierConfig(
+                dim=512, n_channels=4, n_levels=8, signal_hi=1.0
+            )
+        ).fit(rng.random((40, 5, 4)), [i % 4 for i in range(40)])
+        sim = HDChainSimulator.from_classifier(clf, WOLF_SOC, n_cores=1)
+        windows = rng.random((20, 5, 4))
+        for window, label in zip(windows, clf.predict(windows)):
+            result = sim.run_window(window)
+            np.testing.assert_array_equal(
+                sim.read_query(), clf.encoder.encode(window).words
+            )
+            assert clf.labels[result.label_index] == label
+
     def test_distances_match_library(self, rng):
         clf = trained_classifier(rng)
         sim = HDChainSimulator.from_classifier(

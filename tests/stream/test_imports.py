@@ -4,7 +4,9 @@ The paper runs EMG preprocessing off the platform, and serving never
 calls it or the ISS.  So ``import repro.stream`` must load neither
 scipy (the notch filter's dependency) nor the simulator, the kernels,
 the SVM baseline or the experiments: a serving process would otherwise
-pay their start-up time and memory for code it never runs.
+pay their start-up time and memory for code it never runs.  Nor does
+in-process serving open a socket, so the asyncio front door and the
+replay/workload harnesses load only when one of their names is used.
 """
 
 import os
@@ -18,6 +20,10 @@ SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
 #: Packages and modules a serving process must not load.
 OFF_PATH = (
+    "asyncio",
+    "repro.stream.ingress",
+    "repro.stream.replay",
+    "repro.stream.workload",
     "scipy",
     "repro.pulp",
     "repro.kernels",
@@ -58,6 +64,14 @@ loaded = sorted(
     if module is not None
     and any(name == off or name.startswith(off + ".") for off in {OFF_PATH!r})
 )
+
+# Every exported name still resolves, and ``replay`` stays the function
+# after its submodule of the same name is imported.
+import repro.stream
+import repro.stream.replay
+
+assert all(hasattr(repro.stream, name) for name in repro.stream.__all__)
+assert repro.stream.replay is sys.modules["repro.stream.replay"].replay
 print("served", len(got), "loaded", loaded)
 """
 

@@ -28,6 +28,7 @@ from repro.stream import (
     StreamingService,
     parity_digest,
     replay,
+    shard_for,
     stream_bytes,
     trace_from_streams,
 )
@@ -519,6 +520,70 @@ class TestSessionTeardown:
         assert "s" not in open_ids
         want = _replayed(model, config, {"n": good})["n"]
         assert stream_bytes(client.decisions["n"]) == stream_bytes(want)
+
+    @pytest.mark.parametrize(
+        "surface", ["samples-same-shard", "samples-other-shard", "close", "bye"]
+    )
+    def test_stale_fleet_error_fails_the_session_it_names(
+        self, model, store, worker_checks_width, surface
+    ):
+        """A's chunk of the wrong width is rejected in its worker, and
+        the error surfaces on a frame of B: A fails, B stays open, and
+        B's decisions equal an in-process replay of its stream.  On A's
+        shard, B's SAMPLES chunk was dropped before the send and is
+        ingested again; on the other shard it was sent, and is served
+        once.  A CLOSE or BYE surfaces the error in its drain."""
+        import os
+        import signal
+
+        config = _config(max_batch=16, max_wait=3)
+        # No sweeper drain may collect A's error before B's frame.
+        ingress = IngressConfig(sweep_interval_s=30.0)
+        good = np.random.default_rng(22).random((60, N_CHANNELS))
+        sent_b = good if surface.startswith("samples") else good[:20]
+        a = "a"
+        b = next(
+            sid
+            for sid in (f"b{i}" for i in range(100))
+            if (shard_for(sid, 2) == shard_for(a, 2))
+            == (surface == "samples-same-shard")
+        )
+
+        async def scenario(service):
+            async with _Server(service, config, ingress) as live:
+                client = IngressClient()
+                await client.connect(live.host, live.port)
+                assert (await client.open(a))[0]
+                assert (await client.open(b))[0]
+                await client.send(b, good[:20])
+                victim = service.shard_process(shard_for(a, 2))
+                os.kill(victim.pid, signal.SIGSTOP)
+                try:
+                    # Frozen, A's worker cannot answer the bad chunk
+                    # while the server ingests it.
+                    await client.send(a, np.zeros((5, N_CHANNELS + 2)))
+                    assert await _wait_for(
+                        lambda: live.server.stats.samples_frames == 2
+                    )
+                finally:
+                    os.kill(victim.pid, signal.SIGCONT)
+                time.sleep(0.3)  # let the err reply land in the pipe
+                if surface.startswith("samples"):
+                    await client.send(b, good[20:])
+                if surface != "bye":
+                    await client.close(b)  # raises if B has failed
+                await client.bye()
+                return client
+
+        with ShardedStreamingService(
+            store, config, n_shards=2
+        ) as service:
+            client = asyncio.run(scenario(service))
+        assert [(e.code, e.session_id) for e in client.errors] == [
+            (ERR_SESSION, a)
+        ]
+        want = _replayed(model, config, {b: sent_b})[b]
+        assert stream_bytes(client.decisions[b]) == stream_bytes(want)
 
     def test_reopen_behind_frames_of_the_failed_session(self, model):
         """A chunk pipelined behind a poisoned one draws an error naming
