@@ -21,8 +21,9 @@ The walkthrough demonstrates the four ingress properties:
    queued windows have aged are shed with a retry-after hint, while
    every admitted session still gets byte-exact service;
 4. **Slow-client eviction** — a client that stops reading is
-   disconnected once its bounded outbound queue fills, instead of
-   buffering the server into the ground.
+   disconnected once its connection holds more than
+   ``write_buffer_bytes`` unsent, instead of buffering the server into
+   the ground.
 
 Run:  PYTHONPATH=src python examples/network_ingress.py
 """
@@ -153,12 +154,12 @@ async def slow_client_phase(model, config) -> None:
     server = IngressServer(
         service,
         config,
-        IngressConfig(write_queue_frames=8, write_buffer_bytes=2048),
+        IngressConfig(write_buffer_bytes=2048),
     )
     host, port = await server.start("127.0.0.1", 0)
     # A small receive buffer, fixed before connect: a kernel left to
     # grow it would absorb megabytes of decisions before the server's
-    # queue fills.
+    # transport holds any unsent.
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     sock.setblocking(False)

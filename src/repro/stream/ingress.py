@@ -14,10 +14,9 @@ Design constraints this module resolves:
   arrival order by construction.  A connection's next frame is read
   only after the ones before it are served: nothing queues inside the
   server, and TCP flow control plus the credit window bound what waits
-  outside it.  The server yields to the loop after each frame, so the
-  writer sends its answers and other connections get in between; one
-  long call (a fleet's shard respawn or rescale) still stalls every
-  connection while it runs.
+  outside it.  The server yields to the loop after each frame, so
+  other connections get in between; one long call (a fleet's shard
+  respawn or rescale) still stalls every connection while it runs.
 * **Backpressure must reach the socket.**  Each connection gets a
   window of unacknowledged SAMPLES payload bytes (granted in WELCOME);
   the server returns CREDIT only after ``service.ingest`` has accepted
@@ -31,13 +30,15 @@ Design constraints this module resolves:
   rejected with a retry-after ERROR frame when fleet credit
   utilization or the oldest queued window's age crosses the configured
   watermarks; established sessions keep their service.
-* **Slow clients cannot stall the pump.**  Outbound frames go through
-  a bounded per-connection queue drained by a writer task with tight
-  transport write-buffer limits; a full queue disconnects the client
-  (``ERR_SLOW``) instead of buffering without bound.  Idle connections
-  time out.  The writer hands the transport every frame already
-  queued in one write, so the DECISIONs and CREDIT of one service
-  call leave in one ``send``.
+* **Slow clients cannot stall the pump.**  The transport's write
+  buffer is each connection's one outbound buffer.  Every frame a
+  service call answers waits in its connection's pending list until
+  the call returns; then each answered connection gets all of them in
+  one write, so the DECISIONs and CREDIT of one call leave in one
+  ``send``.  A peer whose transport still holds more than
+  ``write_buffer_bytes`` unsent after that write has stopped reading:
+  its transport is aborted and it is counted in
+  ``slow_client_disconnects``.  Idle connections time out.
 * **Latency is measured end to end without trusting clocks.**  Clients
   stamp each SAMPLES frame with their own ``perf_counter``; the server
   mirrors the windower's emission arithmetic (:class:`_StampTracker`)
@@ -68,7 +69,6 @@ from .wire import (
     ERR_PROTOCOL,
     ERR_SESSION,
     ERR_SHED,
-    ERR_SLOW,
     ERR_VERSION,
     PROTOCOL_VERSION,
     Bye,
@@ -115,11 +115,9 @@ class IngressConfig:
     #: Disconnect a connection with no inbound frames for this long
     #: (checked by the sweeper, so up to ``sweep_interval_s`` later).
     idle_timeout_s: float = 30.0
-    #: Outbound frames buffered per connection before it counts as slow.
-    write_queue_frames: int = 256
-    #: Transport write-buffer high watermark and socket send buffer
-    #: (bytes); small so a non-reading peer back-pressures into the
-    #: frame queue quickly.
+    #: Socket send buffer (bytes), and the most a connection's
+    #: transport may hold unsent after a write before the peer counts
+    #: as slow and is evicted.
     write_buffer_bytes: int = 1 << 16
     #: Admit no new sessions while fleet credit utilization, the mean
     #: fraction of the shards' unacknowledged-bytes windows in use, is
@@ -137,11 +135,15 @@ class IngressConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "credit_bytes", "max_frame_bytes", "write_queue_frames"
+            "credit_bytes", "max_frame_bytes", "write_buffer_bytes"
         ):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.credit_bytes > 0xFFFFFFFF:  # WELCOME carries a u32
+            raise ValueError(
+                f"credit_bytes must fit a u32, got {self.credit_bytes}"
+            )
         for name in ("idle_timeout_s", "sweep_interval_s"):
             value = getattr(self, name)
             if not value > 0.0:
@@ -236,29 +238,23 @@ class _Connection:
         "reader",
         "writer",
         "decoder",
-        "outbound",
-        "writer_task",
+        "pending",
         "sessions",
         "credit_debt",
         "closing",
-        "slow",
         "last_read",
         "read_waiter",
         "timed_out",
     )
 
-    def __init__(self, reader, writer, max_frame_bytes, queue_frames):
+    def __init__(self, reader, writer, max_frame_bytes):
         self.reader = reader
         self.writer = writer
         self.decoder = FrameDecoder(max_frame_bytes=max_frame_bytes)
-        self.outbound: "asyncio.Queue" = asyncio.Queue(
-            maxsize=queue_frames
-        )
-        self.writer_task: Optional[asyncio.Task] = None
+        self.pending: List[bytes] = []  # encoded frames not yet written
         self.sessions: set = set()
         self.credit_debt = 0  # SAMPLES bytes of the current read
         self.closing = False
-        self.slow = False
         # Idle timeout state: when the last read returned, the read
         # loop's task while it waits on a read (else None), and whether
         # the sweep cancelled that read for idleness.
@@ -296,6 +292,7 @@ class IngressServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[str, Tuple[_Connection, _StampTracker]] = {}
         self._connections: set = set()
+        self._answered: List[_Connection] = []  # those with pending frames
         self._sweeper: Optional[asyncio.Task] = None
         self._dirty = False  # ingested since the last drain
 
@@ -328,8 +325,11 @@ class IngressServer:
             except asyncio.CancelledError:
                 pass
             self._sweeper = None
-        for conn in list(self._connections):
-            await self._drop_connection(conn)
+        # Together, so peers slow to take their last bytes share one
+        # close bound instead of adding theirs up.
+        await asyncio.gather(
+            *(self._drop_connection(conn) for conn in list(self._connections))
+        )
 
     @property
     def open_sessions(self) -> int:
@@ -381,24 +381,15 @@ class IngressServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         cfg = self._config
-        conn = _Connection(
-            reader,
-            writer,
-            cfg.max_frame_bytes,
-            cfg.write_queue_frames,
-        )
+        conn = _Connection(reader, writer, cfg.max_frame_bytes)
         self._connections.add(conn)
         self.stats.connections_accepted += 1
-        writer.transport.set_write_buffer_limits(
-            high=cfg.write_buffer_bytes
-        )
-        # The kernel's send buffer too: left to grow to megabytes, it
-        # would hide a peer that stopped reading from the frame queue.
-        writer.get_extra_info("socket").setsockopt(
-            socket.SOL_SOCKET, socket.SO_SNDBUF, cfg.write_buffer_bytes
-        )
-        conn.writer_task = asyncio.ensure_future(self._write_loop(conn))
         try:
+            # Left to grow to megabytes, the kernel's send buffer would
+            # hide a peer that stopped reading from the eviction check.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, cfg.write_buffer_bytes
+            )
             await self._read_loop(conn)
         except (
             ConnectionError,
@@ -410,7 +401,6 @@ class IngressServer:
             await self._drop_connection(conn)
 
     async def _read_loop(self, conn: _Connection) -> None:
-        cfg = self._config
         hello_seen = False
         task = asyncio.current_task()
         while not conn.closing:
@@ -430,6 +420,7 @@ class IngressServer:
                     conn,
                     Error(ERR_PROTOCOL, "idle timeout", 0.0),
                 )
+                self._flush()
                 return
             finally:
                 conn.read_waiter = None
@@ -441,43 +432,43 @@ class IngressServer:
             except WireError as exc:
                 self.stats.protocol_errors += 1
                 self._send(conn, Error(ERR_PROTOCOL, str(exc), 0.0))
+                self._flush()
                 return
             # Each frame of this read was sent before the client could
             # see a CREDIT for any of them, so their SAMPLES bytes must
             # fit its window together.
             conn.credit_debt = 0
             for frame in frames:
-                if conn.closing or conn.slow:
+                if conn.closing:
                     return  # BYE, an eviction, or the server stopped
-                if not hello_seen:
-                    if (
-                        not isinstance(frame, Hello)
-                        or frame.version != PROTOCOL_VERSION
-                    ):
-                        self.stats.protocol_errors += 1
-                        self._send(
-                            conn,
-                            Error(
-                                ERR_VERSION,
-                                f"server speaks version "
-                                f"{PROTOCOL_VERSION}",
-                                0.0,
-                            ),
-                        )
-                        return
-                    hello_seen = True
-                    self._send(
-                        conn,
-                        Welcome(PROTOCOL_VERSION, cfg.credit_bytes),
-                    )
-                    continue
-                if not self._dispatch_frame(conn, frame):
+                if hello_seen:
+                    served = self._dispatch_frame(conn, frame)
+                else:
+                    served = hello_seen = self._on_hello(conn, frame)
+                self._flush()
+                if not served:
                     return
-                # One read can hold a hundred SAMPLES frames.  Yielding
-                # after each lets the writer send its CREDIT and
-                # DECISIONs before they fill the bounded outbound queue,
-                # and lets other connections in between.
+                # One read can hold a hundred SAMPLES frames: yielding
+                # after each lets other connections in between.
                 await asyncio.sleep(0)
+
+    def _on_hello(self, conn: _Connection, frame) -> bool:
+        """Answer the handshake; False ends the connection."""
+        if isinstance(frame, Hello) and frame.version == PROTOCOL_VERSION:
+            self._send(
+                conn, Welcome(PROTOCOL_VERSION, self._config.credit_bytes)
+            )
+            return True
+        self.stats.protocol_errors += 1
+        self._send(
+            conn,
+            Error(
+                ERR_VERSION,
+                f"server speaks version {PROTOCOL_VERSION}",
+                0.0,
+            ),
+        )
+        return False
 
     def _dispatch_frame(self, conn: _Connection, frame) -> bool:
         """Handle one post-handshake frame; False ends the connection."""
@@ -645,59 +636,40 @@ class IngressServer:
     def _on_bye(self, conn: _Connection) -> None:
         self._drain_if_dirty()
         self._send(conn, Bye())
-        conn.closing = True
-        self._enqueue(conn, None)  # writer flushes, then closes
+        conn.closing = True  # the drop flushes, then closes
 
     # -- outbound ----------------------------------------------------------
 
     def _send(self, conn: _Connection, frame) -> None:
-        self._enqueue(conn, encode_frame(frame))
+        if not conn.pending:
+            self._answered.append(conn)
+        conn.pending.append(encode_frame(frame))
         if isinstance(frame, DecisionFrame):
             self.stats.decisions_sent += 1
 
-    def _enqueue(self, conn: _Connection, data: Optional[bytes]) -> None:
-        if conn.slow:
-            return
-        try:
-            conn.outbound.put_nowait(data)
-        except asyncio.QueueFull:
-            conn.slow = True
-            self.stats.slow_client_disconnects += 1
-            if conn.writer_task is not None:
-                conn.writer_task.cancel()
+    def _flush(self) -> None:
+        """Hand each answered connection its pending frames in one write.
 
-    async def _write_loop(self, conn: _Connection) -> None:
-        """Hand the transport every frame already queued, in one write.
-
-        A service call queues its DECISION frames and then its CREDIT
-        before the loop can run, so they leave in one ``send``, in
-        queue order.  Frames count against ``write_queue_frames`` until
-        this loop takes them, and it takes none while the transport is
-        above its high watermark, so a peer that stops reading still
-        fills the queue and is evicted.  ``None`` closes the connection
-        once the frames queued before it are written.
+        A service call sends its DECISION frames and then its CREDIT
+        before the flush, so they leave in one ``send``, in the order
+        sent.  A peer whose transport still holds more than
+        ``write_buffer_bytes`` unsent after the write has stopped
+        reading: its transport is aborted, so its read loop ends and
+        the connection is dropped.
         """
-        outbound = conn.outbound
-        try:
-            while True:
-                frames = [await outbound.get()]
-                while frames[-1] is not None and not outbound.empty():
-                    frames.append(outbound.get_nowait())
-                closing = frames[-1] is None
-                if closing:
-                    frames.pop()
-                if frames:
-                    conn.writer.write(b"".join(frames))
-                    await conn.writer.drain()
-                if closing:
-                    break
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            try:
-                conn.writer.close()
-            except Exception:
-                pass
+        answered, self._answered = self._answered, []
+        limit = self._config.write_buffer_bytes
+        for conn in answered:
+            data = b"".join(conn.pending)
+            conn.pending.clear()
+            transport = conn.writer.transport
+            if transport.is_closing():
+                continue  # evicted, closed or lost: nothing reaches it
+            conn.writer.write(data)
+            if transport.get_write_buffer_size() > limit:
+                self.stats.slow_client_disconnects += 1
+                conn.closing = True
+                transport.abort()
 
     def _drain(self) -> None:
         """Decide every queued window; route the decisions.
@@ -823,26 +795,17 @@ class IngressServer:
         if sids:
             self._close_in_service(sids)
         conn.closing = True
-        if conn.writer_task is not None:
-            if not conn.slow:
-                # Give the writer a chance to flush queued frames.
-                self._enqueue(conn, None)
-                try:
-                    await asyncio.wait_for(conn.writer_task, timeout=5.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    conn.writer_task.cancel()
-            try:
-                await asyncio.wait_for(conn.writer_task, timeout=1.0)
-            except (
-                asyncio.TimeoutError,
-                asyncio.CancelledError,
-                ConnectionError,
-            ):
-                pass
+        # The close's drain may have answered other connections too.
+        self._flush()
+        # The transport sends what it holds before it closes; a peer
+        # that will not take it within the bound is cut off.
+        conn.writer.close()
         try:
-            conn.writer.close()
-        except Exception:
-            pass
+            await asyncio.wait_for(conn.writer.wait_closed(), timeout=5.0)
+        except asyncio.TimeoutError:
+            conn.writer.transport.abort()
+        except ConnectionError:
+            pass  # the peer reset it: closed all the same
 
     async def _sweep_loop(self) -> None:
         """Drain the service when ingest traffic pauses; time out idle
@@ -857,6 +820,7 @@ class IngressServer:
         while True:
             await asyncio.sleep(interval)
             self._drain_if_dirty()
+            self._flush()
             self._time_out_idle()
 
     def _time_out_idle(self) -> None:

@@ -113,8 +113,6 @@ ERR_VERSION = 1  #: protocol version mismatch; connection is closed
 ERR_SHED = 2  #: OPEN rejected by admission control; retry later
 ERR_PROTOCOL = 3  #: malformed or unexpected frame; connection is closed
 ERR_SESSION = 4  #: unknown / already-open session id
-ERR_SLOW = 5  #: client too slow to read; connection is closed
-ERR_SERVER = 6  #: internal service failure
 
 #: Hard ceiling a decoder enforces on any frame (header + body).
 DEFAULT_MAX_FRAME_BYTES = 8 << 20

@@ -207,11 +207,12 @@ class TestWorkloadGenerator:
             IngressConfig(credit_bytes=0)
         with pytest.raises(ValueError, match="shed_utilization"):
             IngressConfig(shed_utilization=0.0)
-        # Each of these would silently switch off one of the server's
-        # own bounds (or spin its sweeper).
+        # Each of these would break every connection, silently switch
+        # off one of the server's own bounds, or spin its sweeper.
         for bad in (
-            dict(write_queue_frames=0),
-            dict(write_queue_frames=-1),
+            dict(write_buffer_bytes=0),
+            dict(write_buffer_bytes=-1),
+            dict(credit_bytes=1 << 32),  # WELCOME carries a u32
             dict(sweep_interval_s=0.0),
             dict(idle_timeout_s=0.0),
             dict(idle_timeout_s=-1.0),
@@ -756,6 +757,51 @@ class TestOneWrite:
         assert len(served) == 1
         assert served[0] == b"".join(encode_frame(f) for f in answers)
 
+    def test_a_call_answers_other_connections_too(self, model):
+        """One connection's service call can decide another's windows:
+        the flush after the call writes to every connection it
+        answered, so those decisions arrive without their connection
+        sending another frame."""
+        config = _config(max_batch=10, max_wait=10_000)
+        ingress = IngressConfig(sweep_interval_s=60.0)
+        rng = np.random.default_rng(29)
+        streams = {sid: rng.random((25, N_CHANNELS)) for sid in "ab"}
+
+        async def opened(live, sid):
+            reader, writer, decoder, _ = await _raw_handshake(
+                live.host, live.port
+            )
+            writer.write(encode_frame(Open(sid)))
+            await writer.drain()
+            assert await _read_frames(reader, decoder, 1) == [OpenOk(sid)]
+            return reader, writer, decoder
+
+        async def scenario():
+            async with _Server(
+                StreamingService(model, config), config, ingress
+            ) as live:
+                a_reader, a_writer, a_decoder = await opened(live, "a")
+                _, b_writer, _ = await opened(live, "b")
+                a_writer.write(encode_frame(Samples("a", streams["a"], 1.0)))
+                await a_writer.drain()
+                # 5 windows, short of a batch: answered by CREDIT only.
+                credit = await _read_frames(a_reader, a_decoder, 1)
+                b_writer.write(encode_frame(Samples("b", streams["b"], 2.0)))
+                await b_writer.drain()
+                decided = await _read_frames(
+                    a_reader, a_decoder, 5, timeout=3.0
+                )
+                a_writer.close()
+                b_writer.close()
+                return credit, decided
+
+        credit, decided = asyncio.run(scenario())
+        assert credit == [Credit(streams["a"].size * 8)]
+        assert [type(f) for f in decided] == [DecisionFrame] * 5
+        assert all(f.stamp == 1.0 for f in decided)
+        want = _replayed(model, config, streams)["a"]
+        assert stream_bytes(decided) == stream_bytes(want)
+
 
 class TestNonIntegerLabels:
     def test_str_labelled_session_fails_and_routing_goes_on(self, model):
@@ -1169,25 +1215,24 @@ class TestProtocol:
 class TestResourceBounds:
     def test_slow_client_is_disconnected(self, model):
         """A peer that never reads cannot buffer the server without
-        bound — its outbound queue fills and it is evicted.  Its receive
-        buffer is small, as the server's send buffer is: kernel buffers
-        left to grow would take megabytes before the queue fills."""
+        bound — once its transport holds more than write_buffer_bytes
+        unsent, it is evicted, and its sessions are closed as on any
+        disconnect.  Its receive buffer is small, as the server's send
+        buffer is: kernel buffers left to grow would take megabytes
+        before the transport holds any."""
         config = _config(max_batch=4, max_wait=1)
-        ingress = IngressConfig(
-            write_queue_frames=8, write_buffer_bytes=2048
-        )
+        ingress = IngressConfig(write_buffer_bytes=2048)
 
         async def scenario():
-            async with _Server(
-                StreamingService(model, config), config, ingress
-            ) as live:
+            service = StreamingService(model, config)
+            async with _Server(service, config, ingress) as live:
                 reader, writer, decoder, _ = await _raw_handshake(
                     live.host, live.port, rcvbuf=4096
                 )
                 writer.write(encode_frame(Open("hog")))
                 await writer.drain()
                 # Never read again; shovel samples to generate
-                # decisions + credits the writer queue must absorb.
+                # decisions + credits the transport must hold.
                 rng = np.random.default_rng(5)
                 stats = live.server.stats
                 deadline = time.monotonic() + 20.0
@@ -1208,17 +1253,25 @@ class TestResourceBounds:
                     except ConnectionError:
                         break
                     await asyncio.sleep(0)
+                # The eviction alone ends the connection: the client
+                # has not closed its end yet.
+                closed = await _wait_for(
+                    lambda: live.server.open_sessions == 0
+                )
+                sessions = service.sessions
                 writer.close()
-                return stats
+                return stats, closed, sessions
 
-        stats = asyncio.run(scenario())
+        stats, closed, sessions = asyncio.run(scenario())
         assert stats.slow_client_disconnects >= 1
+        assert closed
+        assert sessions == ()
 
     def test_burst_of_frames_in_one_read_keeps_the_client(self, model):
         """A client may send its whole window back to back, so one read
         can hold a hundred SAMPLES frames.  Their CREDITs and DECISIONs
-        must reach a client that reads them, not fill its outbound queue
-        and evict it."""
+        must reach a client that reads them, not pile up unsent and
+        evict it."""
         config = _config(max_batch=64, max_wait=0)
         stream = np.random.default_rng(21).random((2000, N_CHANNELS))
 
@@ -1240,6 +1293,48 @@ class TestResourceBounds:
         want = _replayed(model, config, {"s": stream})["s"]
         assert len(want) == 400
         assert stream_bytes(client.decisions["s"]) == stream_bytes(want)
+
+    def test_peer_reset_is_a_clean_disconnect(self, model):
+        """A peer that resets the connection with answers unread is
+        dropped like one that closes it: its session is closed, and
+        the reset its close reports reaches no exception handler."""
+        config = _config()
+
+        async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["message"])
+            )
+            service = StreamingService(model, config)
+            async with _Server(service, config) as live:
+                reader, writer, _, _ = await _raw_handshake(
+                    live.host, live.port
+                )
+                writer.write(encode_frame(Open("s")))
+                writer.write(
+                    encode_frame(Samples("s", np.zeros((25, N_CHANNELS))))
+                )
+                await writer.drain()
+                assert await _wait_for(
+                    lambda: live.server.stats.samples_frames == 1
+                )
+                # Linger 0: the close sends RST, not FIN.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET,
+                    socket.SO_LINGER,
+                    struct.pack("ii", 1, 0),
+                )
+                writer.close()
+                closed = await _wait_for(
+                    lambda: live.server.stats.connections_closed == 1
+                )
+                await asyncio.sleep(0.05)
+                return closed, service.sessions, reported
+
+        closed, sessions, reported = asyncio.run(scenario())
+        assert closed
+        assert sessions == ()
+        assert reported == []
 
     def test_idle_connection_times_out(self, model):
         config = _config()
