@@ -651,7 +651,8 @@ class HDChainSimulator:
                 )]
                 for table in self._desc_tables(chunk)
             ]
-            session = LockstepSession(self.cluster, lane_writes)
+            ends = (self.layout.l1_end, self.layout.l2_end)
+            session = LockstepSession(self.cluster, lane_writes, ends)
             tock = perf_counter()
             phases["staging"] += tock - tick
             encode_runs = session.run(self.encode_program)
@@ -668,7 +669,10 @@ class HDChainSimulator:
         # from the cluster's memory with its own table written where
         # the sequential path writes every table, and the kernels
         # overwrite the same working set each window, so the last
-        # lane's post-AM image *is* the sequential end state.
+        # lane's post-AM image *is* the sequential end state.  The
+        # lanes hold only the layout's span: an access past it would
+        # have bailed, so no window wrote there, and the cluster's
+        # bytes beyond the span already are that end state.
         tick = perf_counter()
         session.lane_image(len(chunk) - 1).restore_into(
             self.cluster.memory

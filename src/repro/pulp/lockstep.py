@@ -35,6 +35,10 @@ module adds on top of the shared loop is purely the lane dimension:
 * :class:`LockstepSession`, which stages N lane images once and runs
   several programs back to back over them (encode then AM in the
   chain driver), returning *per-lane* :class:`ClusterRunResult`\\ s;
+  an image spans only the extent the caller names, ``ends = (l1_end,
+  l2_end)`` (at D = 10,000 the chain's layout is 72 KiB of Wolf's
+  576 KiB), and an access past it bails, so a lane never holds bytes
+  no window can touch;
 * **team fusion**: a team's cores park at their loop plans, and the
   cores parked at one plan run it as *one* vector run over their trips
   concatenated in core order, so an 8-core window costs about what a
@@ -282,7 +286,8 @@ def _uniform_int(value) -> Optional[int]:
 
 
 class LaneImage:
-    """One lane's materialized (L1, L2) memory snapshot."""
+    """One lane's materialized memory snapshot: L1 and L2, each from
+    its region's base up to the session's ends."""
 
     __slots__ = ("l1", "l2")
 
@@ -291,14 +296,18 @@ class LaneImage:
         self.l2 = l2
 
     def restore_into(self, memory: MemorySystem) -> None:
-        """Write this lane's image into a scalar memory system."""
+        """Write this lane's image into a scalar memory system; the
+        bytes past the ends are left as they are."""
         memory.write_bytes(L1_BASE, self.l1)
         memory.write_bytes(L2_BASE, self.l2)
 
 
 class LanedMemory:
-    """N per-lane copies of the two-level memory, batch addressable.
+    """N per-lane copies of the memory a program runs in, batch addressable.
 
+    Each lane holds ``[L1_BASE, l1_end)`` and ``[L2_BASE, l2_end)`` of
+    ``ends = (l1_end, l2_end)`` (a chain's layout, not the whole
+    machine); an access past an end bails ``address-range``.
     Functional accesses operate on ``(n_lanes, bytes)`` arrays; timing
     questions (region classification, the closed-form stall model) are
     answered once because every lane's access trace is identical — the
@@ -307,20 +316,32 @@ class LanedMemory:
     oracle's.
     """
 
-    def __init__(self, memory: MemorySystem, n_lanes: int):
+    def __init__(
+        self, memory: MemorySystem, n_lanes: int, ends: Tuple[int, int]
+    ):
         config = memory.config
         self.config = config
         self.n_lanes = n_lanes
+        l1_end, l2_end = ends
+        if (
+            not L1_BASE <= l1_end <= L1_BASE + config.l1_bytes
+            or not L2_BASE <= l2_end <= L2_BASE + config.l2_bytes
+            or (l1_end | l2_end) & 3
+        ):
+            raise ValueError(
+                f"ends (0x{l1_end:08x}, 0x{l2_end:08x}) must be word "
+                f"aligned and lie in L1 and L2"
+            )
         l1 = np.frombuffer(
-            memory.read_bytes(L1_BASE, config.l1_bytes), dtype=np.uint8
+            memory.read_bytes(L1_BASE, l1_end - L1_BASE), dtype=np.uint8
         )
         l2 = np.frombuffer(
-            memory.read_bytes(L2_BASE, config.l2_bytes), dtype=np.uint8
+            memory.read_bytes(L2_BASE, l2_end - L2_BASE), dtype=np.uint8
         )
         self._l1 = np.tile(l1, (n_lanes, 1))
         self._l2 = np.tile(l2, (n_lanes, 1))
-        self._l1_end = L1_BASE + config.l1_bytes
-        self._l2_end = L2_BASE + config.l2_bytes
+        self._l1_end = l1_end
+        self._l2_end = l2_end
         self._views: Dict[Tuple[bool, int], np.ndarray] = {}
         self._stalls = MemorySystem(config)
         # Lane-divergence page map (256-B pages): lanes start
@@ -328,8 +349,8 @@ class LanedMemory:
         # differ.  Loads from never-diverged pages read lane 0's bytes
         # directly — no all-lane gather, no uniformity compare.
         self._dirty = {
-            True: np.zeros((config.l1_bytes >> 8) + 1, dtype=bool),
-            False: np.zeros((config.l2_bytes >> 8) + 1, dtype=bool),
+            True: np.zeros(l1.size // 256 + 1, dtype=bool),
+            False: np.zeros(l2.size // 256 + 1, dtype=bool),
         }
 
     def mark_divergent(self, is_l1: bool, lo_off: int, hi_off: int) -> None:
@@ -1250,8 +1271,9 @@ class LockstepSession:
     vectors) is visible to the next, exactly as on real memory.
 
     ``lane_writes`` supplies each lane's pre-run staging (address,
-    bytes).  The images start from the cluster's *current* memory; the
-    cluster itself is never mutated.  :meth:`run` returns **per-lane**
+    bytes).  The images start from the cluster's *current* memory, up
+    to ``ends`` (see :class:`LanedMemory`); the cluster itself is never
+    mutated.  :meth:`run` returns **per-lane**
     :class:`ClusterRunResult`\\ s (cycles and instruction counts may
     diverge between lanes once a predicated branch runs), or raises
     :class:`LockstepBail` — the caller then falls back to per-window
@@ -1262,10 +1284,11 @@ class LockstepSession:
         self,
         cluster,
         lane_writes: Sequence[Sequence[Tuple[int, bytes]]],
+        ends: Tuple[int, int],
     ):
         self.cluster = cluster
         self.n_lanes = len(lane_writes)
-        self.lmem = LanedMemory(cluster.memory, self.n_lanes)
+        self.lmem = LanedMemory(cluster.memory, self.n_lanes, ends)
         for lane, writes in enumerate(lane_writes):
             for addr, data in writes:
                 self.lmem.write_lane_bytes(lane, addr, data)

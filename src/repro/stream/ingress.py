@@ -90,6 +90,9 @@ from .wire import (
 )
 
 _NAN = float("nan")
+#: How long a dropped connection's transport may take to send what it
+#: still holds before it is aborted.
+_CLOSE_TIMEOUT_S = 5.0
 
 
 def _wire_label(label) -> int:
@@ -292,6 +295,7 @@ class IngressServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._sessions: Dict[str, Tuple[_Connection, _StampTracker]] = {}
         self._connections: set = set()
+        self._handlers: set = set()  # connection handler tasks not done
         self._answered: List[_Connection] = []  # those with pending frames
         self._sweeper: Optional[asyncio.Task] = None
         self._dirty = False  # ingested since the last drain
@@ -330,6 +334,12 @@ class IngressServer:
         await asyncio.gather(
             *(self._drop_connection(conn) for conn in list(self._connections))
         )
+        # A connection whose peer ended its side has left the set while
+        # its handler still waits out the close bound, and an aborted
+        # transport reports its loss on a later loop turn: a loop
+        # closed now would cancel those handlers.  Their errors were
+        # reported when they ended.
+        await asyncio.gather(*self._handlers, return_exceptions=True)
 
     @property
     def open_sessions(self) -> int:
@@ -383,6 +393,9 @@ class IngressServer:
         cfg = self._config
         conn = _Connection(reader, writer, cfg.max_frame_bytes)
         self._connections.add(conn)
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         self.stats.connections_accepted += 1
         try:
             # Left to grow to megabytes, the kernel's send buffer would
@@ -801,7 +814,9 @@ class IngressServer:
         # that will not take it within the bound is cut off.
         conn.writer.close()
         try:
-            await asyncio.wait_for(conn.writer.wait_closed(), timeout=5.0)
+            await asyncio.wait_for(
+                conn.writer.wait_closed(), timeout=_CLOSE_TIMEOUT_S
+            )
         except asyncio.TimeoutError:
             conn.writer.transport.abort()
         except ConnectionError:

@@ -17,6 +17,8 @@ memory-strategy channel loop is asserted to engage the vector path at
 the channel level.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,36 @@ def test_batched_full_chunk_plus_one_window():
     telemetry = chain_batch_telemetry()
     assert telemetry["laned_windows"] == BATCH_CHUNK_WINDOWS
     assert telemetry["fallback_windows"] == 0
+
+
+def test_laned_chunk_allocates_the_layout_not_the_machine():
+    """A laned chunk's lanes hold the chain layout's span, not copies of
+    the whole L1 + L2: one 32-window chunk on Wolf 8 cores (576 KiB of
+    memory, 18 MiB as 32 lanes) must allocate under 8 MiB at its peak,
+    with every window laned.  tracemalloc counts NumPy's buffers, so
+    the bound holds whatever the OS or allocator does."""
+    dims = ChainDims(
+        dim=2016, n_channels=4, n_levels=22, n_classes=5, ngram=4, window=5
+    )
+    sim = _make_sim(WOLF_SOC, 8, dims, True, "auto", "fast")
+    rng = np.random.default_rng(11)
+    batches = rng.integers(
+        0,
+        dims.n_levels,
+        size=(2, BATCH_CHUNK_WINDOWS, dims.n_samples, dims.n_channels),
+    )
+    sim.run_window_levels_batch(batches[0])  # compile and warm up
+    reset_chain_batch_telemetry()
+    tracemalloc.start()
+    try:
+        sim.run_window_levels_batch(batches[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    telemetry = chain_batch_telemetry()
+    assert telemetry["laned_windows"] == BATCH_CHUNK_WINDOWS
+    assert telemetry["fallback_windows"] == 0
+    assert peak < 8 << 20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_desc_tables_match_python_loop():

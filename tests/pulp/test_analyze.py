@@ -322,7 +322,12 @@ class TestLockstepPrediction:
         lane_writes = [
             [(self.DIV, int(v).to_bytes(4, "little"))] for v in (128, 256)
         ]
-        session = LockstepSession(cluster, lane_writes)
+        config = cluster.memory.config
+        session = LockstepSession(
+            cluster,
+            lane_writes,
+            (L1_BASE + config.l1_bytes, L2_BASE + config.l2_bytes),
+        )
         with pytest.raises(LockstepBail) as excinfo:
             session.run(program)
         assert excinfo.value.reason in predicted

@@ -35,20 +35,31 @@ DIV = L1_BASE + 64
 SCRATCH = L1_BASE + 128
 
 
-def _run_expecting(reason, emit, lane_values=(0, 8), n_cores=1,
-                   max_instructions=None):
-    """Assemble ``emit``, run it laned, and demand exactly one bail."""
+def _whole(cluster):
+    """The session ends that span the machine's whole L1 and L2."""
+    config = cluster.memory.config
+    return L1_BASE + config.l1_bytes, L2_BASE + config.l2_bytes
+
+
+def _session(emit, lane_values=(0, 8), n_cores=1, max_instructions=None,
+             ends=None):
+    """Assemble ``emit`` and stage it laned: (session, program)."""
     cluster = Cluster(WOLF, n_cores, engine="fast")
     if max_instructions is not None:
         for core in cluster.cores:
             core.max_instructions = max_instructions
     asm = Assembler(WOLF)
     emit(asm)
-    program = asm.build()
     lane_writes = [
         [(DIV, int(value).to_bytes(4, "little"))] for value in lane_values
     ]
-    session = LockstepSession(cluster, lane_writes)
+    session = LockstepSession(cluster, lane_writes, ends or _whole(cluster))
+    return session, asm.build()
+
+
+def _run_expecting(reason, emit, **kwargs):
+    """Run ``emit`` laned, and demand exactly one bail."""
+    session, program = _session(emit, **kwargs)
     reset_lockstep_telemetry()
     with pytest.raises(LockstepBail) as excinfo:
         session.run(program)
@@ -85,6 +96,53 @@ class TestMemoryBails:
             asm.halt()
 
         _run_expecting("address-range", emit)
+
+    @staticmethod
+    def _store_at(addr):
+        def emit(asm):
+            p, t = asm.reg("p"), asm.reg("t")
+            _load_div(asm, t)
+            asm.li(p, addr)
+            asm.sw(t, p, 0)
+            asm.halt()
+
+        return emit
+
+    def test_store_past_the_ends_bails(self):
+        """The images span only the session's ends: a store one word
+        past them, though inside the machine's L1, is out of range."""
+        ends = (L1_BASE + 0x1000, L2_BASE + 0x1000)
+        _run_expecting(
+            "address-range", self._store_at(ends[0]), ends=ends
+        )
+
+    def test_store_inside_whole_memory_runs_laned(self):
+        """The same store runs laned when the ends are the whole
+        memory, and each lane's image holds its own value."""
+        addr = L1_BASE + 0x1000
+        session, program = _session(self._store_at(addr))
+        reset_lockstep_telemetry()
+        session.run(program)
+        telemetry = lockstep_telemetry()
+        assert telemetry["runs"] == 1
+        assert telemetry["bails"] == {}
+        assert [session.read_word(lane, addr) for lane in (0, 1)] == [0, 8]
+        image = session.lane_image(1)
+        assert len(image.l1) == session.cluster.memory.config.l1_bytes
+        assert image.l1[0x1000:0x1004] == (8).to_bytes(4, "little")
+
+    def test_ends_outside_the_regions_rejected(self):
+        cluster = Cluster(WOLF, 1, engine="fast")
+        l1_top, l2_top = _whole(cluster)
+        for ends in [
+            (L1_BASE - 4, l2_top),
+            (l1_top + 4, l2_top),
+            (l1_top, L2_BASE - 4),
+            (l1_top, l2_top + 4),
+            (l1_top - 2, l2_top),  # not word aligned
+        ]:
+            with pytest.raises(ValueError, match="ends"):
+                LockstepSession(cluster, [[], []], ends)
 
     def test_divergent_store_address(self):
         def emit(asm):
@@ -232,7 +290,7 @@ class TestDefensiveGuards:
         """A 2-D address array reaching a block load must bail, not
         silently gather garbage."""
         cluster = Cluster(WOLF, 1, engine="fast")
-        session = LockstepSession(cluster, [[], []])
+        session = LockstepSession(cluster, [[], []], _whole(cluster))
         asm = Assembler(WOLF)
         x = asm.reg("x")
         asm.addi(x, x, 1)

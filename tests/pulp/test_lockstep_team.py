@@ -89,8 +89,12 @@ def _batched(program, lane_writes):
 
     Returns ``(runs, l1_images, bail_reason_or_None)``.
     """
+    cluster = Cluster(WOLF, N_CORES, engine="fast")
+    config = cluster.memory.config
     session = LockstepSession(
-        Cluster(WOLF, N_CORES, engine="fast"), lane_writes
+        cluster,
+        lane_writes,
+        (L1_BASE + config.l1_bytes, L2_BASE + config.l2_bytes),
     )
     try:
         runs = session.run(program)

@@ -32,6 +32,7 @@ from repro.stream import (
     stream_bytes,
     trace_from_streams,
 )
+from repro.stream import ingress as ingress_module
 from repro.stream.wire import (
     ERR_PROTOCOL,
     ERR_SESSION,
@@ -1334,6 +1335,68 @@ class TestResourceBounds:
         closed, sessions, reported = asyncio.run(scenario())
         assert closed
         assert sessions == ()
+        assert reported == []
+
+    def test_stop_waits_for_every_connection_handler(
+        self, model, monkeypatch
+    ):
+        """A peer stops reading with answers still unsent (but under
+        write_buffer_bytes, so it is not evicted), then ends its side.
+        The EOF starts its handler's own drop, which waits out the close
+        bound and then aborts the transport, and the connection has
+        already left the server's set when stop() runs.  stop() must
+        still not return before that handler has ended: a loop that
+        ends right after it would cancel the handler, and the cancelled
+        handler would reach the loop's exception handler."""
+        monkeypatch.setattr(
+            ingress_module, "_CLOSE_TIMEOUT_S", 0.2, raising=False
+        )
+        config = _config(max_wait=0)
+        ingress = IngressConfig(write_buffer_bytes=16384)
+        reported = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["message"])
+            )
+            async with _Server(
+                StreamingService(model, config), config, ingress
+            ) as live:
+                _, writer, _, _ = await _raw_handshake(
+                    live.host, live.port, rcvbuf=4096
+                )
+                writer.transport.pause_reading()  # read nothing more
+                writer.write(encode_frame(Open("s")))
+                stats = live.server.stats
+                rng = np.random.default_rng(3)
+                sent = 0
+                (conn,) = live.server._connections
+                unsent = conn.writer.transport.get_write_buffer_size
+                while not unsent() and sent < 2000:
+                    writer.write(
+                        encode_frame(
+                            Samples("s", rng.random((25, N_CHANNELS)))
+                        )
+                    )
+                    sent += 1
+                    assert await _wait_for(
+                        lambda: stats.samples_frames == sent
+                    )
+                held = unsent()
+                writer.write_eof()
+                assert await _wait_for(lambda: stats.connections_closed)
+                await live.server.stop()
+                pending = [
+                    task for task in asyncio.all_tasks()
+                    if task is not asyncio.current_task()
+                ]
+                writer.close()
+                return held, stats, pending
+
+        held, stats, pending = asyncio.run(scenario())
+        assert 0 < held <= 16384
+        assert stats.slow_client_disconnects == 0
+        assert pending == []
         assert reported == []
 
     def test_idle_connection_times_out(self, model):
