@@ -634,9 +634,11 @@ class HDChainSimulator:
         programs through it — the AM search's divergent argmin epilogue
         executes predicated, so no per-window engine runs remain on this
         path.  Returns per-window results, or ``None`` when the lockstep
-        engine bailed (the caller falls back to per-window runs; nothing
-        in cluster state has been mutated by a bailed attempt, and the
-        bail reason lands in :func:`chain_batch_telemetry`).
+        engine bailed (the caller falls back to per-window runs; a
+        bailed attempt has written nothing to the cluster's memory
+        image, each fallback run resets the stall accumulator it
+        advanced, and the bail reason lands in
+        :func:`chain_batch_telemetry`).
         """
         from ..pulp.lockstep import LockstepBail, LockstepSession
 

@@ -133,10 +133,7 @@ class Cluster:
     # -- execution -------------------------------------------------------------
 
     def run(
-        self,
-        program: Program,
-        args: Sequence[int] = (),
-        add_runtime_overheads: bool = True,
+        self, program: Program, args: Sequence[int] = ()
     ) -> ClusterRunResult:
         """Run ``program`` on all cores of the team.
 
@@ -166,14 +163,7 @@ class Cluster:
             if self.engine == "fast"
             else None
         )
-        costs = (
-            runtime_costs(self.profile, self.n_cores)
-            if add_runtime_overheads
-            else None
-        )
-        fork = costs.fork if costs else 0
-        join = costs.join if costs else 0
-        barrier_cost = costs.barrier if costs else 0
+        costs = runtime_costs(self.profile, self.n_cores)
 
         self.memory.set_team_size(self.n_cores)
         self.dma.reset()
@@ -182,7 +172,7 @@ class Cluster:
                 core.load_program(decoded, compiled)
             else:
                 core.load_program(decoded)
-            core.cycles = fork
+            core.cycles = costs.fork
             core.instr_count = 0
             core.regs = [0] * 32
             core.regs[CORE_ID_REG] = core.core_id
@@ -204,12 +194,12 @@ class Cluster:
                 )
             # All cores reached a barrier: align clocks.
             n_barriers += 1
-            synced = max(core.cycles for core in active) + barrier_cost
-            barrier_cycles_total += barrier_cost
+            synced = max(core.cycles for core in active) + costs.barrier
+            barrier_cycles_total += costs.barrier
             for core in active:
                 core.cycles = synced
 
-        finish = max(core.cycles for core in self.cores) + join
+        finish = max(core.cycles for core in self.cores) + costs.join
         self.memory.set_team_size(1)
         return ClusterRunResult(
             program_name=program.name,
@@ -220,8 +210,8 @@ class Cluster:
                 core.instr_count for core in self.cores
             ),
             n_barriers=n_barriers,
-            fork_cycles=fork,
-            join_cycles=join,
+            fork_cycles=costs.fork,
+            join_cycles=costs.join,
             barrier_cycles=barrier_cycles_total,
             dma_bytes=self.dma.total_bytes,
         )

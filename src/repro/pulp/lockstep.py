@@ -54,17 +54,21 @@ identical to N sequential runs.  Everything the lane model cannot
 reproduce bit-exactly — a divergent branch with an ineligible body, a
 divergent hardware-loop trip count, lane-varying store addresses, any
 access the memory model rejects — raises :class:`LockstepBail`
-*before any caller-visible state is touched* (the engine mutates only
-its own image stack), and the caller falls back to the sequential
+*before any caller-visible state is touched* (the engine writes only
+its own image stack, and the stall accumulator it advances is reset by
+every run), and the caller falls back to the sequential
 per-window path.  The differential suite in
 ``tests/kernels/test_chain_batch.py`` pins the equivalence over
 engine × strategy × core-count grids.
 
 Cycle accounting mirrors the scalar engines: base costs are folded per
-segment, memory stalls are totalled through the same closed-form
-accumulator (:meth:`MemorySystem.bulk_stalls` semantics, one shared
-model because every lane's access trace is identical — the predicated
-bodies are pure ALU, so lane-divergent paths never touch it), and DMA
+segment, and memory stalls are charged once for every lane on the
+stall accumulator of the cluster's own :class:`MemorySystem`
+(:meth:`~MemorySystem.bulk_stalls`).  One accumulator serves all lanes
+because every lane's access trace is identical — the predicated bodies
+are pure ALU, so lane-divergent paths never touch it — and sharing the
+scalar engine's is exact because a run of either engine resets it
+(:meth:`~MemorySystem.set_team_size`) before its first access.  DMA
 timing runs the same busy-until clock with only the *payload*
 differing per lane.
 """
@@ -308,19 +312,18 @@ class LanedMemory:
     Each lane holds ``[L1_BASE, l1_end)`` and ``[L2_BASE, l2_end)`` of
     ``ends = (l1_end, l2_end)`` (a chain's layout, not the whole
     machine); an access past an end bails ``address-range``.
-    Functional accesses operate on ``(n_lanes, bytes)`` arrays; timing
-    questions (region classification, the closed-form stall model) are
-    answered once because every lane's access trace is identical — the
-    accumulator is delegated to a private scalar :class:`MemorySystem`
-    so the fixed-point conflict sequence can never drift from the
-    oracle's.
+    Functional accesses operate on ``(n_lanes, bytes)`` arrays, and a
+    load every lane reads alike collapses to an int (or a ``(T, 1)``
+    column).  Only the lanes' bytes are held here: every lane's access
+    trace is identical, so regions are classified once and stalls are
+    charged on the accumulator of ``stalls``, the
+    :class:`MemorySystem` the lanes were tiled from.
     """
 
     def __init__(
         self, memory: MemorySystem, n_lanes: int, ends: Tuple[int, int]
     ):
         config = memory.config
-        self.config = config
         self.n_lanes = n_lanes
         l1_end, l2_end = ends
         if (
@@ -343,27 +346,7 @@ class LanedMemory:
         self._l1_end = l1_end
         self._l2_end = l2_end
         self._views: Dict[Tuple[bool, int], np.ndarray] = {}
-        self._stalls = MemorySystem(config)
-        # Lane-divergence page map (256-B pages): lanes start
-        # byte-identical (tiled), and only per-lane writes can make them
-        # differ.  Loads from never-diverged pages read lane 0's bytes
-        # directly — no all-lane gather, no uniformity compare.
-        self._dirty = {
-            True: np.zeros(l1.size // 256 + 1, dtype=bool),
-            False: np.zeros(l2.size // 256 + 1, dtype=bool),
-        }
-
-    def mark_divergent(self, is_l1: bool, lo_off: int, hi_off: int) -> None:
-        """Record that lanes may now differ in [lo_off, hi_off] bytes."""
-        self._dirty[is_l1][lo_off >> 8 : (hi_off >> 8) + 1] = True
-
-    def lanes_identical(self, is_l1: bool, lo_off: int, hi_off: int) -> bool:
-        """True when every lane provably holds the same bytes there."""
-        return not self._dirty[is_l1][
-            lo_off >> 8 : (hi_off >> 8) + 1
-        ].any()
-
-    # -- region / timing ---------------------------------------------------
+        self.stalls = memory
 
     def locate(self, lo: int, hi: int) -> Tuple[bool, int]:
         """(is_l1, region_base) for [lo, hi]; bail when out of range."""
@@ -372,14 +355,6 @@ class LanedMemory:
         if L2_BASE <= lo and hi < self._l2_end:
             return False, L2_BASE
         raise LockstepBail(LS_ADDRESS_RANGE)
-
-    def set_team_size(self, n_cores: int) -> None:
-        """Configure the expected L1 bank-conflict penalty for a team."""
-        self._stalls.set_team_size(n_cores)
-
-    def bulk_stalls(self, n_l1: int, n_l2: int) -> int:
-        """Closed-form stall total, advancing the shared accumulator."""
-        return self._stalls.bulk_stalls(n_l1, n_l2)
 
     # -- functional access -------------------------------------------------
 
@@ -399,18 +374,13 @@ class LanedMemory:
         buf[lane, offset : offset + len(data)] = np.frombuffer(
             data, dtype=np.uint8
         )
-        self.mark_divergent(is_l1, offset, offset + len(data) - 1)
 
     def load_scalar(self, addr: int, width: int):
         """Load one address in every lane: int when uniform, else (n,)."""
         if width > 1 and addr % width:
             raise LockstepBail(LS_MISALIGNED)
         is_l1, base = self.locate(addr, addr + width - 1)
-        offset = addr - base
-        view = self._view(is_l1, width)
-        if self.lanes_identical(is_l1, offset, offset + width - 1):
-            return int(view[0, offset // width]), is_l1
-        column = view[:, offset // width]
+        column = self._view(is_l1, width)[:, (addr - base) // width]
         first = int(column[0])
         if (column == first).all():
             return first, is_l1
@@ -428,7 +398,6 @@ class LanedMemory:
             view[:, offset // width] = (
                 value.astype(np.uint64) & np.uint64(mask)
             ).astype(view.dtype)
-            self.mark_divergent(is_l1, offset, offset + width - 1)
         else:
             view[:, offset // width] = int(value) & mask
         return is_l1
@@ -442,52 +411,27 @@ class LanedMemory:
         is_l1, base = self.locate(lo, hi)
         view = self._view(is_l1, width)
         offsets = (addr.astype(np.int64) - base) // width
-        if self.lanes_identical(is_l1, lo - base, hi - base):
-            values = view[0, offsets]
-        else:
-            values = view[np.arange(self.n_lanes), offsets]
+        values = view[np.arange(self.n_lanes), offsets]
         first = int(values[0])
         if (values == first).all():
             return first, is_l1
         return values.astype(np.uint64), is_l1
 
-    def gather_cols(
-        self, offsets, width: int, is_l1: bool, lo_off: int, hi_off: int
-    ):
+    def gather_cols(self, offsets, width: int, is_l1: bool):
         """Gather lane-uniform trip addresses: (T,) offsets (or a column
-        slice) → (T, n), or (T, 1) when every lane holds the same bytes.
-
-        ``[lo_off, hi_off]`` is the access's byte range within the
-        region; provably lane-identical ranges read lane 0 only.
-        """
-        view = self._view(is_l1, width)
-        if self.lanes_identical(is_l1, lo_off, hi_off):
-            return view[0, offsets].astype(np.uint64)[:, None]
-        values = view[:, offsets].T.astype(np.uint64)
+        slice) → (T, n), or (T, 1) when every lane holds the same bytes."""
+        values = self._view(is_l1, width)[:, offsets].T.astype(np.uint64)
         if self.n_lanes > 1 and (values == values[:, :1]).all():
             return values[:, :1]
         return values
 
-    def gather_2d(
-        self,
-        offsets: np.ndarray,
-        width: int,
-        is_l1: bool,
-        lo_off: int,
-        hi_off: int,
-    ):
+    def gather_2d(self, offsets: np.ndarray, width: int, is_l1: bool):
         """Gather per-(trip, lane) addresses: (T, n) offsets → (T, n)."""
-        view = self._view(is_l1, width)
-        if self.lanes_identical(is_l1, lo_off, hi_off):
-            return view[0, offsets].astype(np.uint64)
-        return view[
+        return self._view(is_l1, width)[
             np.arange(self.n_lanes)[None, :], offsets
         ].astype(np.uint64)
 
-    def scatter_cols(
-        self, offsets, values, width: int, is_l1: bool,
-        lo_off: int, hi_off: int,
-    ) -> None:
+    def scatter_cols(self, offsets, values, width: int, is_l1: bool) -> None:
         """Scatter to lane-uniform trip addresses ((T,) offsets or a
         column slice)."""
         view = self._view(is_l1, width)
@@ -496,14 +440,10 @@ class LanedMemory:
             masked = (values.astype(np.uint64) & np.uint64(mask)).astype(
                 view.dtype
             )
-            if masked.ndim == 2 and masked.shape[1] > 1:
+            if masked.ndim == 2:  # (T, n), or (T, 1) for every lane
                 view[:, offsets] = masked.T
-                self.mark_divergent(is_l1, lo_off, hi_off)
-            elif masked.ndim == 2:
-                view[:, offsets] = masked[:, 0]
             else:  # (n,) per-lane value, every trip column
                 view[:, offsets] = masked[:, None]
-                self.mark_divergent(is_l1, lo_off, hi_off)
         else:
             view[:, offsets] = int(values) & mask
 
@@ -531,7 +471,6 @@ class LanedMemory:
                 0, (src_buf.strides[0], step, step),
             )
             dst_buf[:, doff : doff + size] = rows[np.arange(lanes), starts]
-            self.mark_divergent(dst_l1, doff, doff + size - 1)
         else:
             src = int(src)
             src_l1, src_base = self.locate(src, src + size - 1)
@@ -541,8 +480,6 @@ class LanedMemory:
             if src_buf is dst_buf:
                 block = block.copy()
             dst_buf[:, doff : doff + size] = block
-            if not self.lanes_identical(src_l1, soff, soff + size - 1):
-                self.mark_divergent(dst_l1, doff, doff + size - 1)
 
     def read_lane_word(self, lane: int, addr: int) -> int:
         """Untimed aligned 32-bit read from one lane's image."""
@@ -737,8 +674,7 @@ class _LanedVectorRun(_VectorRun):
                     )
                     is_l1, base = lmem.locate(lo, hi)
                     values = lmem.gather_cols(
-                        _trip_cols(flat, width, stride, lo, base),
-                        width, is_l1, lo - base, hi - base,
+                        _trip_cols(flat, width, stride, lo, base), width, is_l1
                     )
                     self.loads.append((lo, hi, flat, width, stride))
                 elif addr.ndim == 2:
@@ -750,11 +686,7 @@ class _LanedVectorRun(_VectorRun):
                     self._check_no_store_overlap(lo, hi, None, width, None)
                     is_l1, base = lmem.locate(lo, hi)
                     values = lmem.gather_2d(
-                        (addr.astype(np.int64) - base) // width,
-                        width,
-                        is_l1,
-                        lo - base,
-                        hi - base,
+                        (addr.astype(np.int64) - base) // width, width, is_l1
                     )
                     self.loads.append((lo, hi, None, width, None))
                 else:
@@ -819,8 +751,7 @@ class _LanedVectorRun(_VectorRun):
             if isinstance(addr, np.ndarray):
                 is_l1, base = lmem.locate(lo, _hi)
                 lmem.scatter_cols(
-                    _trip_cols(addr, width, stride, lo, base),
-                    value, width, is_l1, lo - base, _hi - base,
+                    _trip_cols(addr, width, stride, lo, base), value, width, is_l1
                 )
             else:
                 lmem.store_scalar(addr, value, width)
@@ -965,9 +896,9 @@ class _LaneCore(DispatchCore):
     def _stall_cycles(self, n_l1: int, n_l2: int) -> int:
         """Stalls of some accesses, keeping deferred L1 carries back."""
         if self.deferred_l1 is None:
-            return self.lmem.bulk_stalls(n_l1, n_l2)
+            return self.lmem.stalls.bulk_stalls(n_l1, n_l2)
         self.deferred_l1 += n_l1
-        return self.lmem.bulk_stalls(0, n_l2)
+        return self.lmem.stalls.bulk_stalls(0, n_l2)
 
     # -- straight-line blocks ---------------------------------------------
 
@@ -1272,8 +1203,10 @@ class LockstepSession:
 
     ``lane_writes`` supplies each lane's pre-run staging (address,
     bytes).  The images start from the cluster's *current* memory, up
-    to ``ends`` (see :class:`LanedMemory`); the cluster itself is never
-    mutated.  :meth:`run` returns **per-lane**
+    to ``ends`` (see :class:`LanedMemory`); the cluster's memory image
+    is never written, but each :meth:`run` resets and advances its
+    stall accumulator, as :meth:`Cluster.run` does.  :meth:`run`
+    returns **per-lane**
     :class:`ClusterRunResult`\\ s (cycles and instruction counts may
     diverge between lanes once a predicated branch runs), or raises
     :class:`LockstepBail` — the caller then falls back to per-window
@@ -1293,9 +1226,7 @@ class LockstepSession:
             for addr, data in writes:
                 self.lmem.write_lane_bytes(lane, addr, data)
 
-    def run(
-        self, program: Program, add_runtime_overheads: bool = True
-    ) -> List[ClusterRunResult]:
+    def run(self, program: Program) -> List[ClusterRunResult]:
         """Run ``program`` once per lane over the staged images."""
         from .runtime import runtime_costs
 
@@ -1312,16 +1243,9 @@ class LockstepSession:
             compiled = compile_program(program, profile)
             # Fresh-run semantics per program, mirroring Cluster.run:
             # conflict accumulator reset + fresh DMA engine.
-            lmem.set_team_size(cluster.n_cores)
+            lmem.stalls.set_team_size(cluster.n_cores)
             dma = _LanedDMA(lmem, profile.dma_bytes_per_cycle)
-            costs = (
-                runtime_costs(profile, cluster.n_cores)
-                if add_runtime_overheads
-                else None
-            )
-            fork = costs.fork if costs else 0
-            join = costs.join if costs else 0
-            barrier_cost = costs.barrier if costs else 0
+            costs = runtime_costs(profile, cluster.n_cores)
             block_cache: dict = {}
             pred_cache: dict = {}
             states = [
@@ -1332,7 +1256,7 @@ class LockstepSession:
                     lmem,
                     dma,
                     cluster.n_cores,
-                    fork,
+                    costs.fork,
                     block_cache,
                     pred_cache,
                     cluster.cores[core_id].max_instructions,
@@ -1364,8 +1288,8 @@ class LockstepSession:
                 synced = states[0].cycles
                 for state in states[1:]:
                     synced = np.maximum(synced, state.cycles)
-                synced = synced + barrier_cost
-                barrier_cycles_total += barrier_cost
+                synced = synced + costs.barrier
+                barrier_cycles_total += costs.barrier
                 for state in states:
                     # Per-state copies: later in-place `+=` on a shared
                     # lane array would corrupt the other cores.
@@ -1384,15 +1308,15 @@ class LockstepSession:
                     ClusterRunResult(
                         program_name=program.name,
                         n_cores=cluster.n_cores,
-                        total_cycles=max(per_core_cycles) + join,
+                        total_cycles=max(per_core_cycles) + costs.join,
                         per_core_cycles=per_core_cycles,
                         per_core_instrs=tuple(
                             _lane_val(state.instr_count, lane)
                             for state in states
                         ),
                         n_barriers=n_barriers,
-                        fork_cycles=fork,
-                        join_cycles=join,
+                        fork_cycles=costs.fork,
+                        join_cycles=costs.join,
                         barrier_cycles=barrier_cycles_total,
                         dma_bytes=dma.total_bytes,
                     )
@@ -1442,7 +1366,7 @@ class LockstepSession:
                     ready.append(state.core_id)
             ready.sort()
         for state in states[1:]:
-            state.cycles += self.lmem.bulk_stalls(state.deferred_l1, 0)
+            state.cycles += self.lmem.stalls.bulk_stalls(state.deferred_l1, 0)
             state.deferred_l1 = 0
         for state in states:
             for lo, hi, write, elems, width in (

@@ -16,12 +16,15 @@ two team-fusion reasons (``team-shared-data``, ``team-clock-read``)
 are provoked, with their fallback parity, in ``test_lockstep_team.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.pulp import Assembler, Cluster, L1_BASE, L2_BASE, WOLF
+from repro.pulp import Assembler, Cluster, L1_BASE, L2_BASE, WOLF, WOLF_SOC
 from repro.pulp.assembler import CORE_ID_REG
 from repro.pulp.lockstep import (
+    LanedMemory,
     LockstepBail,
     LockstepSession,
     _pred_no_load,
@@ -143,6 +146,21 @@ class TestMemoryBails:
         ]:
             with pytest.raises(ValueError, match="ends"):
                 LockstepSession(cluster, [[], []], ends)
+
+    def test_lanes_allocate_only_their_bytes(self):
+        """Laned memory holds the lanes and nothing else: two lanes of
+        4 KiB of L1 and 4 KiB of L2 on Wolf (576 KiB of memory) allocate
+        under 64 KiB, so no scalar memory image is built beside them."""
+        memory = WOLF_SOC.make_cluster(1, engine="fast").memory
+        ends = (L1_BASE + 0x1000, L2_BASE + 0x1000)
+        tracemalloc.start()
+        try:
+            lanes = LanedMemory(memory, 2, ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lanes.lane_image(1).l2 == memory.read_bytes(L2_BASE, 0x1000)
+        assert peak < 64 << 10, f"{peak / 1024:.0f} KiB"
 
     def test_divergent_store_address(self):
         def emit(asm):

@@ -10,6 +10,8 @@ chunking, and backpressure policy, and across shard crashes/respawns
 with no lost or duplicated windows.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,10 +22,12 @@ from repro.hdc import BatchHDClassifier, HDClassifierConfig, save_model
 from repro.hdc.serialize import load_model
 from repro.stream import sharded
 from repro.stream import (
+    ReplayTrace,
     ShardedStreamingService,
     ShardError,
     StreamConfig,
     StreamingService,
+    TraceEvent,
     decision_records,
     parity_digest,
     replay,
@@ -586,7 +590,8 @@ class TestCrashAndRespawn:
 class TestNonFiniteSamples:
     """A NaN or infinite sample is rejected on the call that carries
     it, before anything is queued, journaled or sent: no shared batch
-    fails, and every other session keeps every window."""
+    fails, and every other session keeps every window.  The property
+    tests poison random events, with chunks of the wrong width too."""
 
     #: On a 2-shard fleet "good-1" shares "bad"'s shard, "good" does not.
     SESSIONS = ("good", "good-1", "bad")
@@ -662,6 +667,91 @@ class TestNonFiniteSamples:
         # One 25-sample chunk is five W=5, stride-5 windows.
         assert len(got["bad"]) == len(want["bad"]) - 5
         assert stream_bytes(got["bad"]) == stream_bytes(want_bad["bad"])
+
+    # -- the property: any poison, anywhere --------------------------------
+
+    @staticmethod
+    def _replay_rejecting(service, trace):
+        """:func:`replay`, but an event whose ingest raises
+        ``ValueError`` is recorded by position instead of raised."""
+        out = {sid: [] for sid in trace.session_ids}
+        rejected = []
+        for sid in trace.session_ids:
+            service.open_session(sid)
+        for position, event in enumerate(trace.events):
+            try:
+                decisions = service.ingest(event.session_id, event.samples)
+            except ValueError:
+                rejected.append(position)
+                continue
+            for d in decisions:
+                out[d.session_id].append(d)
+        for d in service.drain():
+            out[d.session_id].append(d)
+        return out, rejected
+
+    def _poison_is_contained(self, store, data, fleet):
+        """Poison 1-3 random events of a synthetic trace with a NaN, a
+        +inf or one channel too many: exactly those events raise, every
+        other session streams what a clean replay streams, and each
+        poisoned session what a replay without its poisoned events
+        streams."""
+        path, reference = store
+        config = _config(max_batch=16, max_wait=3, smooth=3)
+        trace = synthetic_trace(
+            n_sessions=4,
+            samples_per_session=120,
+            n_channels=N_CHANNELS,
+            seed=data.draw(st.integers(0, 2**20), label="trace seed"),
+        )
+        positions = sorted(data.draw(
+            st.lists(st.integers(0, trace.n_events - 1),
+                     min_size=1, max_size=3, unique=True),
+            label="poisoned events",
+        ))
+        kind = data.draw(st.sampled_from(["nan", "inf", "channels"]),
+                         label="poison")
+        events = list(trace.events)
+        for position in positions:
+            samples = np.array(events[position].samples)
+            if kind == "channels":
+                samples = np.hstack([samples, samples[:, :1]])
+            else:
+                row = data.draw(st.integers(0, len(samples) - 1))
+                col = data.draw(st.integers(0, N_CHANNELS - 1))
+                samples[row, col] = np.nan if kind == "nan" else np.inf
+            events[position] = TraceEvent(events[position].session_id,
+                                          samples)
+        poisoned = ReplayTrace(N_CHANNELS, tuple(events))
+        stripped = ReplayTrace(N_CHANNELS, tuple(
+            e for i, e in enumerate(trace.events) if i not in positions
+        ))
+        clean = replay(StreamingService(reference, config), trace)
+        without = replay(StreamingService(reference, config), stripped)
+        with (
+            ShardedStreamingService(path, config, n_shards=2) if fleet
+            else nullcontext(StreamingService(reference, config))
+        ) as service:
+            got, rejected = self._replay_rejecting(service, poisoned)
+            if fleet:
+                assert [service.shard_respawns(k) for k in (0, 1)] == [0, 0]
+        assert rejected == positions
+        bad = {trace.events[position].session_id for position in positions}
+        for sid in trace.session_ids:
+            want = (without if sid in bad else clean)[sid]
+            assert stream_bytes(got[sid]) == stream_bytes(want), sid
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_poison_is_contained(self, store, data):
+        self._poison_is_contained(store, data, fleet=False)
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_poison_is_contained_on_a_fleet(self, store, data):
+        self._poison_is_contained(store, data, fleet=True)
 
 
 class TestWrongWidthChunks:

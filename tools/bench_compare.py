@@ -14,11 +14,18 @@ The result is ``BENCH_<workload>.json`` at the repo root:
 * both revisions (base commit and tree; the working tree's HEAD, tree
   and whether it differs from HEAD), the core count and the settings;
 * per seed and side: every end-to-end metric, ``attempted``,
-  ``failed`` and the raw windows/s from the run's note where it
-  prints one (the rate before probe scaling);
+  ``failed``, the exit code and ``correct`` flag, the raw windows/s
+  from the run's note where it prints one (the rate before probe
+  scaling), and the run's whole CPU time (``cpu_s``: user plus system
+  of the run and every child it waited for, set-up launches, probe
+  and offline checks included) and ``cpu_us_per_window``, that time
+  over ``attempted``;
 * per metric: both sides' median and q25-q75 (inclusive quartiles),
   and ``work_wins``, the pairs in which the working tree read better
-  (ties count for neither side).
+  (ties count for neither side);
+* ``refused``: per side, the runs that exited non-zero or read
+  ``correct: false``.  Their numbers prove nothing, so the script
+  exits 1 after writing the file when there are any.
 
 Usage::
 
@@ -32,6 +39,7 @@ import json
 import os
 import platform
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -84,14 +92,22 @@ def _checkout_work(dest: Path) -> dict:
     }
 
 
+def _cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _run(command: List[str], side: Path, workload: str, seed: int,
          seconds: float, names: List[str]) -> dict:
-    """One benchmark run in ``side``: its end-to-end metrics."""
+    """One benchmark run in ``side``: its end-to-end metrics, whether
+    it passed its own checks, and the CPU it took."""
+    cpu_s = _cpu_s()
     proc = subprocess.run(
         command + ["--workload", workload, "--seed", str(seed),
                    "--seconds", repr(seconds)],
         cwd=side, capture_output=True, text=True,
     )
+    cpu_s = _cpu_s() - cpu_s
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -101,14 +117,18 @@ def _run(command: List[str], side: Path, workload: str, seed: int,
             f"\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
         )
     rates = [float(m.group(1)) for m in map(RAW_RATE.search, lines) if m]
+    attempted = result["attempted"]
     return {
         "exit": proc.returncode,
-        "attempted": result["attempted"],
+        "correct": result.get("correct") is True,
+        "attempted": attempted,
         "failed": result["failed"],
         "metrics": {
             name: result["metrics"][name]["value"] for name in names
         },
         "raw_windows_per_s": statistics.median(rates) if rates else None,
+        "cpu_s": cpu_s,
+        "cpu_us_per_window": 1e6 * cpu_s / attempted if attempted else None,
     }
 
 
@@ -136,6 +156,53 @@ def _summary(pairs: List[dict], name: str, better: str) -> Optional[dict]:
         "work_wins": sum(sign * (w - b) > 0 for b, w in both),
         "pairs": len(both),
     }
+
+
+def _refusals(pairs: List[dict]) -> Dict[str, int]:
+    """Per side, the runs that exited non-zero or read ``correct:
+    false``: the benchmark's own checks refused their numbers."""
+    return {
+        side: sum(p[side]["exit"] != 0 or not p[side]["correct"]
+                  for p in pairs)
+        for side in SIDES
+    }
+
+
+def _report(args, seconds: float, metrics: Dict[str, str],
+            revisions: dict, pairs: List[dict]) -> int:
+    """Write and print ``BENCH_<workload>.json``; the exit status, 1
+    when any run was refused."""
+    summary = {
+        name: _summary(pairs, name, better)
+        for name, better in [*metrics.items(), ("failed", "lower"),
+                             ("raw_windows_per_s", "higher"),
+                             ("cpu_us_per_window", "lower")]
+    }
+    refused = _refusals(pairs)
+    report = {
+        "workload": args.workload,
+        "seconds": seconds,
+        "first_seed": args.first_seed,
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "revisions": revisions,
+        "pairs": pairs,
+        "refused": refused,
+        "summary": {k: v for k, v in summary.items() if v is not None},
+    }
+    path = REPO / f"BENCH_{args.workload}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    for name, row in report["summary"].items():
+        print(f"{name}: base {row['base']['median']:.4g} "
+              f"[{row['base']['q25']:.4g}, {row['base']['q75']:.4g}] "
+              f"work {row['work']['median']:.4g} "
+              f"[{row['work']['q25']:.4g}, {row['work']['q75']:.4g}] "
+              f"work better in {row['work_wins']} of {row['pairs']}")
+    for side, count in refused.items():
+        print(f"{side}: {count} of {len(pairs)} runs refused "
+              f"(non-zero exit or correct: false)")
+    print(f"wrote {path.name}")
+    return 1 if any(refused.values()) else 0
 
 
 def main(argv=None) -> int:
@@ -168,38 +235,15 @@ def main(argv=None) -> int:
                     bench["command"], dirs[side], args.workload, seed,
                     seconds, list(metrics),
                 )
-                print(f"seed {seed} {side}: failed {run['failed']} "
-                      f"raw {run['raw_windows_per_s']} {run['metrics']}",
-                      flush=True)
+                print(f"seed {seed} {side}: exit {run['exit']} "
+                      f"correct {run['correct']} failed {run['failed']} "
+                      f"raw {run['raw_windows_per_s']} "
+                      f"cpu_us_per_window {run['cpu_us_per_window']} "
+                      f"{run['metrics']}", flush=True)
             pairs.append(pair)
     finally:
         shutil.rmtree(OUT, ignore_errors=True)
-
-    summary = {
-        name: _summary(pairs, name, better)
-        for name, better in [*metrics.items(), ("failed", "lower"),
-                             ("raw_windows_per_s", "higher")]
-    }
-    report = {
-        "workload": args.workload,
-        "seconds": seconds,
-        "first_seed": args.first_seed,
-        "cores": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "revisions": revisions,
-        "pairs": pairs,
-        "summary": {k: v for k, v in summary.items() if v is not None},
-    }
-    path = REPO / f"BENCH_{args.workload}.json"
-    path.write_text(json.dumps(report, indent=1) + "\n")
-    for name, row in report["summary"].items():
-        print(f"{name}: base {row['base']['median']:.4g} "
-              f"[{row['base']['q25']:.4g}, {row['base']['q75']:.4g}] "
-              f"work {row['work']['median']:.4g} "
-              f"[{row['work']['q25']:.4g}, {row['work']['q75']:.4g}] "
-              f"work better in {row['work_wins']} of {row['pairs']}")
-    print(f"wrote {path.name}")
-    return 0
+    return _report(args, seconds, metrics, revisions, pairs)
 
 
 if __name__ == "__main__":
