@@ -825,12 +825,11 @@ def _run_small_batch(model, envelope):
             for start in range(0, n, SMALL_BATCH_ITEM)
         ]
         sizes = [stop - start for start, stop in items]
-        ticks, walls = tick_histogram(), wall_histogram()
+        ticks = tick_histogram()
         session = Session("bench", WINDOW, n_channels)
 
         def record_ages():
             ticks.record_many([0] * len(items), sizes)
-            walls.record_many([2e-4] * len(items), sizes)
 
         def record_decisions():
             for start, stop in items:

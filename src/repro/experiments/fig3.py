@@ -3,9 +3,9 @@ N-gram sizes, on the 8-core Wolf with builtins.
 
 The paper's claim: "increasing the dimension of the hypervectors, for
 every N-gram size, corresponds to a linear growth of the execution
-time".  Each N-gram size is one calibrated cycle model (two small-D ISS
-runs, see :mod:`repro.perf.calibration`); the sweep then evaluates the
-model across the dimension axis.
+time".  Each N-gram size is one
+:func:`~repro.perf.calibration.calibrate_chain` call (two small-D ISS
+runs); the sweep then evaluates the model across the dimension axis.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..kernels.layout import ChainDims
-from ..perf.calibration import CalibrationRequest, calibrate_chain_batch
+from ..perf.calibration import calibrate_chain
 from ..pulp.soc import WOLF_SOC
 from .reporting import Series, render_series_table
 
@@ -50,23 +50,19 @@ def run_fig3(
     ngrams: Sequence[int] = DEFAULT_NGRAMS,
     n_cores: int = 8,
 ) -> Fig3Result:
-    """Calibrate one model per N (batched) and sweep the dimension axis."""
-    requests = [
-        CalibrationRequest(
-            soc=WOLF_SOC,
-            n_cores=n_cores,
-            dims=ChainDims(
+    """Calibrate one model per N and sweep the dimension axis."""
+    cycles: Dict[int, List[int]] = {}
+    for n in ngrams:
+        model = calibrate_chain(
+            WOLF_SOC,
+            n_cores,
+            ChainDims(
                 dim=10_000, n_channels=4, n_levels=22, n_classes=5,
                 ngram=n, window=5,
             ),
             use_builtins=True,
         )
-        for n in ngrams
-    ]
-    cycles: Dict[int, List[int]] = {
-        n: [model.predict_total(d) for d in dims]
-        for n, model in zip(ngrams, calibrate_chain_batch(requests))
-    }
+        cycles[n] = [model.predict_total(d) for d in dims]
     return Fig3Result(dims=tuple(dims), ngrams=tuple(ngrams), cycles=cycles)
 
 

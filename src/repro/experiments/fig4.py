@@ -4,7 +4,9 @@
 The paper's claim: "the accelerator is able to scale such excessive
 workload perfectly among the cores" — the N-gram sweep shifts the curve
 up (more rotate-XOR passes) while the core count divides it down with
-near-ideal efficiency.
+near-ideal efficiency.  Each (N, cores) cell is one
+:func:`~repro.perf.calibration.calibrate_chain` call, evaluated at the
+fixed dimension.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..kernels.layout import ChainDims
-from ..perf.calibration import CalibrationRequest, calibrate_chain_batch
+from ..perf.calibration import calibrate_chain
 from ..pulp.soc import WOLF_SOC
 from .reporting import Series, render_series_table
 
@@ -44,25 +46,21 @@ def run_fig4(
 ) -> Fig4Result:
     """Calibrate a model per (N, cores) shape and evaluate at ``dim``.
 
-    The whole (N × cores) grid goes through one batched calibration
-    call, so only the grid's distinct shapes are fitted.
+    The calibration cache fits each distinct shape of the grid once.
     """
-    grid = [(n_cores, n) for n_cores in cores for n in ngrams]
-    requests = [
-        CalibrationRequest(
-            soc=WOLF_SOC,
-            n_cores=n_cores,
-            dims=ChainDims(
-                dim=dim, n_channels=4, n_levels=22, n_classes=5,
-                ngram=n, window=5,
-            ),
-            use_builtins=True,
-        )
-        for n_cores, n in grid
-    ]
-    models = dict(zip(grid, calibrate_chain_batch(requests)))
     cycles: Dict[int, List[int]] = {
-        n_cores: [models[(n_cores, n)].predict_total(dim) for n in ngrams]
+        n_cores: [
+            calibrate_chain(
+                WOLF_SOC,
+                n_cores,
+                ChainDims(
+                    dim=dim, n_channels=4, n_levels=22, n_classes=5,
+                    ngram=n, window=5,
+                ),
+                use_builtins=True,
+            ).predict_total(dim)
+            for n in ngrams
+        ]
         for n_cores in cores
     }
     return Fig4Result(

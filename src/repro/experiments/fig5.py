@@ -6,17 +6,19 @@ The paper's claims: cycles grow linearly with the channel count, the
 memory footprint grows linearly too, the 8-core Wolf keeps meeting the
 10 ms deadline, and "the commercial ARM Cortex M4 … cannot meet the
 10 ms latency constraint when the number of channels is larger than 16".
+Each channel count is one :func:`~repro.perf.calibration.calibrate_chain`
+call per machine, evaluated at the fixed dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..kernels.layout import ChainDims, make_layout
-from ..perf.calibration import CalibrationRequest, calibrate_chain_batch
+from ..perf.calibration import calibrate_chain
 from ..perf.latency import DETECTION_LATENCY_MS, check_latency
 from ..pulp.soc import CORTEX_M4_SOC, WOLF_SOC
 from .reporting import Table
@@ -69,41 +71,22 @@ def run_fig5(
 ) -> Fig5Result:
     """Calibrate per channel count on both machines, sweep, and check
     the deadline."""
-    shapes = [
-        ChainDims(
-            dim=dim, n_channels=n_ch, n_levels=22, n_classes=5,
-            ngram=1, window=5,
-        )
-        for n_ch in channels
-    ]
     # The carry-save spatial strategy at every point keeps the sweep
     # strategy-consistent (and is the only one that scales to 256
     # channels); Table 3's small-channel numbers use the paper's
-    # Fig. 2 register strategy instead.  Both machines' fits for the
-    # whole channel sweep go through one batched calibration call.
-    requests = [
-        CalibrationRequest(
-            soc=WOLF_SOC, n_cores=8, dims=shape,
-            use_builtins=True, strategy="carry-save",
-        )
-        for shape in shapes
-    ] + [
-        CalibrationRequest(
-            soc=CORTEX_M4_SOC, n_cores=1, dims=shape,
-            strategy="carry-save",
-        )
-        for shape in shapes
-    ]
-    models = calibrate_chain_batch(requests)
-    wolf_models = models[: len(shapes)]
-    m4_models = models[len(shapes):]
-
+    # Fig. 2 register strategy instead.
     points = []
-    for n_ch, shape, wolf_model, m4_model in zip(
-        channels, shapes, wolf_models, m4_models
-    ):
-        wolf_cycles = wolf_model.predict_total(dim)
-        m4_cycles = m4_model.predict_total(dim)
+    for n_ch in channels:
+        shape = ChainDims(
+            dim=dim, n_channels=n_ch, n_levels=22, n_classes=5,
+            ngram=1, window=5,
+        )
+        wolf_cycles = calibrate_chain(
+            WOLF_SOC, 8, shape, use_builtins=True, strategy="carry-save"
+        ).predict_total(dim)
+        m4_cycles = calibrate_chain(
+            CORTEX_M4_SOC, 1, shape, strategy="carry-save"
+        ).predict_total(dim)
         wolf_check = check_latency(wolf_cycles, WOLF_SOC)
         m4_check = check_latency(m4_cycles, CORTEX_M4_SOC)
         layout = make_layout(shape, n_cores=8)

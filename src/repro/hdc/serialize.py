@@ -694,7 +694,7 @@ def model_info(path: Union[str, pathlib.Path]) -> dict:
 #
 # The elastic streaming fleet (:mod:`repro.stream`) transfers *runtime*
 # state — windower ring buffers, smoother histories, scheduler queues —
-# between processes and persists worker checkpoints to disk.  That state
+# between processes and keeps worker checkpoints as blobs.  That state
 # is value-like (plain dicts of numbers, bytes, and small arrays built
 # by each class's ``snapshot()``), but unlike the model store it is
 # internal wire format, not interchange: pickle is the right carrier
@@ -707,7 +707,7 @@ def model_info(path: Union[str, pathlib.Path]) -> dict:
 SNAPSHOT_MAGIC = "repro-stream-snapshot"
 """Envelope identifier stored in every serialized snapshot."""
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 """Current snapshot envelope version.
 
 The envelope wraps the ``snapshot()`` dicts of the streaming stack
@@ -715,7 +715,7 @@ The envelope wraps the ``snapshot()`` dicts of the streaming stack
 :mod:`repro.stream`.  Bump on any incompatible change to those dicts.
 """
 
-SUPPORTED_SNAPSHOT_VERSIONS = (3,)
+SUPPORTED_SNAPSHOT_VERSIONS = (4,)
 """Snapshot envelope versions this build reads."""
 
 
@@ -777,20 +777,3 @@ def loads_snapshot(blob: bytes, kind: Optional[str] = None) -> dict:
     if not isinstance(state, dict):
         raise SnapshotFormatError("snapshot envelope carries no state")
     return state
-
-
-def save_snapshot(
-    path: Union[str, pathlib.Path], kind: str, state: dict
-) -> pathlib.Path:
-    """Persist one snapshot to ``path`` (e.g. a worker checkpoint)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(dumps_snapshot(kind, state))
-    return path
-
-
-def load_snapshot(
-    path: Union[str, pathlib.Path], kind: Optional[str] = None
-) -> dict:
-    """Read one snapshot file back; same validation as ``loads_snapshot``."""
-    return loads_snapshot(pathlib.Path(path).read_bytes(), kind)

@@ -7,23 +7,17 @@ Calibration dimensions are chosen so their word counts are exact
 multiples of the core count (no ceil() mismatch between fit points) and
 far enough apart for a stable slope.
 
-Sweeps calibrate through two levels of batching:
-
-* a process-wide **model cache** keyed on the shape, so revisited
-  configurations (Fig. 4's core sweep shares shapes with Fig. 3's N
-  sweep, for instance) cost a dict lookup; and
-* :func:`calibrate_chain_batch`, which takes a whole sweep's worth of
-  requests at once, dedups them against the model cache, and fits only
-  the distinct shapes — so Fig. 4 / Table 3-style sweeps issue one
-  engine run per unique fit point rather than one per sweep cell.
+Sweeps call :func:`calibrate_chain` once per cell.  A process-wide
+**model cache** keyed on the shape makes a revisited configuration
+(Fig. 4's core sweep shares shapes with Fig. 3's N sweep, for instance)
+cost a dict lookup, so a sweep runs two ISS windows per distinct shape,
+not per cell.
 
 Every distinct (shape, dimension) pair owns a distinct generated
 program — the layout bakes buffer addresses and the N-gram structure
 into the instruction stream — so fit points cannot share window lanes
 of a single laned engine run; each fit point routes through the batched
-window driver (the same unified dispatch core the sweeps execute on)
-and the batching win here is structural: O(unique shapes), not
-O(sweep cells), engine runs.
+window driver, the same dispatch core the sweeps execute on.
 
 :class:`DevicePerfModel` freezes one calibrated operating point for
 streaming telemetry: the serving stack batches windows on the host, but
@@ -37,8 +31,8 @@ known cycle count without running the ISS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -162,55 +156,6 @@ def _run_point(
     return result.encode_cycles, result.am_cycles
 
 
-@dataclass(frozen=True)
-class CalibrationRequest:
-    """One sweep cell's worth of calibration inputs.
-
-    ``dims.dim`` is ignored — the fitted model predicts over
-    dimensions; every other shape field is part of the identity.
-    """
-
-    soc: SoCConfig
-    n_cores: int
-    dims: ChainDims
-    use_builtins: bool = False
-    strategy: str = "auto"
-    seed: int = field(default=99, compare=False)
-
-    def key(self) -> tuple:
-        return (
-            self.soc.name,
-            self.n_cores,
-            self.dims.n_channels,
-            self.dims.n_levels,
-            self.dims.n_classes,
-            self.dims.ngram,
-            self.dims.window,
-            self.use_builtins,
-            self.strategy,
-        )
-
-
-def _fit_shape(request: CalibrationRequest) -> ChainCycleModel:
-    """Two fit-point ISS runs sharing one rng stream, then the fit."""
-    soc, n_cores, dims = request.soc, request.n_cores, request.dims
-    use_builtins, strategy = request.use_builtins, request.strategy
-    rng = np.random.default_rng(request.seed)
-    dim_a, dim_b = calibration_dims(n_cores, soc, dims)
-    enc_a, am_a = _run_point(
-        soc, n_cores, replace(dims, dim=dim_a), use_builtins, strategy, rng
-    )
-    enc_b, am_b = _run_point(
-        soc, n_cores, replace(dims, dim=dim_b), use_builtins, strategy, rng
-    )
-    return ChainCycleModel(
-        encode=LinearCycleModel.fit(
-            n_cores, "encode", (dim_a, enc_a), (dim_b, enc_b)
-        ),
-        am=LinearCycleModel.fit(n_cores, "am", (dim_a, am_a), (dim_b, am_b)),
-    )
-
-
 def calibrate_chain(
     soc: SoCConfig,
     n_cores: int,
@@ -222,48 +167,40 @@ def calibrate_chain(
     """Calibrate (or fetch from cache) the cycle model for one shape.
 
     ``dims.dim`` is ignored — the model predicts over dimensions; all
-    other shape fields matter.
+    other shape fields matter, and they key the model cache.  A fit
+    runs two fit-point ISS windows sharing one rng stream seeded by
+    ``seed``, which is not part of the key.
     """
-    request = CalibrationRequest(
-        soc=soc,
-        n_cores=n_cores,
-        dims=dims,
-        use_builtins=use_builtins,
-        strategy=strategy,
-        seed=seed,
+    key = (
+        soc.name,
+        n_cores,
+        dims.n_channels,
+        dims.n_levels,
+        dims.n_classes,
+        dims.ngram,
+        dims.window,
+        use_builtins,
+        strategy,
     )
-    return calibrate_chain_batch([request])[0]
-
-
-def calibrate_chain_batch(
-    requests: Sequence[CalibrationRequest],
-) -> List[ChainCycleModel]:
-    """Calibrate a whole sweep at once; one fit per *distinct* shape.
-
-    Requests are deduplicated against each other and against the model
-    cache before any engine runs, so a Fig. 3 + Fig. 4-style sweep that
-    revisits (N, cores) shapes issues only the unique fit points.  Each
-    fit is bit-identical to the equivalent :func:`calibrate_chain` call
-    (same per-shape rng stream), so batched and one-at-a-time
-    calibration produce the same models in any order.
-
-    Returns models aligned with ``requests``.
-    """
-    models: Dict[tuple, ChainCycleModel] = {}
-    order: List[tuple] = []
-    for request in requests:
-        key = request.key()
-        order.append(key)
-        if key in models:
-            continue
-        cached = _CACHE.get(key)
-        if cached is not None:
-            models[key] = cached
-            continue
-        model = _fit_shape(request)
-        _CACHE[key] = model
-        models[key] = model
-    return [models[key] for key in order]
+    cached = _CACHE.get(key)
+    if cached is not None:
+        return cached
+    rng = np.random.default_rng(seed)
+    dim_a, dim_b = calibration_dims(n_cores, soc, dims)
+    enc_a, am_a = _run_point(
+        soc, n_cores, replace(dims, dim=dim_a), use_builtins, strategy, rng
+    )
+    enc_b, am_b = _run_point(
+        soc, n_cores, replace(dims, dim=dim_b), use_builtins, strategy, rng
+    )
+    model = ChainCycleModel(
+        encode=LinearCycleModel.fit(
+            n_cores, "encode", (dim_a, enc_a), (dim_b, enc_b)
+        ),
+        am=LinearCycleModel.fit(n_cores, "am", (dim_a, am_a), (dim_b, am_b)),
+    )
+    _CACHE[key] = model
+    return model
 
 
 def clear_cache() -> None:

@@ -1,9 +1,11 @@
 """Host-side serving telemetry for the streaming service.
 
 Mergeable latency histograms (:class:`LatencyHistogram` and its two
-geometries, :func:`tick_histogram` and :func:`wall_histogram`), and the
+geometries: :func:`tick_histogram`, the scheduler's queue-age clock,
+and :func:`wall_histogram`, the benchmarks' seconds), and the
 per-scheduler :class:`StreamStats` that fold into a fleet-wide
-:class:`FleetStats`.
+:class:`FleetStats`.  Queue age is counted in logical ingest ticks
+only, the clock ``max_wait`` runs on, so it replays exactly.
 
 This module is on the serving import path, so it imports numpy and
 nothing from the ISS.  The simulated device operating point that prices
@@ -68,10 +70,9 @@ class LatencyHistogram:
     with the same geometry merge by adding counts, which is how
     :class:`FleetStats` folds per-shard views into fleet percentiles.
 
-    Values are unit-agnostic: the scheduler records wall-clock seconds
-    into one instance and logical-tick waits into another.  Instances
-    are plain picklable values (they ride worker stats replies and
-    scheduler snapshots).
+    Values are unit-agnostic: the scheduler records logical-tick waits,
+    the benchmarks wall-clock seconds.  Instances are plain picklable
+    values (they ride worker stats replies and scheduler snapshots).
 
     A record may carry a weight: the number of observations that share
     the value.  The scheduler records each queue item once, weighted by
@@ -324,22 +325,13 @@ class StreamStats:
     cache_evictions: int
     cache_size: int
     host_seconds: float  # wall-clock inside engine passes
-    #: Queue-age telemetry (PR 8): the age of the *oldest* still-queued
-    #: window at snapshot time, and per-window dispatch-wait histograms
-    #: over the scheduler's lifetime — in logical ingest ticks (the
-    #: deterministic unit replay can reproduce) and wall-clock seconds
-    #: (the unit SLOs are written in).  Defaults keep old constructors
-    #: (and pickled snapshots) working.
-    oldest_queue_age_ticks: int = 0
-    oldest_queue_age_s: float = 0.0
-    queue_age_ticks_hist: Optional[LatencyHistogram] = None
-    queue_age_s_hist: Optional[LatencyHistogram] = None
+    #: Per-window dispatch-wait histogram over the scheduler's
+    #: lifetime, in logical ingest ticks.
+    queue_age_ticks_hist: LatencyHistogram
 
     @classmethod
     def collect(cls, service, shard: Optional[int] = None) -> "StreamStats":
         """Snapshot any object with the scheduler's telemetry surface."""
-        ticks_hist = getattr(service, "queue_age_ticks_hist", None)
-        wall_hist = getattr(service, "queue_age_s_hist", None)
         return cls(
             shard=shard,
             n_sessions=len(service.sessions),
@@ -350,18 +342,7 @@ class StreamStats:
             cache_evictions=service.cache_evictions,
             cache_size=service.cache_size,
             host_seconds=service.total_host_seconds,
-            oldest_queue_age_ticks=getattr(
-                service, "oldest_queued_tick_age", 0
-            ),
-            oldest_queue_age_s=getattr(
-                service, "oldest_queued_wall_age", 0.0
-            ),
-            queue_age_ticks_hist=(
-                ticks_hist.copy() if ticks_hist is not None else None
-            ),
-            queue_age_s_hist=(
-                wall_hist.copy() if wall_hist is not None else None
-            ),
+            queue_age_ticks_hist=service.queue_age_ticks_hist.copy(),
         )
 
     @property
@@ -374,13 +355,6 @@ class StreamStats:
     def mean_batch(self) -> float:
         """Mean windows per dispatched batch."""
         return self.n_windows / self.n_batches if self.n_batches else 0.0
-
-    @property
-    def host_windows_per_sec(self) -> float:
-        """Windows per second of engine time (not elapsed wall-clock)."""
-        if self.host_seconds <= 0.0:
-            return float("inf") if self.n_windows else 0.0
-        return self.n_windows / self.host_seconds
 
 
 def _format_bytes(n: int) -> str:
@@ -480,37 +454,12 @@ class FleetStats:
         return sum(s.host_seconds for s in self.shards)
 
     @property
-    def queue_age_ticks_hist(self) -> Optional[LatencyHistogram]:
+    def queue_age_ticks_hist(self) -> LatencyHistogram:
         """Merged per-window dispatch-wait histogram in logical ticks."""
-        return self._merged_hist("queue_age_ticks_hist")
-
-    @property
-    def queue_age_s_hist(self) -> Optional[LatencyHistogram]:
-        """Merged per-window dispatch-wait histogram in seconds."""
-        return self._merged_hist("queue_age_s_hist")
-
-    def _merged_hist(self, name: str) -> Optional[LatencyHistogram]:
-        merged: Optional[LatencyHistogram] = None
-        for s in self.shards:
-            hist = getattr(s, name)
-            if hist is None:
-                continue
-            merged = hist.copy() if merged is None else merged.merge(hist)
+        merged = self.shards[0].queue_age_ticks_hist.copy()
+        for s in self.shards[1:]:
+            merged.merge(s.queue_age_ticks_hist)
         return merged
-
-    @property
-    def oldest_queue_age_ticks(self) -> int:
-        """Worst (oldest) queued-window age across shards, in ticks."""
-        return max(
-            (s.oldest_queue_age_ticks for s in self.shards), default=0
-        )
-
-    @property
-    def oldest_queue_age_s(self) -> float:
-        """Worst (oldest) queued-window age across shards, in seconds."""
-        return max(
-            (s.oldest_queue_age_s for s in self.shards), default=0.0
-        )
 
     @property
     def total_journal_bytes(self) -> int:
@@ -553,39 +502,11 @@ class FleetStats:
             f"{self.host_seconds:>9.3f}"
         )
         ticks = self.queue_age_ticks_hist
-        if ticks is not None and ticks.count:
-            lines.append(
-                f"  queue age: "
-                f"{format_percentiles(ticks, 'ticks')}; wall "
-                f"{format_percentiles(self.queue_age_s_hist, 'ms')}"
-            )
+        if ticks.count:
+            lines.append(f"  queue age: {format_percentiles(ticks, 'ticks')}")
         if self.checkpoints or self.migrations or self.rescales:
             lines.append(
                 f"  elastic: {self.checkpoints} checkpoints, "
                 f"{self.migrations} migrations, {self.rescales} rescales"
             )
         return lines
-
-
-def merge_stream_stats(
-    stats: Sequence[StreamStats],
-    journal_bytes: Sequence[int] = (),
-    checkpoint_bytes: Sequence[int] = (),
-    checkpoints: int = 0,
-    migrations: int = 0,
-    rescales: int = 0,
-) -> FleetStats:
-    """Merge per-shard snapshots into one fleet view (order preserved).
-
-    The keyword arguments carry coordinator-side elastic telemetry the
-    workers cannot see: per-shard journal/checkpoint byte sizes and the
-    lifetime checkpoint/migration/rescale counts.
-    """
-    return FleetStats(
-        shards=tuple(stats),
-        journal_bytes=tuple(int(b) for b in journal_bytes),
-        checkpoint_bytes=tuple(int(b) for b in checkpoint_bytes),
-        checkpoints=int(checkpoints),
-        migrations=int(migrations),
-        rescales=int(rescales),
-    )

@@ -14,10 +14,10 @@ low-power device.  This package is that serving layer, scaled out:
   scheduler: ready windows from all sessions coalesce into single
   packed encode + AM-search passes with ``max_batch`` / ``max_wait``
   backpressure;
-* telemetry — lifetime counters and queue-age histograms only,
-  merged across shards via :mod:`repro.perf.streaming`; no decision
-  or batch log is kept, since ``ingest`` / ``pump`` / ``drain`` return
-  every decision;
+* telemetry — lifetime counters and a queue-age histogram in ingest
+  ticks only, merged across shards via :mod:`repro.perf.streaming`;
+  no decision or batch log is kept, since ``ingest`` / ``pump`` /
+  ``drain`` return every decision;
 * :class:`~repro.stream.sharded.ShardedStreamingService` — the
   multi-process front end: sessions routed by consistent hash across N
   worker shards, each running its own scheduler against a read-only

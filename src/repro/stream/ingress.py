@@ -126,10 +126,9 @@ class IngressConfig:
     #: fraction of the shards' unacknowledged-bytes windows in use, is
     #: >= this.  A single-process service has no such window.
     shed_utilization: float = 0.90
-    #: Admit no new sessions while the oldest queued window is older
-    #: than these (``None`` disables the respective signal).
+    #: Admit no new sessions while the oldest queued window has waited
+    #: more than this many ingest ticks (``None`` disables the signal).
     shed_queue_age_ticks: Optional[float] = None
-    shed_queue_age_s: Optional[float] = None
     #: Retry hint carried on shed ERROR frames.
     retry_after_s: float = 0.5
     #: Period of the idle sweeper that drains max_wait-aged windows
@@ -160,12 +159,11 @@ class IngressConfig:
             raise ValueError(
                 f"retry_after_s must be >= 0, got {self.retry_after_s}"
             )
-        for name in ("shed_queue_age_ticks", "shed_queue_age_s"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0.0:
-                raise ValueError(
-                    f"{name} must be >= 0 or None, got {value}"
-                )
+        age = self.shed_queue_age_ticks
+        if age is not None and not age >= 0.0:
+            raise ValueError(
+                f"shed_queue_age_ticks must be >= 0 or None, got {age}"
+            )
 
 
 @dataclass
@@ -347,23 +345,19 @@ class IngressServer:
 
     # -- admission ---------------------------------------------------------
 
-    def _admission_signals(self) -> Tuple[float, float, float]:
-        """(utilization, oldest queued age in ticks, in seconds) now."""
+    def _admission_signals(self) -> Tuple[float, float]:
+        """(utilization, oldest queued age in ticks) now."""
         service = self._service
         if hasattr(service, "credit_utilization"):
             utilization = service.credit_utilization()
         else:
             utilization = 0.0
-        return (
-            utilization,
-            float(service.oldest_queued_tick_age),
-            float(service.oldest_queued_wall_age),
-        )
+        return utilization, float(service.oldest_queued_tick_age)
 
     def _shed_reason(self) -> Optional[str]:
         """Why a new OPEN must be rejected, or None to admit."""
         cfg = self._config
-        utilization, age_ticks, age_s = self._admission_signals()
+        utilization, age_ticks = self._admission_signals()
         if utilization >= cfg.shed_utilization:
             return (
                 f"credit utilization {utilization:.2f} >= "
@@ -376,14 +370,6 @@ class IngressServer:
             return (
                 f"queue age {age_ticks:.0f} ticks > "
                 f"{cfg.shed_queue_age_ticks:.0f}"
-            )
-        if (
-            cfg.shed_queue_age_s is not None
-            and age_s > cfg.shed_queue_age_s
-        ):
-            return (
-                f"queue age {age_s * 1e3:.1f} ms > "
-                f"{cfg.shed_queue_age_s * 1e3:.1f}"
             )
         return None
 

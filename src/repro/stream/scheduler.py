@@ -28,10 +28,10 @@ classification group; and each queue item's decisions are built in one
 call on its session.
 
 The service keeps only the state decisions depend on, plus lifetime
-counters (windows, batches, engine seconds, cache hits) and two
-queue-age histograms.  It records no per-decision or per-batch log:
-each call returns its decisions, and a simulated device total is the
-window count times one per-window constant of a
+counters (windows, batches, engine seconds, cache hits) and one
+queue-age histogram in ingest ticks.  It records no per-decision or
+per-batch log: each call returns its decisions, and a simulated device
+total is the window count times one per-window constant of a
 :class:`~repro.perf.calibration.DevicePerfModel`.
 
 Each served model keeps one decision cache, bit-exactly: it memoizes
@@ -63,7 +63,7 @@ from ..hdc import engine
 from ..hdc.batch import BatchHDClassifier
 from ..hdc.online import AdaptConfig, SessionDelta
 from ..hdc.serialize import CutoverError
-from ..perf.streaming import LatencyHistogram, tick_histogram, wall_histogram
+from ..perf.streaming import LatencyHistogram, tick_histogram
 from .session import Decision, Session
 
 
@@ -191,23 +191,20 @@ class StreamingService:
                 self.add_model(model_id, extra)
         self._sessions: Dict[Hashable, Session] = {}
         # Ready windows in arrival order, blocked per ingest:
-        # (session, (k, T, channels) window stack, enqueued_at tick,
-        # enqueued_at wall stamp from time.monotonic()).  The tick
-        # drives the deterministic max_wait policy; the wall stamp is
-        # telemetry only (queue-age SLOs) and never affects decisions.
-        self._queue: Deque[Tuple[Session, np.ndarray, int, float]] = deque()
+        # (session, (k, T, channels) window stack, enqueued_at tick).
+        # The tick drives the deterministic max_wait policy.
+        self._queue: Deque[Tuple[Session, np.ndarray, int]] = deque()
         self._pending = 0
         self._clock = 0
         self._next_batch_id = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        # Per-window dispatch-wait histograms: how long each window sat
-        # in the ready queue before its batch dispatched, in logical
-        # ticks (deterministic, replay-stable) and wall seconds (the
-        # SLO unit).  Mergeable across shards into FleetStats.
+        # Per-window dispatch-wait histogram: how many logical ticks
+        # each window sat in the ready queue before its batch
+        # dispatched (deterministic, replay-stable).  Mergeable across
+        # shards into FleetStats.
         self.queue_age_ticks_hist: LatencyHistogram = tick_histogram()
-        self.queue_age_s_hist: LatencyHistogram = wall_histogram()
         # Lifetime totals for fleet aggregation.
         self._n_batches = 0
         self._n_windows = 0
@@ -388,13 +385,6 @@ class StreamingService:
         return self._clock - self._queue[0][2]
 
     @property
-    def oldest_queued_wall_age(self) -> float:
-        """Seconds the oldest still-queued window has waited (0.0 if none)."""
-        if not self._queue:
-            return 0.0
-        return max(0.0, time.monotonic() - self._queue[0][3])
-
-    @property
     def sessions(self) -> Tuple[Session, ...]:
         """All open sessions, in opening order."""
         return tuple(self._sessions.values())
@@ -541,8 +531,7 @@ class StreamingService:
         orphans: List[dict] = []
         orphan_index: Dict[int, int] = {}
         queue_state: List[tuple] = []
-        now = time.monotonic()
-        for session, windows, tick, wall in self._queue:
+        for session, windows, tick in self._queue:
             if id(session) in open_ids:
                 ref = ("open", session.id)
             else:
@@ -552,12 +541,7 @@ class StreamingService:
                     orphan_index[id(session)] = slot
                     orphans.append(session.snapshot())
                 ref = ("orphan", slot)
-            # Wall stamps travel as *ages* (now - stamp): monotonic
-            # clocks are not comparable across processes, ages are.
-            queue_state.append(
-                (ref, windows.tobytes(), windows.shape, tick,
-                 max(0.0, now - wall))
-            )
+            queue_state.append((ref, windows.tobytes(), windows.shape, tick))
         return {
             "clock": self._clock,
             "next_batch_id": self._next_batch_id,
@@ -566,7 +550,6 @@ class StreamingService:
             "orphans": orphans,
             "queue": queue_state,
             "queue_age_ticks_hist": self.queue_age_ticks_hist.copy(),
-            "queue_age_s_hist": self.queue_age_s_hist.copy(),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -593,8 +576,7 @@ class StreamingService:
         orphan_sessions = [
             self._restore_session(o) for o in state["orphans"]
         ]
-        now = time.monotonic()
-        for (kind, ref), buf, shape, tick, wall_age in state["queue"]:
+        for (kind, ref), buf, shape, tick in state["queue"]:
             session = (
                 self._sessions[ref] if kind == "open"
                 else orphan_sessions[ref]
@@ -602,11 +584,8 @@ class StreamingService:
             windows = (
                 np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
             )
-            self._queue.append(
-                (session, windows, int(tick), now - float(wall_age))
-            )
+            self._queue.append((session, windows, int(tick)))
         self.queue_age_ticks_hist = state["queue_age_ticks_hist"].copy()
-        self.queue_age_s_hist = state["queue_age_s_hist"].copy()
         self._pending = int(state["pending"])
         self._clock = int(state["clock"])
         self._next_batch_id = int(state["next_batch_id"])
@@ -639,17 +618,13 @@ class StreamingService:
         except KeyError:
             raise KeyError(f"session {session_id!r} is not open") from None
         queued: List[tuple] = []
-        kept: Deque[Tuple[Session, np.ndarray, int, float]] = deque()
-        now = time.monotonic()
-        for entry_session, windows, tick, wall in self._queue:
+        kept: Deque[Tuple[Session, np.ndarray, int]] = deque()
+        for entry_session, windows, tick in self._queue:
             if entry_session is session:
-                queued.append(
-                    (windows.tobytes(), windows.shape, tick,
-                     max(0.0, now - wall))
-                )
+                queued.append((windows.tobytes(), windows.shape, tick))
                 self._pending -= windows.shape[0]
             else:
-                kept.append((entry_session, windows, tick, wall))
+                kept.append((entry_session, windows, tick))
         self._queue = kept
         return {"session": session.snapshot(), "queued": queued}
 
@@ -667,20 +642,16 @@ class StreamingService:
             raise ValueError(f"session {session_id!r} is already open")
         session = self._restore_session(s_state)
         self._sessions[session_id] = session
-        now = time.monotonic()
-        for buf, shape, tick, wall_age in state["queued"]:
+        for buf, shape, tick in state["queued"]:
             windows = (
                 np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
             )
-            self._insert_by_tick(
-                session, windows, int(tick), now - float(wall_age)
-            )
+            self._insert_by_tick(session, windows, int(tick))
             self._pending += windows.shape[0]
         return self.pump()
 
     def _insert_by_tick(
-        self, session: Session, windows: np.ndarray, tick: int,
-        wall: float,
+        self, session: Session, windows: np.ndarray, tick: int
     ) -> None:
         """Insert a queue entry keeping ticks non-decreasing.
 
@@ -693,7 +664,7 @@ class StreamingService:
         idx = len(queue)
         while idx > 0 and queue[idx - 1][2] > tick:
             idx -= 1
-        queue.insert(idx, (session, windows, tick, wall))
+        queue.insert(idx, (session, windows, tick))
 
     # -- the data path -----------------------------------------------------
 
@@ -742,9 +713,7 @@ class StreamingService:
         windows = session.push(samples)
         self._clock = tick
         if windows.shape[0]:
-            self._queue.append(
-                (session, windows, self._clock, time.monotonic())
-            )
+            self._queue.append((session, windows, tick))
             self._pending += windows.shape[0]
         return self.pump()
 
@@ -850,13 +819,13 @@ class StreamingService:
         leaves the queue, the pending count and every session as they
         were, and a retry decides every window.
         """
-        items: List[Tuple[Session, np.ndarray, int, float]] = []
+        items: List[Tuple[Session, np.ndarray, int]] = []
         take = n
-        for session, windows, tick, wall in self._queue:
+        for session, windows, tick in self._queue:
             if windows.shape[0] >= take:
-                items.append((session, windows[:take], tick, wall))
+                items.append((session, windows[:take], tick))
                 break
-            items.append((session, windows, tick, wall))
+            items.append((session, windows, tick))
             take -= windows.shape[0]
         # Group queue entries by classification context.  Windows of
         # different models (or of an adapted session) cannot share an
@@ -864,7 +833,7 @@ class StreamingService:
         # are row-independent, so per-group passes decide bit-identically
         # to the single-model fast path.
         groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for pos, (session, _, _, _) in enumerate(items):
+        for pos, (session, _, _) in enumerate(items):
             groups.setdefault(self._group_of(session), []).append(pos)
         start = time.perf_counter()
         item_labels: List[Optional[list]] = [None] * len(items)
@@ -901,25 +870,21 @@ class StreamingService:
         self.cache_hits += hits
         self.cache_misses += misses
         for _ in range(len(items)):
-            session, windows, tick, wall = self._queue.popleft()
+            session, windows, tick = self._queue.popleft()
         if windows.shape[0] > take:
-            self._queue.appendleft((session, windows[take:], tick, wall))
+            self._queue.appendleft((session, windows[take:], tick))
         self._pending -= n
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         decisions: List[Decision] = []
         clock = self._clock
-        now = time.monotonic()
         # One record per queue item, weighted by its window count: every
         # window of an item waited as long.
-        counts = [block.shape[0] for _, block, _, _ in items]
         self.queue_age_ticks_hist.record_many(
-            [clock - tick for _, _, tick, _ in items], counts
+            [clock - tick for _, _, tick in items],
+            [block.shape[0] for _, block, _ in items],
         )
-        self.queue_age_s_hist.record_many(
-            [max(0.0, now - wall) for _, _, _, wall in items], counts
-        )
-        for (session, block, tick, _), raw_labels in zip(items, item_labels):
+        for (session, block, tick), raw_labels in zip(items, item_labels):
             decisions.extend(
                 session.record(raw_labels, batch_id, tick, clock, block)
             )

@@ -238,7 +238,7 @@ class Session:
 
         Composes the windower and smoother snapshots with the lifetime
         decision counter.  Everything is picklable, so the dict travels
-        over a pipe (live migration) or into a checkpoint file
+        over a pipe (live migration) or into a checkpoint blob
         unchanged; :meth:`restore` on a session built with the same
         configuration continues the stream byte-identically.
         """

@@ -90,16 +90,17 @@ migrates live, and retiring workers drain and stop.
 **Load signals.** Two cost nothing to read, because the transport
 already keeps them: :meth:`~ShardedStreamingService.credit_utilization`
 (the mean fraction of the byte window in use) and
-``oldest_queued_tick_age`` / ``oldest_queued_wall_age`` (the largest
-age any shard reported with its last ingest ack), the names the
+``oldest_queued_tick_age`` (the largest queue age, in ingest ticks,
+any shard reported with its last ingest ack), the name the
 single-process service uses for its own queue.  The ingress's
 admission control reads them from either backend.
 
 Fleet telemetry: every worker snapshots its scheduler into a
 :class:`~repro.perf.streaming.StreamStats`; :meth:`stats` merges them
 into one :class:`~repro.perf.streaming.FleetStats` (per-shard and
-fleet-wide batch + decision-cache statistics, queue-age histograms,
-journal/checkpoint byte sizes, checkpoint/migration/rescale counts).
+fleet-wide batch + decision-cache statistics, the tick queue-age
+histogram, journal/checkpoint byte sizes, checkpoint/migration/rescale
+counts).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ from ..hdc.serialize import (
     loads_snapshot,
     model_info,
 )
-from ..perf.streaming import FleetStats, StreamStats, merge_stream_stats
+from ..perf.streaming import FleetStats, StreamStats
 from .scheduler import StreamConfig, StreamingService, check_finite
 from .session import Decision
 from .windower import as_chunk
@@ -318,7 +319,7 @@ def _shard_worker(
         while True:
             message = conn.recv()
             op, seq = message[0], message[1]
-            ages = None
+            age = None
             try:
                 if op == "ingest":
                     _, _, sid, raw, shape, tick = message
@@ -329,10 +330,7 @@ def _shard_worker(
                     # Piggyback the oldest-queued-window age so the
                     # coordinator can watch queue latency without an
                     # extra stats round-trip per tick.
-                    ages = (
-                        service.oldest_queued_tick_age,
-                        service.oldest_queued_wall_age,
-                    )
+                    age = service.oldest_queued_tick_age
                 elif op == "open":
                     service.open_session(
                         message[2],
@@ -380,10 +378,10 @@ def _shard_worker(
             except Exception:
                 conn.send(("err", seq, traceback.format_exc()))
                 continue
-            if ages is None:
+            if age is None:
                 conn.send(("ok", seq, payload))
             else:
-                conn.send(("ok", seq, payload, ages))
+                conn.send(("ok", seq, payload, age))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # coordinator went away; nothing left to serve
     finally:
@@ -421,10 +419,9 @@ class _Shard:
     #: pops the one it waits for.
     replies: Dict[str, object] = field(default_factory=dict)
     respawns: int = 0
-    #: Oldest-queued-window age (ticks, seconds) the worker reported
-    #: with its last ingest ack; zeroed by a fleet drain.
+    #: Oldest-queued-window age in ticks the worker reported with its
+    #: last ingest ack; zeroed by a fleet drain.
     queued_tick_age: int = 0
-    queued_wall_age: float = 0.0
 
 
 class ShardedStreamingService:
@@ -452,7 +449,6 @@ class ShardedStreamingService:
         config: StreamConfig = StreamConfig(),
         n_shards: int = 2,
         checkpoint_interval: Optional[int] = None,
-        checkpoint_dir: Optional[Union[str, pathlib.Path]] = None,
         models: Optional[Dict[str, Union[str, pathlib.Path]]] = None,
     ):
         if n_shards < 1:
@@ -490,11 +486,6 @@ class ShardedStreamingService:
             self._model_channels[mid] = extra["n_channels"]
         self._config = config
         self._checkpoint_interval = checkpoint_interval
-        self._checkpoint_dir = (
-            pathlib.Path(checkpoint_dir)
-            if checkpoint_dir is not None
-            else None
-        )
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
@@ -808,7 +799,7 @@ class ShardedStreamingService:
             self._flush(shard)
         # Re-read the list: a flush that respawned a shard replaced it.
         for shard in self._shards:
-            shard.queued_tick_age, shard.queued_wall_age = 0, 0.0
+            shard.queued_tick_age = 0
         return self._take_ready()
 
     def stats(self) -> FleetStats:
@@ -829,14 +820,14 @@ class ShardedStreamingService:
             except ShardCrashError:
                 snapshot = self._request(index, ("stats",), journal=False)
             snapshots.append(snapshot)
-        return merge_stream_stats(
-            snapshots,
-            journal_bytes=[
+        return FleetStats(
+            shards=tuple(snapshots),
+            journal_bytes=tuple(
                 self.journal_bytes(i) for i in range(len(self._shards))
-            ],
-            checkpoint_bytes=[
+            ),
+            checkpoint_bytes=tuple(
                 self.checkpoint_bytes(i) for i in range(len(self._shards))
-            ],
+            ),
             checkpoints=self.checkpoints,
             migrations=self.migrations,
             rescales=self.rescales,
@@ -858,10 +849,6 @@ class ShardedStreamingService:
         worker dies mid-checkpoint, it is respawned from the intact
         journal and :class:`ShardCrashError` says the checkpoint did
         not happen.
-
-        With ``checkpoint_dir`` set, the blob is also persisted to
-        ``shard-<index>.snap`` (the :func:`repro.hdc.serialize`
-        snapshot envelope, loadable by ``load_snapshot``).
         """
         self._ensure_open()
         blob = self._request(index, ("checkpoint",), journal=False)
@@ -869,10 +856,6 @@ class ShardedStreamingService:
         shard.checkpoint = blob
         shard.journal.clear()
         self.checkpoints += 1
-        if self._checkpoint_dir is not None:
-            self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            path = self._checkpoint_dir / f"shard-{index}.snap"
-            path.write_bytes(shard.checkpoint)
         return len(shard.checkpoint)
 
     def migrate_session(
@@ -1015,11 +998,6 @@ class ShardedStreamingService:
         """Largest oldest-queued-window age, in ticks, that any shard
         reported with its last ingest ack (0 after a :meth:`drain`)."""
         return max(s.queued_tick_age for s in self._shards)
-
-    @property
-    def oldest_queued_wall_age(self) -> float:
-        """The same in seconds, as measured by the worker at its ack."""
-        return max(s.queued_wall_age for s in self._shards)
 
     # -- shard repair ------------------------------------------------------
 
@@ -1329,7 +1307,7 @@ class ShardedStreamingService:
         its decision columns, or file any other payload under its op."""
         kind, seq, payload = message[0], message[1], message[2]
         if len(message) > 3:
-            shard.queued_tick_age, shard.queued_wall_age = message[3]
+            shard.queued_tick_age = message[3]
         op, size, journal_pos = shard.inflight.pop(seq)
         shard.inflight_bytes -= size
         if kind == "err":

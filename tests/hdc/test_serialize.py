@@ -610,12 +610,3 @@ class TestSnapshotEnvelope:
             serialize.dumps_snapshot("", {})
         with pytest.raises(ValueError):
             serialize.dumps_snapshot("worker", [1, 2])
-
-    def test_save_and_load_paths(self, tmp_path):
-        state = {"x": 1}
-        path = serialize.save_snapshot(
-            tmp_path / "deep" / "nested" / "s.snap", "worker", state
-        )
-        assert path.is_file()
-        assert serialize.load_snapshot(path) == state
-        assert serialize.load_snapshot(path, "worker") == state

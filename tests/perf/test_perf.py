@@ -5,9 +5,7 @@ import pytest
 
 from repro.kernels import ChainConfig, ChainDims, HDChainSimulator
 from repro.perf.calibration import (
-    CalibrationRequest,
     calibrate_chain,
-    calibrate_chain_batch,
     calibration_dims,
     clear_cache,
 )
@@ -124,39 +122,28 @@ class TestBatchedCalibration:
             ngram=ngram, window=5,
         )
 
-    def test_batch_matches_sequential(self):
-        """Batched fits are bit-identical to one-at-a-time calls."""
-        clear_cache()
-        requests = [
-            CalibrationRequest(WOLF_SOC, 2, self._dims(n)) for n in (1, 2)
-        ]
-        batched = calibrate_chain_batch(requests)
-        clear_cache()
-        sequential = [
-            calibrate_chain(WOLF_SOC, 2, self._dims(n)) for n in (1, 2)
-        ]
-        assert batched == sequential
-
     def test_batch_dedups_requests(self, monkeypatch):
-        """Duplicate sweep cells cost one fit, not one per cell."""
+        """Repeated sweep cells of one shape cost one fit (two ISS
+        windows), not one per cell."""
         from repro.perf import calibration
 
         clear_cache()
-        fits = []
-        real = calibration._fit_shape
+        runs = []
+        real = calibration._run_point
         monkeypatch.setattr(
             calibration,
-            "_fit_shape",
-            lambda request: fits.append(request.key()) or real(request),
+            "_run_point",
+            lambda *args: runs.append(args[2].dim) or real(*args),
         )
-        request = CalibrationRequest(WOLF_SOC, 2, self._dims(1))
-        models = calibrate_chain_batch([request, request, request])
-        assert len(fits) == 1
+        models = [
+            calibrate_chain(WOLF_SOC, 2, self._dims(1)) for _ in range(3)
+        ]
+        assert len(runs) == 2
         assert models[0] is models[1] is models[2]
-        # and a later batch hits the model cache entirely
-        fits.clear()
-        assert calibrate_chain_batch([request]) == [models[0]]
-        assert fits == []
+        # and a later call hits the model cache entirely
+        runs.clear()
+        assert calibrate_chain(WOLF_SOC, 2, self._dims(1)) is models[0]
+        assert runs == []
 
 
 class TestLatency:

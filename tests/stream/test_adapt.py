@@ -441,9 +441,7 @@ class TestShardedAdaptParity:
         service.open_session("bystander")
         service.open_session("other", model_id="b")
 
-    def test_elastic_operations_preserve_adapted_streams(
-        self, paths, tmp_path
-    ):
+    def test_elastic_operations_preserve_adapted_streams(self, paths):
         rng = np.random.default_rng(53)
         trace = trace_from_streams(
             {
@@ -495,7 +493,6 @@ class TestShardedAdaptParity:
             config,
             n_shards=2,
             models={"b": paths[1]},
-            checkpoint_dir=tmp_path,
         ) as service:
             self._open_all(service)
             got = replay(

@@ -19,7 +19,7 @@ import pytest
 
 from repro.emg.windows import WindowConfig
 from repro.hdc import BatchHDClassifier, HDClassifierConfig, save_model
-from repro.hdc.serialize import load_model, load_snapshot
+from repro.hdc.serialize import load_model
 from repro.stream import (
     ReplayTrace,
     ShardedStreamingService,
@@ -315,26 +315,6 @@ class TestCheckpointRecovery:
             )
             assert service.shard_respawns(1) == 1
         assert parity_digest(got) == want
-
-    def test_checkpoint_dir_persists_loadable_snapshots(
-        self, store, tmp_path
-    ):
-        path, _ = store
-        trace = synthetic_trace(2, 120, n_channels=4, seed=24)
-        ckpt_dir = tmp_path / "ckpts"
-        with ShardedStreamingService(
-            path,
-            _config(max_batch=8, max_wait=3),
-            n_shards=2,
-            checkpoint_dir=ckpt_dir,
-        ) as service:
-            replay(service, trace, drain=False)
-            service.checkpoint_shard(1)
-            service.drain()
-        snap = ckpt_dir / "shard-1.snap"
-        assert snap.is_file()
-        state = load_snapshot(snap, "worker")
-        assert "sessions" in state and "decision_cache" not in state
 
 
 class TestMigration:
@@ -745,7 +725,6 @@ class TestLoadSignals:
             path, config, n_shards=2
         ) as service:
             assert service.oldest_queued_tick_age == 0
-            assert service.oldest_queued_wall_age == 0.0
             replay(service, trace, drain=False)
             # The ages ride on ingest acks, which the coordinator only
             # reaps opportunistically while sending; poll until every
@@ -761,10 +740,8 @@ class TestLoadSignals:
             # across many ticks, so workers must have reported real
             # nonzero ages.
             assert service.oldest_queued_tick_age > 0
-            assert service.oldest_queued_wall_age > 0.0
             service.drain()
             assert service.oldest_queued_tick_age == 0
-            assert service.oldest_queued_wall_age == 0.0
 
 
 class TestElasticTelemetry:

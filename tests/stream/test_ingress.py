@@ -220,15 +220,11 @@ class TestWorkloadGenerator:
             dict(max_frame_bytes=0),
             dict(retry_after_s=-0.5),
             dict(shed_queue_age_ticks=-1.0),
-            dict(shed_queue_age_s=-0.1),
         ):
             (name,) = bad
             with pytest.raises(ValueError, match=name):
                 IngressConfig(**bad)
-        IngressConfig(
-            retry_after_s=0.0, shed_queue_age_ticks=0.0,
-            shed_queue_age_s=0.0,
-        )
+        IngressConfig(retry_after_s=0.0, shed_queue_age_ticks=0.0)
 
 
 # -- the parity contract over real sockets -----------------------------------

@@ -850,10 +850,10 @@ class TestFleetTelemetry:
         assert any("fleet" in line for line in lines)
 
     def test_empty_fleet_rejected(self):
-        from repro.perf.streaming import merge_stream_stats
+        from repro.perf.streaming import FleetStats
 
         with pytest.raises(ValueError):
-            merge_stream_stats([])
+            FleetStats(shards=())
 
 
 class TestCoordinatorAPI:

@@ -11,6 +11,8 @@ uninterrupted one, with the snapshot itself surviving a pickle round
 trip through the versioned envelope in :mod:`repro.hdc.serialize`.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -244,6 +246,40 @@ class TestServiceSnapshot:
         b = decision_records(restored.drain())
         assert a == b and a  # orphan windows dispatched identically
 
+    def test_snapshot_of_a_restored_service_is_byte_identical(self, model):
+        # The ready queue's part of a snapshot depends on the ingested
+        # stream alone, so snapshot -> restore -> snapshot changes no
+        # byte, orphaned entries included.
+        config = StreamConfig(
+            window=WindowConfig(window_samples=5, skip_onset_s=0.0),
+            max_batch=64,
+            max_wait=100,  # keep windows queued
+        )
+        rng = np.random.default_rng(2)
+        service = StreamingService(model, config)
+        for sid in ("open", "gone"):
+            service.open_session(sid)
+        service.ingest("open", rng.random((12, N_CHANNELS)))
+        service.ingest("gone", rng.random((25, N_CHANNELS)))
+        service.ingest("open", rng.random((9, N_CHANNELS)))
+        service.close_session("gone")
+        first = service.snapshot()
+        assert len(first["queue"]) == 3 and first["orphans"]
+        restored = StreamingService(model, config).restore(first)
+        assert pickle.dumps(restored.snapshot()) == pickle.dumps(first)
+
+    def test_snapshot_carries_no_decision_cache(self, model):
+        config = StreamConfig(
+            window=WindowConfig(window_samples=5, skip_onset_s=0.0)
+        )
+        service = StreamingService(model, config)
+        service.open_session("s")
+        service.ingest("s", np.random.default_rng(7).random((25, N_CHANNELS)))
+        assert service.cache_size > 0
+        state = service.snapshot()
+        assert "sessions" in state and "decision_cache" not in state
+        assert StreamingService(model, config).restore(state).cache_size == 0
+
     def test_restore_requires_fresh_service(self, model):
         config = StreamConfig(
             window=WindowConfig(window_samples=5, skip_onset_s=0.0)
@@ -341,6 +377,25 @@ class TestExtractInject:
         assert service.pending_windows < before
         with pytest.raises(KeyError):
             service.extract_session("x")  # no longer open here
+
+    def test_extract_of_an_injected_session_is_byte_identical(self, model):
+        config = StreamConfig(
+            window=WindowConfig(window_samples=5, skip_onset_s=0.0),
+            max_batch=64,
+            max_wait=100,  # the inject dispatches nothing
+        )
+        rng = np.random.default_rng(4)
+        src = StreamingService(model, config)
+        dst = StreamingService(model, config)
+        src.open_session("x")
+        dst.open_session("y")
+        src.ingest("x", rng.random((12, N_CHANNELS)), tick=1)
+        dst.ingest("y", rng.random((10, N_CHANNELS)), tick=2)
+        src.ingest("x", rng.random((13, N_CHANNELS)), tick=3)
+        first = src.extract_session("x")
+        assert len(first["queued"]) == 2
+        assert dst.inject_session(first) == []
+        assert pickle.dumps(dst.extract_session("x")) == pickle.dumps(first)
 
     def test_inject_rejects_duplicate_session(self, model):
         config = StreamConfig(
